@@ -1,14 +1,18 @@
 """Batch kernels for finite-field coefficient matrices.
 
-The exhaustive perfectness sweeps and embedding root searches touch
-every element of F_{p^n}, so the inner loop is worth accelerating.
 Elements are rows of an (N, n) int64 matrix of residues; the modulus
 enters through a precomputed reduction table (row k = t^(n+k) mod f).
 
-Two interchangeable implementations are provided: numba-jitted loops
-and a vectorized pure-numpy path. PERFFIELD_BACKEND selects one
-("numba", "numpy", or "auto" = numba when importable). Both are
-exported so tests and the benchmark can compare them directly.
+The exhaustive perfectness sweep no longer needs these kernels: fqtower
+applies the Frobenius as one F_p-linear map. `batch_mulmod` runs only
+the Horner evaluation of a modulus over the small subfield searched for
+an embedding root. `batch_pow` is on no library path; it stays because
+the benchmark's layer table (perfbench/layers.py) traces it. Both are
+checked in the tests against scalar `FqElem` arithmetic, their oracle.
+
+Two interchangeable implementations of `batch_mulmod` are provided:
+numba-jitted loops and a vectorized pure-numpy path. PERFFIELD_BACKEND
+selects one ("numba", "numpy", or "auto" = numba when importable).
 
 Coefficient magnitudes: with p^n <= 2^20 the schoolbook products and
 reduction accumulations stay far below 2^63, so plain int64 arithmetic

@@ -37,6 +37,8 @@ from .septools import UniPoly
 # desk-scale guards on expression evaluation
 MAX_T_DEGREE = 1 << 16
 MAX_MULTITERM_EXP = 1 << 12
+# bit length of the largest level-0 exponent `frob` may produce
+MAX_FROB_EXP_BITS = 1 << 12
 
 _LET_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*(\S.*)$")
 _RESERVED = {"t", "root"}
@@ -303,9 +305,7 @@ def _expr_then_int(session: Session, rest: str, base: int, default=None):
             raise UsageError("missing trailing integer argument")
         k = default
     else:
-        if not tail.lstrip("-").isdigit():
-            raise UsageError(f"expected an integer after the expression, got {tail!r}")
-        k = int(tail)
+        k = _int_arg(tail, f"expected an integer after the expression, got {tail!r}")
     value = eval_ast(node, session, base)
     return value, k, node
 
@@ -337,8 +337,28 @@ def _cmd_frob(session: Session, rest: str, base: int) -> str:
         raise UsageError("frob applies to field elements")
     if k < 0:
         raise UsageError("frobenius count must be non-negative")
+    _check_frob_size(value, k)
     out = value.frobenius_iter(k)
     return _reply(session, _render_value(out), command="frob", value=value_json(out))
+
+
+def _check_frob_size(value: PerfElem, k: int) -> None:
+    """Refuse a^(p^k) before computing it when its level-0 exponents would
+    pass MAX_FROB_EXP_BITS bits: the first `level` steps only lower the
+    level, and each further step multiplies every exponent by p. A constant
+    counts as exponent 1, which bounds the number of steps."""
+    steps = k - value.level
+    if steps <= 0:
+        return
+    body = value.body
+    top = max((e for m in (*body.num.terms, *body.den.terms) for e in m), default=0)
+    # p >= 2, so p^steps has more than `steps` bits: no need to build it
+    if steps >= MAX_FROB_EXP_BITS or (
+        (max(top, 1) * value.ctx.p**steps).bit_length() > MAX_FROB_EXP_BITS
+    ):
+        raise BoundExceeded(
+            f"frob {k} would raise level-0 exponents past {MAX_FROB_EXP_BITS} bits"
+        )
 
 
 def _cmd_level(session: Session, rest: str, base: int) -> str:
@@ -416,10 +436,26 @@ def _cmd_prootpoly(session: Session, rest: str, base: int) -> str:
     return _reply(session, _render_value(g), command="prootpoly", value=value_json(g))
 
 
-def _ints(parts: list[str], n: int, usage: str) -> list[int]:
-    if len(parts) != n or not all(s.lstrip("-").isdigit() for s in parts):
+_INT_RE = re.compile(r"-?([0-9]+)\Z")
+
+
+def _int_arg(text: str, usage: str) -> int:
+    """An ASCII decimal integer argument of at most MAX_LITERAL_DIGITS digits."""
+    m = _INT_RE.match(text)
+    if not m:
         raise UsageError(usage)
-    return [int(s) for s in parts]
+    if len(m.group(1)) > parser.MAX_LITERAL_DIGITS:
+        raise UsageError(
+            f"integer argument of {len(m.group(1))} digits exceeds the limit of "
+            f"{parser.MAX_LITERAL_DIGITS} digits"
+        )
+    return int(text)
+
+
+def _ints(parts: list[str], n: int, usage: str) -> list[int]:
+    if len(parts) != n:
+        raise UsageError(usage)
+    return [_int_arg(s, usage) for s in parts]
 
 
 def _cmd_fq(session: Session, rest: str, base: int) -> str:

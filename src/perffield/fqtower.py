@@ -7,9 +7,15 @@ is the first monic irreducible of degree n in coefficient enumeration
 order (constant term fastest-varying), confirmed by Rabin's criterion —
 so a given (p, n) always denotes the same concrete field.
 
-Scalar element arithmetic here is deliberately independent of the batch
-kernels in _accel: the sweeps are checked against it in tests, so each
-implementation audits the other.
+The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
+Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
+(row i = t^(i p^(n-1)) mod f), built on first use. The exhaustive sweep
+maps every element through Q at once; the embedding root search looks
+only in the subfield ker(Q^m - I) where every root lies; the scalar
+`frobenius` and `inv_frobenius` are one vector-matrix product each.
+Scalar powering (`FqElem.__pow__`, square-and-multiply on residues)
+never goes through these matrices, and the tests check the matrices
+against it element by element.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ MAX_DEGREE = 16
 MAX_ORDER = 2**20
 MAX_EXHAUSTIVE = 2**16
 
-# chunk size for sweeps over all field elements
+# rows per chunk in the embedding root search, which bounds its memory
+# when the subfield searched is large (m = n)
 _BLOCK = 1 << 15
 
 
@@ -128,7 +135,7 @@ def _zip_pad(a: list[int], b: list[int]):
 class FqField:
     """The finite field with p^n elements, as Z_p[t] mod a fixed modulus."""
 
-    __slots__ = ("p", "n", "modulus", "order", "_red")
+    __slots__ = ("p", "n", "modulus", "order", "_red", "_frob", "_inv_frob")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -136,6 +143,32 @@ class FqField:
         self.modulus = modulus
         self.order = p**n
         self._red = _accel.reduction_table(modulus, p)
+        self._frob = None
+        self._inv_frob = None
+
+    def power_map(self, e: int) -> tuple[tuple[int, ...], ...]:
+        """Rows of the matrix of a -> a^e when that map is F_p-linear
+        (e a power of p): row i is t^(ie) mod f, so a row vector of
+        coefficients times the matrix is the image."""
+        f = list(self.modulus)
+        step = _ppowmod([0, 1], e, f, self.p)
+        rows, cur = [], [1]
+        for _ in range(self.n):
+            rows.append(tuple(cur) + (0,) * (self.n - len(cur)))
+            cur = _pmod(_pmul(cur, step, self.p), f, self.p)
+        return tuple(rows)
+
+    def frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Berlekamp's Q: row i is t^(ip) mod f."""
+        if self._frob is None:
+            self._frob = self.power_map(self.p)
+        return self._frob
+
+    def inv_frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The inverse of Q: row i is t^(i p^(n-1)) mod f."""
+        if self._inv_frob is None:
+            self._inv_frob = self.power_map(self.p ** (self.n - 1))
+        return self._inv_frob
 
     def elem(self, coeffs) -> FqElem:
         p = self.p
@@ -294,11 +327,21 @@ class FqElem:
         return self._check(other) * self.inv()
 
     def frobenius(self) -> FqElem:
-        return self**self.field.p
+        """a^p, as the coefficient vector times Q."""
+        return self._times(self.field.frobenius_matrix())
 
     def inv_frobenius(self) -> FqElem:
-        """The unique p-th root: a^(p^(n-1)), since a^(p^n) = a."""
-        return self ** (self.field.p ** (self.field.n - 1))
+        """The unique p-th root a^(p^(n-1)), since a^(p^n) = a, as the
+        coefficient vector times the inverse of Q."""
+        return self._times(self.field.inv_frobenius_matrix())
+
+    def _times(self, rows) -> FqElem:
+        out = [0] * self.field.n
+        for c, row in zip(self.coeffs, rows):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        p = self.field.p
+        return FqElem(self.field, tuple(o % p for o in out))
 
     def encode(self) -> int:
         k = 0
@@ -407,11 +450,10 @@ def check_perfect(field: FqField) -> PerfectReport:
             f"field has {field.order}"
         )
     p = field.p
-    table = field._all_rows()
-    frob = _accel.batch_pow(table, p, field._red, p)
-    enc = _accel.encode_rows(frob, p)
-    uniq, first = np.unique(enc, return_index=True)
-    if uniq.size != field.order:
+    Q = np.array(field.frobenius_matrix(), dtype=np.int64)
+    # enc[k] is the encoding of the image of the element encoded k
+    enc = _accel.encode_rows((field._all_rows() @ Q) % p, p)
+    if np.unique(enc).size != field.order:
         # locate one collision pair for the report
         seen: dict[int, int] = {}
         pair = (0, 0)
@@ -422,10 +464,11 @@ def check_perfect(field: FqField) -> PerfectReport:
             seen[v] = i
         return PerfectReport(p, field.n, field.order, False, None, pair)
     # order of the permutation: iterate until every element returns home
+    home = np.arange(field.order, dtype=enc.dtype)
     k = 1
-    cur = frob
-    while not np.array_equal(cur, table):
-        cur = _accel.batch_pow(cur, p, field._red, p)
+    cur = enc
+    while not np.array_equal(cur, home):
+        cur = enc[cur]
         k += 1
         if k > field.n:
             raise RuntimeError("Frobenius order exceeded the extension degree")
@@ -435,22 +478,66 @@ def check_perfect(field: FqField) -> PerfectReport:
 # -- embeddings ---------------------------------------------------------------------
 
 
+def _null_space(a: list[list[int]], p: int) -> list[list[int]]:
+    """A basis of {x : a x = 0} for a square matrix a over Z_p, by
+    Gauss-Jordan elimination."""
+    n = len(a)
+    a = [list(row) for row in a]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [(v * inv) % p for v in a[r]]
+        for i in range(n):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[free] = 1
+        for i, c in enumerate(pivots):
+            x[c] = (-a[i][free]) % p
+        basis.append(x)
+    return basis
+
+
 def find_embedding_root(source: FqField, target: FqField) -> FqElem:
-    """First root of the source modulus in the target, in encoding order."""
-    p = target.p
+    """First root of the source modulus in the target, in encoding order.
+
+    The modulus is irreducible of degree m, so each of its roots is fixed
+    by x -> x^(p^m) and lies in the subfield ker(Q^m - I) of p^m elements
+    (p^gcd(m, n) when m does not divide n). Only that subfield is
+    searched, and the root with the smallest encoding is returned.
+    """
+    if source.p != target.p:
+        raise NoEmbedding(
+            f"no embedding between characteristics {source.p} and {target.p}"
+        )
+    p, n = target.p, target.n
+    # x is fixed by x -> x^(p^m) iff x (F - I) = 0, i.e. (F - I)^T x = 0
+    F = target.power_map(p**source.n)
+    basis = _null_space([[(F[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
+    B = np.array(basis, dtype=np.int64).reshape(len(basis), n)
     mod = list(source.modulus)
-    for start in range(0, target.order, _BLOCK):
-        stop = min(start + _BLOCK, target.order)
-        X = _accel.decode_range(start, stop, target.n, p)
+    size = p ** len(basis)
+    roots = []
+    for start in range(0, size, _BLOCK):
+        X = (_accel.decode_range(start, min(start + _BLOCK, size), len(basis), p) @ B) % p
         val = np.zeros_like(X)
         val[:, 0] = mod[-1] % p
         for c in reversed(mod[:-1]):
             val = _accel.batch_mulmod(val, X, target._red, p)
             val[:, 0] = (val[:, 0] + c) % p
-        hits = np.flatnonzero(~val.any(axis=1))
-        if hits.size:
-            return target.from_encoding(start + int(hits[0]))
-    raise RuntimeError("no root of the source modulus in the target field")
+        roots += _accel.encode_rows(X[~val.any(axis=1)], p).tolist()
+    if not roots:
+        raise RuntimeError("no root of the source modulus in the target field")
+    return target.from_encoding(min(roots))
 
 
 @lru_cache(maxsize=None)

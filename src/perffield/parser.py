@@ -9,7 +9,8 @@ Grammar (precedence low to high; +, -, *, / left-associative):
     exponent:= ['-'] NUMBER | '(' ['-'] NUMBER ')'
     atom    := NUMBER | NAME | '(' expr ')' | 'root' '(' expr ',' NUMBER ')'
 
-Exponents are integer literals only. Every node carries its source span
+Exponents are integer literals only, and every integer literal has at
+most MAX_LITERAL_DIGITS digits. Every node carries its source span
 (start, end) in byte offsets, and every failure is a ParseError with the
 offset and the tokens that would have been accepted; nesting depth is
 bounded so arbitrary input cannot blow the interpreter stack.
@@ -22,6 +23,9 @@ from dataclasses import dataclass
 from .errors import ParseError
 
 MAX_DEPTH = 150
+# longest integer literal accepted, well below the interpreter's own
+# limit on int/str conversion (4300 digits by default)
+MAX_LITERAL_DIGITS = 1000
 
 _OPS = set("+-*/^(),=")
 
@@ -54,6 +58,12 @@ def tokenize(src: str) -> list[Token]:
             j = i + 1
             while j < n and src[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    i,
+                    {f"an integer of at most {MAX_LITERAL_DIGITS} digits"},
+                    f"an integer of {j - i} digits",
+                )
             out.append(Token("number", src[i:j], i, j))
             i = j
             continue

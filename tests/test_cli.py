@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from perffield.cli import Session, classify_exit, render_error, run_command
 from perffield.errors import (
+    BoundExceeded,
     EvalError,
     NotPerfectMode,
     ParseError,
@@ -63,6 +65,23 @@ def test_frob():
     s = Session(2, 1)
     assert run(s, "frob root(x1,2)") == "root(x1,1)"
     assert run(s, "frob x1 2") == "x1^4"
+
+
+def test_frob_bounded_before_work():
+    # each would build exponents of 20000+ bits, or loop 10^11 times
+    for p, line in [(2, "frob x1 20000"), (3, "frob x1+x1^2 200000"), (5, "frob 1 100000000000")]:
+        s = Session(p, 1)
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded) as exc:
+            run(s, line)
+        assert time.perf_counter() - start < 1.0
+        assert classify_exit(exc.value) == 1
+    s = Session(2, 1)
+    assert run(s, "frob x1 4095") == f"x1^{2**4095}"
+    with pytest.raises(BoundExceeded):
+        run(s, "frob x1 4096")
+    # the first `level` steps only lower the level
+    assert run(s, "frob root(x1,40) 40") == "x1"
 
 
 def test_level():
@@ -316,3 +335,19 @@ def test_level0_session_flag():
     proc = cli("--mode", "level0", stdin="pthroot x1\n")
     assert proc.returncode == 1
     assert "NotPerfectMode" in proc.stderr
+
+
+def test_oversized_integer_literals_are_errors():
+    big = "1" * 5000
+    for line in (f"eval {big}", f"fq frob 2 3 {big}", f"frob x1 {big}", "fq make 2 \u00b2"):
+        proc = cli(stdin=line + "\n")
+        assert proc.returncode == 2, line[:20]
+        assert proc.stderr.startswith("error"), proc.stderr[:200]
+        assert "Traceback" not in proc.stderr
+
+
+def test_frob_bound_exits_1_without_traceback():
+    proc = cli("--p", "2", stdin="frob x1 20000\n")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: frob 20000")
+    assert "Traceback" not in proc.stderr

@@ -5,7 +5,14 @@ import random
 import pytest
 
 from perffield.errors import BoundExceeded, DivisionByZero, NoEmbedding
-from perffield.fqtower import FqField, check_perfect, embed, make_field
+from perffield.fqtower import (
+    FqField,
+    check_perfect,
+    embed,
+    find_embedding_root,
+    make_field,
+)
+from perffield.primefield import is_prime
 
 
 def test_prime_field_modulus():
@@ -103,6 +110,16 @@ def test_inv_frobenius_inverts_frobenius_exhaustive():
             assert a.inv_frobenius().frobenius() == a
 
 
+def test_frobenius_matrices_match_scalar_powering_exhaustive():
+    # a ** e runs square-and-multiply on residues and never touches the
+    # matrices, so it is the oracle for both linear maps
+    for p, n in [(2, 2), (3, 3), (2, 8), (5, 3), (13, 2)]:
+        fq = make_field(p, n)
+        for a in fq.elements():
+            assert a.frobenius() == a**p
+            assert a.inv_frobenius() == a ** (p ** (n - 1))
+
+
 def test_fermat_for_extensions():
     for p, n in [(2, 5), (3, 4), (5, 3)]:
         fq = make_field(p, n)
@@ -136,11 +153,52 @@ def test_check_perfect_order_divides_degree():
         assert n % rep.order == 0
 
 
+def test_check_perfect_reports_collision_on_reducible_modulus():
+    # Z_p[t]/(f) with f reducible and not squarefree is no field, and x -> x^p
+    # is not injective there; the reported pair collides under scalar powering
+    for p, n, modulus in [(2, 2, (0, 0, 1)), (2, 4, (1, 0, 1, 0, 1)), (3, 2, (1, 2, 1))]:
+        ring = FqField(p, n, modulus)
+        rep = check_perfect(ring)
+        assert not rep.passed and rep.order is None
+        a, b = rep.counterexample
+        assert a < b
+        assert ring.from_encoding(a) ** p == ring.from_encoding(b) ** p
+        assert rep.summary().startswith(f"fail: Frobenius not injective on {p**n}")
+
+
 def test_check_perfect_bound():
     with pytest.raises(BoundExceeded):
         check_perfect(make_field(2, 17))
     with pytest.raises(BoundExceeded):
         check_perfect(make_field(5, 8))  # 5^8 > 2^16 but constructible
+
+
+def _first_root_by_scan(source, target):
+    """The oracle: every target element in encoding order, scalar Horner."""
+    for x in target.elements():
+        if not _eval_modulus(source.modulus, x, target):
+            return x
+    return None
+
+
+def test_embedding_root_matches_exhaustive_scan():
+    for p in [q for q in range(2, 65) if is_prime(q)]:
+        for n in range(2, 13):
+            if p**n > 2**12:
+                break
+            target = make_field(p, n)
+            for m in range(1, n + 1):
+                if n % m == 0:
+                    source = make_field(p, m)
+                    expect = _first_root_by_scan(source, target)
+                    assert find_embedding_root(source, target) == expect, (p, m, n)
+
+
+def test_embedding_root_needs_a_subfield():
+    with pytest.raises(RuntimeError):
+        find_embedding_root(make_field(2, 3), make_field(2, 4))
+    with pytest.raises(NoEmbedding):
+        find_embedding_root(make_field(2, 1), make_field(3, 2))
 
 
 def test_embed_prime_subfield():

@@ -5,6 +5,7 @@ import pytest
 from perffield.errors import ParseError
 from perffield.parser import (
     MAX_DEPTH,
+    MAX_LITERAL_DIGITS,
     BinOp,
     Name,
     Num,
@@ -38,6 +39,15 @@ def test_tokenize_rejects_stray_character():
     with pytest.raises(ParseError) as exc:
         tokenize("x1 $ x2")
     assert exc.value.offset == 3
+
+
+def test_tokenize_bounds_literal_length():
+    ok = "9" * MAX_LITERAL_DIGITS
+    assert tokenize(ok)[0].text == ok
+    with pytest.raises(ParseError) as exc:
+        tokenize("x1^" + ok + "9")
+    assert exc.value.offset == 3
+    assert f"at most {MAX_LITERAL_DIGITS} digits" in str(exc.value)
 
 
 def test_precedence_mul_before_add():
