@@ -37,7 +37,7 @@ from .septools import UniPoly
 # desk-scale guards on expression evaluation
 MAX_T_DEGREE = 1 << 16
 MAX_MULTITERM_EXP = 1 << 12
-# bit length of the largest level-0 exponent `frob` may produce
+# bit length of the largest exponent `frob` or `^` may produce
 MAX_FROB_EXP_BITS = 1 << 12
 
 _LET_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*(\S.*)$")
@@ -195,7 +195,17 @@ def _checked_pow(value, e: int):
         raise BoundExceeded(
             f"exponent {e} too large for a multi-term base (limit {MAX_MULTITERM_EXP})"
         )
+    if (_top_exponent(value) * abs(e)).bit_length() > MAX_FROB_EXP_BITS:
+        raise BoundExceeded(
+            f"the power would raise exponents past {MAX_FROB_EXP_BITS} bits"
+        )
     return value**e
+
+
+def _top_exponent(value: PerfElem) -> int:
+    """The largest exponent of any variable in the element's body."""
+    body = value.body
+    return max((e for m in (*body.num.terms, *body.den.terms) for e in m), default=0)
 
 
 def _parse_full(text: str, base: int) -> parser.Node:
@@ -350,8 +360,7 @@ def _check_frob_size(value: PerfElem, k: int) -> None:
     steps = k - value.level
     if steps <= 0:
         return
-    body = value.body
-    top = max((e for m in (*body.num.terms, *body.den.terms) for e in m), default=0)
+    top = _top_exponent(value)
     # p >= 2, so p^steps has more than `steps` bits: no need to build it
     if steps >= MAX_FROB_EXP_BITS or (
         (max(top, 1) * value.ctx.p**steps).bit_length() > MAX_FROB_EXP_BITS
@@ -458,6 +467,15 @@ def _ints(parts: list[str], n: int, usage: str) -> list[int]:
     return [_int_arg(s, usage) for s in parts]
 
 
+def _make_field(p: int, n: int) -> fqtower.FqField:
+    """fqtower.make_field, reporting a non-prime p or an n < 1 as a usage
+    error; make_field checks its size bound before it tests primality."""
+    try:
+        return fqtower.make_field(p, n)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+
+
 def _cmd_fq(session: Session, rest: str, base: int) -> str:
     parts = rest.split()
     if not parts:
@@ -467,7 +485,7 @@ def _cmd_fq(session: Session, rest: str, base: int) -> str:
     sub, args = parts[0], parts[1:]
     if sub == "make":
         p, n = _ints(args, 2, "usage: fq make <p> <n>")
-        field = fqtower.make_field(p, n)
+        field = _make_field(p, n)
         return _reply(
             session,
             f"F_{p}^{n}: modulus {field.modulus_str()}",
@@ -478,7 +496,7 @@ def _cmd_fq(session: Session, rest: str, base: int) -> str:
         )
     if sub in ("frob", "invfrob"):
         p, n, enc = _ints(args, 3, f"usage: fq {sub} <p> <n> <element-encoding>")
-        field = fqtower.make_field(p, n)
+        field = _make_field(p, n)
         if not 0 <= enc < field.order:
             raise UsageError(
                 f"element encoding must lie in [0, {field.order}), got {enc}"
@@ -494,7 +512,7 @@ def _cmd_fq(session: Session, rest: str, base: int) -> str:
         )
     if sub == "perfect-check":
         p, n = _ints(args, 2, "usage: fq perfect-check <p> <n>")
-        report = fqtower.check_perfect(fqtower.make_field(p, n))
+        report = fqtower.check_perfect(_make_field(p, n))
         return _reply(
             session,
             report.summary(),
@@ -505,8 +523,8 @@ def _cmd_fq(session: Session, rest: str, base: int) -> str:
         )
     if sub == "embed":
         p, m, n, enc = _ints(args, 4, "usage: fq embed <p> <m> <n> <element-encoding>")
-        source = fqtower.make_field(p, m)
-        target = fqtower.make_field(p, n)
+        source = _make_field(p, m)
+        target = _make_field(p, n)
         if not 0 <= enc < source.order:
             raise UsageError(
                 f"element encoding must lie in [0, {source.order}), got {enc}"

@@ -389,16 +389,22 @@ def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
 
 @lru_cache(maxsize=None)
 def make_field(p: int, n: int) -> FqField:
-    """F_{p^n} with the canonical modulus; bounds n <= 16 and p^n <= 2^20."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """F_{p^n} with the canonical modulus; bounds n <= 16 and p^n <= 2^20.
+
+    The bounds are checked before the trial-division primality test, which
+    is slow for a large p.
+    """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"extension degree must be a positive integer, got {n!r}")
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
     if n > MAX_DEGREE or p**n > MAX_ORDER:
         raise BoundExceeded(
             f"field F_{p}^{n} exceeds the supported bounds (n <= {MAX_DEGREE}, "
             f"p^n <= {MAX_ORDER})"
         )
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     for k in range(p**n):
         coeffs = []
         kk = k

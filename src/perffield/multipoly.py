@@ -11,14 +11,31 @@ raising the polynomial to the p-th power over Z_p) and its exact inverse
 `pth_root` (divide every exponent by p; coefficients are untouched
 because c^p = c in Z_p).
 
+The product and the exact division work on packed monomials. Each
+kernel packs its operands once on entry and unpacks its result once on
+exit; `.terms` always holds exponent tuples. A packed monomial is one
+int whose base-2^w digits, most significant first, are (total degree,
+e_0, ..., e_{n-1}). While every digit stays below 2^w, integer order is
+graded-lex order and adding two packed monomials multiplies them, so the
+product's inner loop is one int addition. Exact division (after Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007) keeps the remainder's monomials in a
+max-heap with lazy deletion instead of rescanning for the leader: every
+new remainder monomial lies below the leader it came from. Its digits
+get one spare top bit each, so one subtraction and one mask test decide
+whether the divisor's leading monomial divides the leader.
+
 GCD uses content/primitive-part splitting with a primitive pseudo-
-remainder sequence in the highest shared variable; exact division
-double-checks every gcd before it is returned. No modular or heuristic
-gcd machinery: exact and simple is adequate at desk scale.
+remainder sequence in the highest shared variable. Exact division
+double-checks every gcd before it is returned, and `gcd_cofactors`
+hands back the quotients of that check, which are the cofactors a/g and
+b/g. There is no modular gcd yet, so gcds in four or more variables with
+dense factors remain slow.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContextMismatch, DivisionByZero, NotAPthPower, NotDivisible
@@ -94,7 +111,9 @@ class MultiPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(m) for m in self.terms)
+        # two distinct monomials cannot both be the constant monomial
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant_value(self) -> int:
         """The value of a constant polynomial (0 for the zero polynomial)."""
@@ -106,7 +125,7 @@ class MultiPoly:
         """Total degree, or None for the zero polynomial (the -inf sentinel)."""
         if not self.terms:
             return None
-        return max(sum(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def degree_in(self, i: int) -> int:
         """Degree in variable i; 0 for the zero polynomial."""
@@ -185,17 +204,22 @@ class MultiPoly:
 
     def __mul__(self, other):
         a, b = self._reconcile(other)
+        if a.is_constant:
+            return b.mul_scalar(a.constant_value())
+        if b.is_constant:
+            return a.mul_scalar(b.constant_value())
         p = a.field.p
-        terms: dict[Mono, int] = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                s = (terms.get(m, 0) + c1 * c2) % p
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return MultiPoly._raw(a.field, a.nvars, terms)
+        # every digit of a product monomial is at most deg a + deg b
+        w = (a.total_degree() + b.total_degree()).bit_length()
+        pb = _pack(b.terms, w)
+        terms: dict[int, int] = {}
+        get = terms.get
+        for q1, c1 in _pack(a.terms, w):
+            for q2, c2 in pb:
+                m = q1 + q2
+                terms[m] = get(m, 0) + c1 * c2
+        terms = {m: r for m, c in terms.items() if (r := c % p)}
+        return MultiPoly._raw(a.field, a.nvars, _unpack(terms, a.nvars, w))
 
     __rmul__ = __mul__
 
@@ -332,26 +356,52 @@ class MultiPoly:
             return MultiPoly.zero(a.field, a.nvars)
         if b.is_constant:
             return a.mul_scalar(a.field.inv(b.constant_value()))
-        p = a.field.p
-        lm_b = b.leading_monomial()
-        inv_lcb = a.field.inv(b.terms[lm_b])
-        rem = dict(a.terms)
-        quot: dict[Mono, int] = {}
-        while rem:
-            lm_r = max(rem, key=grlex_key)
-            qm = tuple(er - eb for er, eb in zip(lm_r, lm_b))
-            if any(e < 0 for e in qm):
+        p, n = a.field.p, a.nvars
+        # Remainder monomials never pass deg a and divisor monomials never
+        # pass deg b, so digits below 2^(w-1) leave the top bit of every
+        # field free as a guard: (m | guard) - lm_b borrows across no field,
+        # and a field keeps its guard bit exactly when it did not go negative.
+        w = max(a.total_degree(), b.total_degree()).bit_length() + 1
+        guard = 0
+        for _ in range(n + 1):
+            guard = (guard << w) | (1 << (w - 1))
+        pb = _pack(b.terms, w)
+        lm_b, lc_b = max(pb)
+        inv_lcb = a.field.inv(lc_b)
+        # heap keys are negated packed monomials, so heapq's minimum is the
+        # graded-lex leader; negation keeps monomial products additive
+        tail = [(-m, c) for m, c in pb if m != lm_b]
+        rem = {-m: c for m, c in _pack(a.terms, w)}
+        heap = list(rem)
+        heapq.heapify(heap)
+        push, pop = heapq.heappush, heapq.heappop
+        get = rem.get
+        quot: dict[int, int] = {}
+        while heap:
+            key = pop(heap)
+            c = rem.pop(key, 0)
+            if not c:
+                continue  # cancelled since it was pushed, or a duplicate entry
+            d = (-key | guard) - lm_b
+            if d & guard != guard:
                 raise NotDivisible("leading monomial not divisible")
-            qc = (rem[lm_r] * inv_lcb) % p
-            quot[qm] = qc
-            for m, c in b.terms.items():
-                mm = tuple(e1 + e2 for e1, e2 in zip(qm, m))
-                s = (rem.get(mm, 0) - qc * c) % p
-                if s:
-                    rem[mm] = s
+            qc = (c * inv_lcb) % p
+            quot[d ^ guard] = qc
+            # every product below is under the leader just removed
+            shift = key + lm_b
+            for mb, cb in tail:
+                mm = shift + mb
+                old = get(mm)
+                if old is None:
+                    rem[mm] = (-qc * cb) % p
+                    push(heap, mm)
                 else:
-                    rem.pop(mm, None)
-        return MultiPoly._raw(a.field, a.nvars, quot)
+                    s = (old - qc * cb) % p
+                    if s:
+                        rem[mm] = s
+                    else:
+                        del rem[mm]
+        return MultiPoly._raw(a.field, n, _unpack(quot, n, w))
 
     def divides(self, other: MultiPoly) -> bool:
         try:
@@ -391,6 +441,31 @@ class MultiPoly:
         return f"MultiPoly(p={self.field.p}, {self})"
 
 
+def _pack(terms: Mapping[Mono, int], w: int) -> list[tuple[int, int]]:
+    """Terms as (packed monomial, coefficient) pairs.
+
+    A packed monomial is one int whose base-2^w digits, most significant
+    first, are (total degree, e_0, ..., e_{n-1}). When every digit is below
+    2^w, integer order is graded-lex order and adding two packed monomials
+    multiplies them.
+    """
+    out = []
+    for m, c in terms.items():
+        x = sum(m)
+        for e in m:
+            x = (x << w) | e
+        out.append((x, c))
+    return out
+
+
+def _unpack(terms: dict[int, int], n: int, w: int) -> dict[Mono, int]:
+    """Inverse of `_pack` for n variables; keeps the dict's order."""
+    mask = (1 << w) - 1
+    packed = list(terms)
+    cols = [[(q >> s) & mask for q in packed] for s in range(w * (n - 1), -1, -w)]
+    return dict(zip(zip(*cols), terms.values()))
+
+
 def _strip_trailing_zeros(mono: Mono) -> Mono:
     n = len(mono)
     while n and mono[n - 1] == 0:
@@ -408,18 +483,29 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     common to both supports, with a primitive PRS for the univariate
     step. The result is verified by exact division before returning.
     """
+    return gcd_cofactors(a, b)[0]
+
+
+def gcd_cofactors(
+    a: MultiPoly, b: MultiPoly
+) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(g, a/g, b/g) with g = poly_gcd(a, b).
+
+    The cofactors are the quotients of the exact-division post-check that
+    certifies g, so they cost nothing beyond the gcd itself.
+    """
     a, b = a._reconcile(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero:
-        return b.monic()
+        g = b.monic()
+        return g, a, MultiPoly.const(b.field, b.nvars, b.leading_coeff())
     if b.is_zero:
-        return a.monic()
+        g = a.monic()
+        return g, MultiPoly.const(a.field, a.nvars, a.leading_coeff()), b
     g = _gcd_nonzero(a, b)
     # exact-division post-check; failure here is an internal error
-    a.divexact(g)
-    b.divexact(g)
-    return g
+    return g, a.divexact(g), b.divexact(g)
 
 
 def _gcd_nonzero(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ContextMismatch, DivisionByZero, PoleAtPoint, ZeroDenominator
-from .multipoly import MultiPoly, poly_gcd
+from .multipoly import MultiPoly, gcd_cofactors
 from .primefield import PrimeField
 
 
@@ -28,10 +28,7 @@ class RatFunc:
             num = MultiPoly.zero(num.field, num.nvars)
             den = MultiPoly.const(num.field, num.nvars, 1)
         else:
-            g = poly_gcd(num, den)
-            if not g.is_constant or g.constant_value() != 1:
-                num = num.divexact(g)
-                den = den.divexact(g)
+            _, num, den = gcd_cofactors(num, den)
             lc = den.leading_coeff()
             if lc != 1:
                 inv = den.field.inv(lc)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 
-from perffield.multipoly import MultiPoly
+from perffield.errors import DivisionByZero, NotDivisible
+from perffield.multipoly import MultiPoly, grlex_key
 from perffield.perfclosure import PerfContext, PerfElem
 from perffield.primefield import PrimeField
 from perffield.ratfunc import RatFunc
@@ -102,3 +103,51 @@ def random_monic_unipoly(
     ]
     coeffs.append(ctx.one())
     return UniPoly(ctx, coeffs, mode)
+
+
+# -- reference kernels -------------------------------------------------------
+#
+# Straightforward versions of MultiPoly's product and exact division on
+# exponent tuples, kept as oracles for the packed-monomial kernels.
+
+
+def oracle_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Schoolbook product over every pair of terms, on exponent tuples."""
+    p = a.field.p
+    terms: dict[tuple[int, ...], int] = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            s = (terms.get(m, 0) + c1 * c2) % p
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+    return MultiPoly(a.field, a.nvars, terms)
+
+
+def oracle_divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Exact quotient a/b by rescanning the remainder for its graded-lex
+    leader at every step; raises NotDivisible when b does not divide a."""
+    if b.is_zero:
+        raise DivisionByZero("division by the zero polynomial")
+    p = a.field.p
+    lm_b = max(b.terms, key=grlex_key)
+    inv_lcb = a.field.inv(b.terms[lm_b])
+    rem = dict(a.terms)
+    quot: dict[tuple[int, ...], int] = {}
+    while rem:
+        lm_r = max(rem, key=grlex_key)
+        qm = tuple(er - eb for er, eb in zip(lm_r, lm_b))
+        if any(e < 0 for e in qm):
+            raise NotDivisible("leading monomial not divisible")
+        qc = (rem[lm_r] * inv_lcb) % p
+        quot[qm] = qc
+        for m, c in b.terms.items():
+            mm = tuple(e1 + e2 for e1, e2 in zip(qm, m))
+            s = (rem.get(mm, 0) - qc * c) % p
+            if s:
+                rem[mm] = s
+            else:
+                rem.pop(mm, None)
+    return MultiPoly(a.field, a.nvars, quot)

@@ -141,6 +141,26 @@ def test_fq_usage_errors():
         run(s, "fq teleport 2 2")
 
 
+def test_power_bounded_before_work():
+    # nested powers multiply exponents: five 900-digit factors would need
+    # an exponent of 4500 digits, past what even prints
+    nines = "9" * 900
+    line = "eval " + "(" * 5 + "x1" + "".join(f"^{nines})" for _ in range(5))
+    s = Session(2, 2)
+    start = time.perf_counter()
+    with pytest.raises(EvalError, match="BoundExceeded") as exc:
+        run(s, line)
+    assert time.perf_counter() - start < 1.0
+    assert classify_exit(exc.value) == 1
+    # the largest exponent may have up to MAX_FROB_EXP_BITS = 4096 bits
+    half = 2**2000
+    assert run(s, f"eval (x1^{half})^{2**2095}") == f"x1^{2**4095}"
+    assert run(s, f"eval (x1^{half} / x2)^{-(2**2095)}") == f"x2^{2**2095} / x1^{2**4095}"
+    with pytest.raises(EvalError, match="BoundExceeded"):
+        run(s, f"eval (x1^{half})^{2**2096}")
+    assert run(s, f"eval 3^{nines}") == "1"
+
+
 def test_mode_switch_enforces_level0():
     s = Session(2, 1)
     assert run(s, "mode level0") == "mode = level0"
@@ -351,3 +371,21 @@ def test_frob_bound_exits_1_without_traceback():
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: frob 20000")
     assert "Traceback" not in proc.stderr
+
+
+def test_fq_bad_prime_or_degree_is_usage_error():
+    lines = (
+        "fq make 4 2",
+        "fq make 2 0",
+        "fq frob 4 2 1",
+        "fq invfrob 2 0 0",
+        "fq perfect-check 6 1",
+        "fq perfect-check 3 -1",
+        "fq embed 4 1 2 0",
+        "fq embed 2 0 2 0",
+    )
+    for line in lines:
+        proc = cli(stdin=line + "\n")
+        assert proc.returncode == 2, line
+        assert proc.stderr.startswith("error: "), proc.stderr[:200]
+        assert "Traceback" not in proc.stderr, line

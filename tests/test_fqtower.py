@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from perffield import fqtower
 from perffield.errors import BoundExceeded, DivisionByZero, NoEmbedding
 from perffield.fqtower import (
     FqField,
@@ -53,6 +54,20 @@ def test_make_field_validation():
         make_field(2, 17)
     with pytest.raises(BoundExceeded):
         make_field(3, 14)  # 3^14 > 2^20
+
+
+def test_make_field_checks_bounds_before_primality(monkeypatch):
+    # trial division of a 19-digit prime would run for a long time
+    def no_primality_test(p):
+        raise AssertionError(f"is_prime({p}) called before the size bound")
+
+    monkeypatch.setattr(fqtower, "is_prime", no_primality_test)
+    for p, n in ((1000000000000000003, 1), (2, 17), (1031, 2)):
+        with pytest.raises(BoundExceeded):
+            make_field(p, n)
+    for p, n in ((2, 0), (1, 3), (-3, 2)):
+        with pytest.raises(ValueError):
+            make_field(p, n)
 
 
 def test_f4_multiplication():

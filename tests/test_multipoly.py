@@ -6,10 +6,15 @@ import pytest
 
 from perffield.errors import DivisionByZero, NotAPthPower, NotDivisible
 from perffield.fqtower import make_field
-from perffield.multipoly import MultiPoly, poly_gcd
+from perffield.multipoly import MultiPoly, gcd_cofactors, poly_gcd
 from perffield.primefield import PrimeField
 
-from helpers import random_multipoly, random_nonzero_multipoly
+from helpers import (
+    oracle_divexact,
+    oracle_mul,
+    random_multipoly,
+    random_nonzero_multipoly,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -172,6 +177,8 @@ def test_gcd_with_zero_and_constants():
     assert poly_gcd(f, MultiPoly.const(F5, 1, 2)) == 1
     with pytest.raises(ValueError):
         poly_gcd(z, z)
+    assert gcd_cofactors(f, z) == (f.monic(), 3, 0)
+    assert gcd_cofactors(z, f) == (f.monic(), 0, 3)
 
 
 def test_gcd_difference_of_squares_mod5():
@@ -208,6 +215,66 @@ def test_gcd_structured_random():
             # common factor divides the gcd, and the gcd divides both inputs
             assert g.divides(d)
             assert d.divides(a) and d.divides(b)
+
+
+# Total degrees on either side of powers of two, where the digit width of
+# a packed monomial changes.
+BOUNDARY_DEGREES = (3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
+
+
+def _with_degree(rng, field, nvars, deg):
+    """A random polynomial of total degree exactly deg; half the time the
+    top term is one variable to the deg, so a single exponent reaches it."""
+    terms = dict(random_multipoly(rng, field, nvars, max_terms=4, max_deg=deg).terms)
+    mono = [0] * nvars
+    if rng.random() < 0.5:
+        mono[rng.randrange(nvars)] = deg
+    else:
+        for _ in range(deg):
+            mono[rng.randrange(nvars)] += 1
+    terms[tuple(mono)] = rng.randrange(1, field.p)
+    return MultiPoly(field, nvars, terms)
+
+
+def _quotient_or_error(divide, a, b):
+    try:
+        return divide(a, b).terms
+    except NotDivisible as err:
+        return type(err)
+
+
+def test_packed_kernels_match_tuple_oracles():
+    rng = random.Random(606)
+    for p in (2, 3, 5, 7, 101):
+        field = PrimeField(p)
+        for nvars in range(1, 5):
+            for total in BOUNDARY_DEGREES:
+                da = rng.randint(1, total - 1)
+                a = _with_degree(rng, field, nvars, da)
+                b = _with_degree(rng, field, nvars, total - da)
+                prod = a * b
+                assert prod.terms == oracle_mul(a, b).terms
+                assert prod.divexact(b).terms == oracle_divexact(prod, b).terms == a.terms
+                # a divisor of higher degree than the dividend sets the width
+                big = _with_degree(rng, field, nvars, total)
+                for dividend in (a, b):
+                    with pytest.raises(NotDivisible):
+                        dividend.divexact(big)
+                    with pytest.raises(NotDivisible):
+                        oracle_divexact(dividend, big)
+                # small pairs, mostly not divisible, some only after a few steps
+                u = random_nonzero_multipoly(rng, field, nvars, max_terms=3, max_deg=2)
+                v = random_nonzero_multipoly(rng, field, nvars, max_terms=3, max_deg=2)
+                r = random_multipoly(rng, field, nvars, max_terms=2, max_deg=2)
+                for w in (u, u * v + r):
+                    assert _quotient_or_error(MultiPoly.divexact, w, v) == (
+                        _quotient_or_error(oracle_divexact, w, v)
+                    )
+                # cofactors from the gcd's own post-check
+                x, y = u * v, (r + 1) * v
+                g, xg, yg = gcd_cofactors(x, y)
+                assert g * xg == x and g * yg == y
+                assert poly_gcd(x, y) == g
 
 
 def test_eval_ring_homomorphism():
