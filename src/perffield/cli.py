@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from math import comb
 
 from . import fqtower, parser, septools
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     UnknownVariable,
     UsageError,
 )
+from .multipoly import MultiPoly
 from .perfclosure import PerfContext, PerfElem
 from .primefield import is_prime
 from .septools import UniPoly
@@ -39,6 +41,8 @@ MAX_T_DEGREE = 1 << 16
 MAX_MULTITERM_EXP = 1 << 12
 # bit length of the largest exponent `frob` or `^` may produce
 MAX_FROB_EXP_BITS = 1 << 12
+# terms a power may produce in its numerator or its denominator
+MAX_POWER_TERMS = 1 << 15
 
 _LET_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*(\S.*)$")
 _RESERVED = {"t", "root"}
@@ -199,7 +203,36 @@ def _checked_pow(value, e: int):
         raise BoundExceeded(
             f"the power would raise exponents past {MAX_FROB_EXP_BITS} bits"
         )
+    p = value.ctx.p
+    for poly in (value.body.num, value.body.den):
+        if _power_terms(poly, abs(e), p) > MAX_POWER_TERMS:
+            raise BoundExceeded(
+                f"the power could produce more than {MAX_POWER_TERMS} terms"
+            )
     return value**e
+
+
+def _power_terms(f: MultiPoly, e: int, p: int) -> int:
+    """An upper bound on the number of terms of f**e over Z_p.
+
+    With e = sum e_i p^i in base p, f**e is the product of the
+    Frobenius images of f**e_i, and a Frobenius image keeps the term
+    count. f**e_i has total degree e_i * deg f in the v variables f uses,
+    and is a sum of products of e_i of f's t terms, so it has at most
+    min(C(e_i deg f + v, v), C(e_i + t - 1, t - 1)) terms. The product of
+    these bounds f**e; the loop stops once it passes MAX_POWER_TERMS.
+    """
+    t = len(f.terms)
+    if t < 2:
+        return t
+    deg = f.total_degree()
+    v = len(f.support_vars())
+    bound = 1
+    while e and bound <= MAX_POWER_TERMS:
+        e, digit = divmod(e, p)
+        if digit:
+            bound *= min(comb(digit * deg + v, v), comb(digit + t - 1, t - 1))
+    return bound
 
 
 def _top_exponent(value: PerfElem) -> int:

@@ -163,6 +163,12 @@ class MultiPoly:
         )
 
     def _reconcile(self, other) -> tuple[MultiPoly, MultiPoly]:
+        if (
+            type(other) is MultiPoly
+            and other.field is self.field
+            and other.nvars == self.nvars
+        ):
+            return self, other
         if isinstance(other, int):
             other = MultiPoly.const(self.field, self.nvars, other)
         elif not isinstance(other, MultiPoly):
@@ -226,14 +232,32 @@ class MultiPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
+        p = self.field.p
+        if len(self.terms) == 1:
+            ((mono, c),) = self.terms.items()
+            return MultiPoly._raw(
+                self.field, self.nvars, {tuple(k * e for k in mono): pow(c, e, p)}
+            )
+        # f^e is the product of Frob^i(f)^(e_i) over the base-p digits e_i
+        # of e, and a Frobenius image only scales exponents; so squarings
+        # stay below f^p and no intermediate outgrows the result
         result = MultiPoly.const(self.field, self.nvars, 1)
         base = self
         while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
+            e, digit = divmod(e, p)
+            if digit:
+                result = result * base._pow_digit(digit)
             if e:
-                base = base * base
+                base = base.frobenius_substitute()
+        return result
+
+    def _pow_digit(self, e: int) -> MultiPoly:
+        """self**e by binary powering, for 0 < e < p."""
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def mul_scalar(self, c: int) -> MultiPoly:

@@ -53,6 +53,8 @@ class PerfContext:
         return self.field.p
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PerfContext):
             return NotImplemented
         return (
@@ -181,6 +183,12 @@ class PerfElem:
     # -- arithmetic ------------------------------------------------------------
 
     def _reconcile(self, other) -> tuple[PerfElem, PerfElem]:
+        if (
+            type(other) is PerfElem
+            and other.ctx is self.ctx
+            and other.level == self.level
+        ):
+            return self, other
         if isinstance(other, int):
             other = self.ctx.const(other)
         elif not isinstance(other, PerfElem):

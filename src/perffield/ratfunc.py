@@ -3,7 +3,31 @@
 A RatFunc is a reduced fraction of MultiPoly values: the gcd of
 numerator and denominator is 1 and the denominator is monic under
 graded-lex. Zero is canonically 0/1, so structural equality of the
-(num, den) pair is semantic equality.
+(num, den) pair is semantic equality. A monic constant is 1, so a
+polynomial is exactly a fraction whose denominator is 1.
+
+Arithmetic keeps that form without reducing a result it can prove is
+already reduced, following Henrici's rules for fractions (P. Henrici,
+"A subroutine for computations with rational numbers", JACM 3, 1956;
+Knuth, TAOCP vol. 2, 4.5.1). For reduced a/b and c/d:
+
+- a/b * c/d is (a/g1 * c/g2) / (b/g2 * d/g1) with g1 = gcd(a, d) and
+  g2 = gcd(c, b). A gcd against a denominator 1 is skipped, so the
+  product of two polynomials takes no gcd at all.
+- a/b + c/d with b = d = 1 is (a + c)/1, with no gcd. Otherwise take
+  g = gcd(b, d) and t = a*(d/g) + c*(b/g). When g is 1, or one
+  denominator is 1, t / (b*(d/g)) is reduced as it stands. Else the
+  only factors t can share with the denominator are those of g, so
+  with g2 = gcd(t, g) the result is (t/g2) / ((b/g) * (d/g2)).
+- Division and the inverse scale the new denominator monic and reuse
+  the product; a power raises numerator and denominator separately,
+  since powers of coprime polynomials are coprime and powers of monic
+  polynomials are monic.
+
+A factor of monic polynomials is monic (graded-lex leading terms
+multiply), so every denominator above is monic by construction. The
+constructor still reduces arbitrary input with one gcd, except that a
+constant denominator c is folded into the numerator as c^-1.
 """
 
 from __future__ import annotations
@@ -27,6 +51,12 @@ class RatFunc:
         if num.is_zero:
             num = MultiPoly.zero(num.field, num.nvars)
             den = MultiPoly.const(num.field, num.nvars, 1)
+        elif den.is_constant:
+            # gcd(num, c) = 1 for a nonzero constant c
+            c = den.constant_value()
+            if c != 1:
+                num = num.mul_scalar(den.field.inv(c))
+                den = MultiPoly.const(den.field, den.nvars, 1)
         else:
             _, num, den = gcd_cofactors(num, den)
             lc = den.leading_coeff()
@@ -85,6 +115,12 @@ class RatFunc:
         return self.num.constant_value()
 
     def _reconcile(self, other) -> tuple[RatFunc, RatFunc]:
+        if (
+            type(other) is RatFunc
+            and other.num.field is self.num.field
+            and other.num.nvars == self.num.nvars
+        ):
+            return self, other
         if isinstance(other, int):
             other = RatFunc.const(self.field, self.nvars, other)
         elif isinstance(other, MultiPoly):
@@ -107,7 +143,7 @@ class RatFunc:
 
     def __add__(self, other):
         a, b = self._reconcile(other)
-        return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+        return a._add(b)
 
     __radd__ = __add__
 
@@ -116,15 +152,15 @@ class RatFunc:
 
     def __sub__(self, other):
         a, b = self._reconcile(other)
-        return RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
+        return a._add(-b)
 
     def __rsub__(self, other):
         a, b = self._reconcile(other)
-        return b - a
+        return b._add(-a)
 
     def __mul__(self, other):
         a, b = self._reconcile(other)
-        return RatFunc(a.num * b.num, a.den * b.den)
+        return a._mul(b)
 
     __rmul__ = __mul__
 
@@ -132,21 +168,58 @@ class RatFunc:
         a, b = self._reconcile(other)
         if b.num.is_zero:
             raise DivisionByZero("division by the zero rational function")
-        return RatFunc(a.num * b.den, a.den * b.num)
+        return a._mul(b.inv())
 
     def __rtruediv__(self, other):
         a, b = self._reconcile(other)
         return b / a
 
     def inv(self) -> RatFunc:
-        if self.num.is_zero:
+        num = self.num
+        if num.is_zero:
             raise DivisionByZero("inverse of the zero rational function")
-        return RatFunc(self.den, self.num)
+        inv = num.field.inv(num.leading_coeff())
+        return RatFunc._raw(self.den.mul_scalar(inv), num.mul_scalar(inv))
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        return RatFunc(self.num**e, self.den**e)
+        return RatFunc._raw(self.num**e, self.den**e)
+
+    def _add(self, other: RatFunc) -> RatFunc:
+        # Henrici's sum of two reduced fractions over the same ring
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        if b.is_constant and d.is_constant:
+            t, den = a + c, b
+        elif b.is_constant or d.is_constant:
+            t, den = a * d + c * b, b * d
+        else:
+            g, b1, d1 = gcd_cofactors(b, d)
+            t = a * d1 + c * b1
+            if g.is_constant or t.is_zero:
+                den = b * d1
+            else:
+                # t is prime to b/g and to d/g, so only g can cancel
+                _, t, g1 = gcd_cofactors(t, g)
+                den = b1 * (d1 * g1)
+        if t.is_zero:
+            return RatFunc.const(t.field, t.nvars, 0)
+        return RatFunc._raw(t, den)
+
+    def _mul(self, other: RatFunc) -> RatFunc:
+        # Henrici's product of two reduced fractions over the same ring
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        if a.is_zero:
+            return self
+        if c.is_zero:
+            return other
+        if not d.is_constant:
+            _, a, d = gcd_cofactors(a, d)
+        if not b.is_constant:
+            _, c, b = gcd_cofactors(c, b)
+        return RatFunc._raw(a * c, b * d)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from perffield.errors import DivisionByZero, NotDivisible
-from perffield.multipoly import MultiPoly, grlex_key
+from perffield.multipoly import MultiPoly, gcd_cofactors, grlex_key
 from perffield.perfclosure import PerfContext, PerfElem
 from perffield.primefield import PrimeField
 from perffield.ratfunc import RatFunc
@@ -151,3 +151,56 @@ def oracle_divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             else:
                 rem.pop(mm, None)
     return MultiPoly(a.field, a.nvars, quot)
+
+
+# Multiply-then-reduce RatFunc arithmetic: every result is multiplied out
+# over the product of the denominators and reduced by one full gcd. Kept
+# as the oracle for the Henrici rules in RatFunc.
+
+
+def oracle_reduce(num: MultiPoly, den: MultiPoly) -> RatFunc:
+    """num/den in lowest terms with a monic denominator, by one gcd."""
+    num, den = num._reconcile(den)
+    if den.is_zero:
+        raise DivisionByZero("denominator is the zero polynomial")
+    field, nvars = num.field, num.nvars
+    if num.is_zero:
+        return RatFunc._raw(MultiPoly.zero(field, nvars), MultiPoly.const(field, nvars, 1))
+    _, num, den = gcd_cofactors(num, den)
+    inv = field.inv(den.leading_coeff())
+    return RatFunc._raw(num.mul_scalar(inv), den.mul_scalar(inv))
+
+
+def _oracle_pad(x: RatFunc, y: RatFunc) -> tuple[RatFunc, RatFunc]:
+    n = max(x.nvars, y.nvars)
+    return x._pad(n), y._pad(n)
+
+
+def oracle_add(x: RatFunc, y: RatFunc) -> RatFunc:
+    a, b = _oracle_pad(x, y)
+    return oracle_reduce(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def oracle_sub(x: RatFunc, y: RatFunc) -> RatFunc:
+    a, b = _oracle_pad(x, y)
+    return oracle_reduce(a.num * b.den - b.num * a.den, a.den * b.den)
+
+
+def oracle_ratmul(x: RatFunc, y: RatFunc) -> RatFunc:
+    a, b = _oracle_pad(x, y)
+    return oracle_reduce(a.num * b.num, a.den * b.den)
+
+
+def oracle_div(x: RatFunc, y: RatFunc) -> RatFunc:
+    a, b = _oracle_pad(x, y)
+    if b.num.is_zero:
+        raise DivisionByZero("division by the zero rational function")
+    return oracle_reduce(a.num * b.den, a.den * b.num)
+
+
+def oracle_pow(x: RatFunc, e: int) -> RatFunc:
+    if e < 0:
+        if x.num.is_zero:
+            raise DivisionByZero("inverse of the zero rational function")
+        x, e = oracle_reduce(x.den, x.num), -e
+    return oracle_reduce(x.num**e, x.den**e)

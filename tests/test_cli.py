@@ -161,6 +161,38 @@ def test_power_bounded_before_work():
     assert run(s, f"eval 3^{nines}") == "1"
 
 
+def test_power_bounded_by_result_terms():
+    # (x1+x2+x3+1)^4096 at p = 101 has about 4 * 10^8 terms; the bound
+    # refuses it from the base-p digits of the exponent, before any work
+    s = Session(101, 3)
+    for line in ("eval (x1+x2+x3+1)^4096", "eval 1/(x1+x2+x3+1)^64"):
+        start = time.perf_counter()
+        with pytest.raises(EvalError, match="BoundExceeded") as exc:
+            run(s, line)
+        assert time.perf_counter() - start < 1.0
+        assert classify_exit(exc.value) == 1
+    # 6545 terms, under MAX_POWER_TERMS
+    out = run(s, "eval (x1+x2+x3+1)^32")
+    assert out.count(" + ") == 6544
+    # 10 * 101: each digit is small, and so is the work
+    out = run(s, "eval (x1+x2+x3+1)^1010")
+    assert out.count(" + ") == 285
+    assert out.startswith("x1^1010 + 10*x1^909*x2^101")
+    # at p = 2 the 4096th power is a pure Frobenius with 4 terms
+    assert run(Session(2, 3), "eval (x1+x2+x3+1)^4096") == (
+        "x1^4096 + x2^4096 + x3^4096 + 1"
+    )
+
+
+def test_power_bound_exits_1_without_traceback():
+    start = time.perf_counter()
+    proc = cli("--p", "101", "--vars", "3", stdin="eval (x1+x2+x3+1)^4096\n")
+    assert proc.returncode == 1
+    assert "more than 32768 terms" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 10.0
+
+
 def test_mode_switch_enforces_level0():
     s = Session(2, 1)
     assert run(s, "mode level0") == "mode = level0"

@@ -62,15 +62,16 @@ def test_difference_of_squares_mod5():
 
 
 def test_pow_matches_repeated_mul():
+    # exponents with one, two and three base-p digits, zero digits included
     rng = random.Random(11)
     for p in (2, 3, 5):
         field = PrimeField(p)
         for _ in range(20):
             f = random_multipoly(rng, field, 2)
             g = MultiPoly.const(field, 2, 1)
-            for _ in range(3):
-                g = g * f
-            assert f**3 == g
+            for e in range(p * p + 2):
+                assert (f**e).terms == g.terms
+                g = oracle_mul(g, f)
 
 
 def test_grlex_leading_term():
