@@ -38,7 +38,6 @@ from .septools import UniPoly
 
 # desk-scale guards on expression evaluation
 MAX_T_DEGREE = 1 << 16
-MAX_MULTITERM_EXP = 1 << 12
 # bit length of the largest exponent `frob` or `^` may produce
 MAX_FROB_EXP_BITS = 1 << 12
 # terms a power may produce in its numerator or its denominator
@@ -194,11 +193,6 @@ def _checked_pow(value, e: int):
                 f"resulting t-degree {deg * e} exceeds the limit {MAX_T_DEGREE}"
             )
         return value**e
-    multiterm = len(value.body.num.terms) > 1 or len(value.body.den.terms) > 1
-    if multiterm and abs(e) > MAX_MULTITERM_EXP:
-        raise BoundExceeded(
-            f"exponent {e} too large for a multi-term base (limit {MAX_MULTITERM_EXP})"
-        )
     if (_top_exponent(value) * abs(e)).bit_length() > MAX_FROB_EXP_BITS:
         raise BoundExceeded(
             f"the power would raise exponents past {MAX_FROB_EXP_BITS} bits"

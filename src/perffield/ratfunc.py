@@ -14,11 +14,11 @@ Knuth, TAOCP vol. 2, 4.5.1). For reduced a/b and c/d:
 - a/b * c/d is (a/g1 * c/g2) / (b/g2 * d/g1) with g1 = gcd(a, d) and
   g2 = gcd(c, b). A gcd against a denominator 1 is skipped, so the
   product of two polynomials takes no gcd at all.
-- a/b + c/d with b = d = 1 is (a + c)/1, with no gcd. Otherwise take
-  g = gcd(b, d) and t = a*(d/g) + c*(b/g). When g is 1, or one
-  denominator is 1, t / (b*(d/g)) is reduced as it stands. Else the
-  only factors t can share with the denominator are those of g, so
-  with g2 = gcd(t, g) the result is (t/g2) / ((b/g) * (d/g2)).
+- a/b + c/d takes g = gcd(b, d), or g = 1 with no gcd when b or d is
+  1, and t = a*(d/g) + c*(b/g). When g is 1, t / (b*(d/g)) is reduced
+  as it stands. Else the only factors t can share with the denominator
+  are those of g, so with g2 = gcd(t, g) the result is
+  (t/g2) / ((b/g) * (d/g2)).
 - Division and the inverse scale the new denominator monic and reuse
   the product; a power raises numerator and denominator separately,
   since powers of coprime polynomials are coprime and powers of monic
@@ -26,8 +26,8 @@ Knuth, TAOCP vol. 2, 4.5.1). For reduced a/b and c/d:
 
 A factor of monic polynomials is monic (graded-lex leading terms
 multiply), so every denominator above is monic by construction. The
-constructor still reduces arbitrary input with one gcd, except that a
-constant denominator c is folded into the numerator as c^-1.
+constructor reduces arbitrary input with one gcd; arithmetic never calls
+it.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ class RatFunc:
         if num.is_zero:
             num = MultiPoly.zero(num.field, num.nvars)
             den = MultiPoly.const(num.field, num.nvars, 1)
-        elif den.is_constant:
-            # gcd(num, c) = 1 for a nonzero constant c
-            c = den.constant_value()
-            if c != 1:
-                num = num.mul_scalar(den.field.inv(c))
-                den = MultiPoly.const(den.field, den.nvars, 1)
         else:
             _, num, den = gcd_cofactors(num, den)
             lc = den.leading_coeff()
@@ -191,21 +185,21 @@ class RatFunc:
         a, b = self.num, self.den
         c, d = other.num, other.den
         if b.is_constant and d.is_constant:
-            t, den = a + c, b
-        elif b.is_constant or d.is_constant:
-            t, den = a * d + c * b, b * d
+            # polynomials: b = d = 1, and a zero sum is already 0/1
+            return RatFunc._raw(a + c, b)
+        if b.is_constant or d.is_constant:
+            # a denominator 1 shares nothing with the other: g = 1
+            g, b1, d1 = (b if b.is_constant else d), b, d
         else:
             g, b1, d1 = gcd_cofactors(b, d)
-            t = a * d1 + c * b1
-            if g.is_constant or t.is_zero:
-                den = b * d1
-            else:
-                # t is prime to b/g and to d/g, so only g can cancel
-                _, t, g1 = gcd_cofactors(t, g)
-                den = b1 * (d1 * g1)
+        t = a * d1 + c * b1
         if t.is_zero:
             return RatFunc.const(t.field, t.nvars, 0)
-        return RatFunc._raw(t, den)
+        if g.is_constant:
+            return RatFunc._raw(t, b * d1)
+        # t is prime to b/g and to d/g, so only g can cancel
+        _, t, g1 = gcd_cofactors(t, g)
+        return RatFunc._raw(t, b1 * (d1 * g1))
 
     def _mul(self, other: RatFunc) -> RatFunc:
         # Henrici's product of two reduced fractions over the same ring

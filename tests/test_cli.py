@@ -178,10 +178,15 @@ def test_power_bounded_by_result_terms():
     out = run(s, "eval (x1+x2+x3+1)^1010")
     assert out.count(" + ") == 285
     assert out.startswith("x1^1010 + 10*x1^909*x2^101")
-    # at p = 2 the 4096th power is a pure Frobenius with 4 terms
-    assert run(Session(2, 3), "eval (x1+x2+x3+1)^4096") == (
-        "x1^4096 + x2^4096 + x3^4096 + 1"
-    )
+    # at p = 2 a power of 2 is a pure Frobenius with 4 terms, however
+    # large; 8191 has 13 binary digits 1, so its power has 4^13 terms
+    s2 = Session(2, 3)
+    assert run(s2, "eval (x1+x2+x3+1)^4096") == "x1^4096 + x2^4096 + x3^4096 + 1"
+    assert run(s2, "eval (x1+x2+x3+1)^8192") == "x1^8192 + x2^8192 + x3^8192 + 1"
+    start = time.perf_counter()
+    with pytest.raises(EvalError, match="BoundExceeded"):
+        run(s2, "eval (x1+x2+x3+1)^8191")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_power_bound_exits_1_without_traceback():
