@@ -33,7 +33,6 @@ from .errors import (
 )
 from .multipoly import MultiPoly
 from .perfclosure import PerfContext, PerfElem
-from .primefield import is_prime
 from .septools import UniPoly
 
 # desk-scale guards on expression evaluation
@@ -42,6 +41,8 @@ MAX_T_DEGREE = 1 << 16
 MAX_FROB_EXP_BITS = 1 << 12
 # terms a power may produce in its numerator or its denominator
 MAX_POWER_TERMS = 1 << 15
+# ground variables a session may declare
+MAX_VARS = 1 << 10
 
 _LET_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*(\S.*)$")
 _RESERVED = {"t", "root"}
@@ -61,6 +62,14 @@ class Session:
         if mode not in ("perfect", "level0"):
             raise UsageError(f"mode must be 'perfect' or 'level0', got {mode!r}")
         self.ctx = PerfContext(p, nvars, max_level)
+        if nvars > MAX_VARS:
+            raise UsageError(f"at most {MAX_VARS} variables, got {nvars}")
+        # a level-L element lifts exponents by p^L, so cap L as `frob` is capped
+        if _exp_bits_exceed(1, p, max_level):
+            raise UsageError(
+                f"max_level {max_level} would let exponents pass "
+                f"{MAX_FROB_EXP_BITS} bits at p = {p}"
+            )
         self.mode = mode
         self.json_mode = json_mode
         self.bindings: dict[str, object] = {}
@@ -385,16 +394,18 @@ def _check_frob_size(value: PerfElem, k: int) -> None:
     level, and each further step multiplies every exponent by p. A constant
     counts as exponent 1, which bounds the number of steps."""
     steps = k - value.level
-    if steps <= 0:
-        return
-    top = _top_exponent(value)
-    # p >= 2, so p^steps has more than `steps` bits: no need to build it
-    if steps >= MAX_FROB_EXP_BITS or (
-        (max(top, 1) * value.ctx.p**steps).bit_length() > MAX_FROB_EXP_BITS
-    ):
+    if steps > 0 and _exp_bits_exceed(_top_exponent(value), value.ctx.p, steps):
         raise BoundExceeded(
             f"frob {k} would raise level-0 exponents past {MAX_FROB_EXP_BITS} bits"
         )
+
+
+def _exp_bits_exceed(top: int, p: int, steps: int) -> bool:
+    """Whether max(top, 1) * p^steps passes MAX_FROB_EXP_BITS bits."""
+    # p >= 2, so p^steps has more than `steps` bits: no need to build it
+    return steps >= MAX_FROB_EXP_BITS or (
+        (max(top, 1) * p**steps).bit_length() > MAX_FROB_EXP_BITS
+    )
 
 
 def _cmd_level(session: Session, rest: str, base: int) -> str:
@@ -689,20 +700,14 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
-    if not is_prime(args.p):
-        print(f"error: --p must be prime, got {args.p}", file=sys.stderr)
+    try:
+        session = Session(
+            args.p, args.vars, mode=args.mode, max_level=args.max_level,
+            json_mode=args.json,
+        )
+    except (ValueError, UsageError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.vars < 0:
-        print(f"error: --vars must be non-negative, got {args.vars}", file=sys.stderr)
-        return 2
-    if args.max_level < 0:
-        print(f"error: --max-level must be non-negative", file=sys.stderr)
-        return 2
-
-    session = Session(
-        args.p, args.vars, mode=args.mode, max_level=args.max_level,
-        json_mode=args.json,
-    )
 
     if args.script:
         try:

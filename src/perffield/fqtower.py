@@ -5,7 +5,9 @@ enough that "Frobenius is a bijection" can be verified element by
 element rather than proved. Construction is deterministic — the modulus
 is the first monic irreducible of degree n in coefficient enumeration
 order (constant term fastest-varying), confirmed by Rabin's criterion —
-so a given (p, n) always denotes the same concrete field.
+so a given (p, n) always denotes the same concrete field. Residues are
+coefficient tuples, and all their arithmetic (products, powers,
+inverses, Rabin's test) is the dense Z_p[t] arithmetic of `zpoly`.
 
 The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
 Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _accel
+from . import _accel, zpoly
 from .errors import BoundExceeded, DivisionByZero, NoEmbedding
 from .primefield import is_prime
 
@@ -36,58 +38,6 @@ MAX_EXHAUSTIVE = 2**16
 # rows per chunk in the embedding root search, which bounds its memory
 # when the subfield searched is large (m = n)
 _BLOCK = 1 << 15
-
-
-# -- dense Z_p[t] helpers (coefficient lists, index = degree) -----------------
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    r = _ptrim(list(a))
-    df = len(f) - 1
-    inv_lc = pow(f[-1], p - 2, p)
-    while len(r) - 1 >= df and r:
-        q = (r[-1] * inv_lc) % p
-        shift = len(r) - 1 - df
-        for i, c in enumerate(f):
-            r[shift + i] = (r[shift + i] - q * c) % p
-        _ptrim(r)
-    return r
-
-
-def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    b = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, b, p), f, p)
-        e >>= 1
-        if e:
-            b = _pmod(_pmul(b, b, p), f, p)
-    return result
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -111,22 +61,13 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         return True
     t = [0, 1]
     # t^(p^n) must be t itself mod f
-    if _ppowmod(t, p**n, f, p) != t:
+    if zpoly.powmod(t, p**n, f, p) != t:
         return False
     for q in _prime_factors(n):
-        h = _ptrim(
-            [(_c - _d) % p for _c, _d in _zip_pad(_ppowmod(t, p ** (n // q), f, p), t)]
-        )
-        g = _pgcd(f, h, p)
-        if len(g) - 1 != 0:
+        h = zpoly.sub(zpoly.powmod(t, p ** (n // q), f, p), t, p)
+        if len(zpoly.gcd(f, h, p)) != 1:
             return False
     return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    m = max(len(a), len(b))
-    for i in range(m):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
 
 
 # -- field and elements ---------------------------------------------------------
@@ -135,14 +76,13 @@ def _zip_pad(a: list[int], b: list[int]):
 class FqField:
     """The finite field with p^n elements, as Z_p[t] mod a fixed modulus."""
 
-    __slots__ = ("p", "n", "modulus", "order", "_red", "_frob", "_inv_frob")
+    __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
         self.n = n
         self.modulus = modulus
         self.order = p**n
-        self._red = _accel.reduction_table(modulus, p)
         self._frob = None
         self._inv_frob = None
 
@@ -150,12 +90,12 @@ class FqField:
         """Rows of the matrix of a -> a^e when that map is F_p-linear
         (e a power of p): row i is t^(ie) mod f, so a row vector of
         coefficients times the matrix is the image."""
-        f = list(self.modulus)
-        step = _ppowmod([0, 1], e, f, self.p)
+        f, p = self.modulus, self.p
+        step = zpoly.powmod([0, 1], e, f, p)
         rows, cur = [], [1]
         for _ in range(self.n):
             rows.append(tuple(cur) + (0,) * (self.n - len(cur)))
-            cur = _pmod(_pmul(cur, step, self.p), f, self.p)
+            cur = zpoly.rem(zpoly.mul(cur, step, p), f, p)
         return tuple(rows)
 
     def frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -174,7 +114,7 @@ class FqField:
         p = self.p
         cs = [c % p for c in coeffs]
         if len(cs) > self.n:
-            cs = _pmod(cs, list(self.modulus), p)
+            cs = zpoly.rem(cs, self.modulus, p)
         cs += [0] * (self.n - len(cs))
         return FqElem(self, tuple(cs[: self.n]))
 
@@ -279,8 +219,8 @@ class FqElem:
     def __mul__(self, other):
         other = self._check(other)
         p = self.field.p
-        prod = _pmul(list(self.coeffs), list(other.coeffs), p)
-        prod = _pmod(prod, list(self.field.modulus), p)
+        prod = zpoly.mul(self.coeffs, other.coeffs, p)
+        prod = zpoly.rem(prod, self.field.modulus, p)
         prod += [0] * (self.field.n - len(prod))
         return FqElem(self.field, tuple(prod))
 
@@ -289,7 +229,7 @@ class FqElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        out = _ppowmod(list(self.coeffs), e, list(self.field.modulus), self.field.p)
+        out = zpoly.powmod(self.coeffs, e, self.field.modulus, self.field.p)
         out += [0] * (self.field.n - len(out))
         return FqElem(self.field, tuple(out))
 
@@ -297,26 +237,7 @@ class FqElem:
         """Multiplicative inverse by the extended Euclidean algorithm."""
         if not any(self.coeffs):
             raise DivisionByZero("inverse of zero in a finite field")
-        p = self.field.p
-        a = _ptrim(list(self.coeffs))
-        f = list(self.field.modulus)
-        # invariants: r0 = s0*f + t0*a, r1 = s1*f + t1*a (s never needed)
-        r0, r1 = f, a
-        t0, t1 = [], [1]
-        while r1:
-            # one Euclid step: r0 = q*r1 + r2
-            q, r2 = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r2
-            t0, t1 = t1, _ptrim(
-                [
-                    (x - y) % p
-                    for x, y in _zip_pad(t0, _pmul(q, t1, p))
-                ]
-            )
-        # r0 is a nonzero constant gcd
-        scale = pow(r0[0], p - 2, p)
-        out = [(c * scale) % p for c in t0]
-        out = _pmod(out, f, p)
+        out = zpoly.invmod(self.coeffs, self.field.modulus, self.field.p)
         out += [0] * (self.field.n - len(out))
         return FqElem(self.field, tuple(out))
 
@@ -367,21 +288,6 @@ class FqElem:
 
     def __repr__(self):
         return f"FqElem(F_{self.field.p}^{self.field.n}, {self})"
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    r = list(a)
-    db = len(b) - 1
-    inv_lc = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 1)
-    while len(r) - 1 >= db and r:
-        c = (r[-1] * inv_lc) % p
-        shift = len(r) - 1 - db
-        q[shift] = c
-        for i, cb in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * cb) % p
-        _ptrim(r)
-    return _ptrim(q), r
 
 
 # -- construction -----------------------------------------------------------------
@@ -530,7 +436,8 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     F = target.power_map(p**source.n)
     basis = _null_space([[(F[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
     B = np.array(basis, dtype=np.int64).reshape(len(basis), n)
-    mod = list(source.modulus)
+    mod = source.modulus
+    red = _accel.reduction_table(target.modulus, p)
     size = p ** len(basis)
     roots = []
     for start in range(0, size, _BLOCK):
@@ -538,7 +445,7 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
         val = np.zeros_like(X)
         val[:, 0] = mod[-1] % p
         for c in reversed(mod[:-1]):
-            val = _accel.batch_mulmod(val, X, target._red, p)
+            val = _accel.batch_mulmod(val, X, red, p)
             val[:, 0] = (val[:, 0] + c) % p
         roots += _accel.encode_rows(X[~val.any(axis=1)], p).tolist()
     if not roots:

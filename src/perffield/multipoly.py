@@ -26,7 +26,8 @@ get one spare top bit each, so one subtraction and one mask test decide
 whether the divisor's leading monomial divides the leader.
 
 GCD uses content/primitive-part splitting with a primitive pseudo-
-remainder sequence in the highest shared variable. Exact division
+remainder sequence in the highest shared variable; the univariate case
+is Euclid on dense coefficient lists in `zpoly`. Exact division
 double-checks every gcd before it is returned, and `gcd_cofactors`
 hands back the quotients of that check, which are the cofactors a/g and
 b/g. There is no modular gcd yet, so gcds in four or more variables with
@@ -38,6 +39,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping, Sequence
 
+from . import zpoly
 from .errors import ContextMismatch, DivisionByZero, NotAPthPower, NotDivisible
 from .primefield import PrimeField
 
@@ -555,17 +557,11 @@ def _gcd_nonzero(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 def _univar_gcd(a: MultiPoly, b: MultiPoly, k: int) -> MultiPoly:
     """Euclid on dense coefficient lists; both inputs univariate in x_k."""
     field, nvars = a.field, a.nvars
-    p = field.p
-    fa = _dense_coeffs(a, k)
-    fb = _dense_coeffs(b, k)
-    while fb:
-        fa, fb = fb, _dense_mod(fa, fb, p)
-    inv = field.inv(fa[-1])
+    g = zpoly.gcd(_dense_coeffs(a, k), _dense_coeffs(b, k), field.p)
     terms = {}
-    for e, c in enumerate(fa):
+    for e, c in enumerate(g):
         if c:
-            mono = tuple(e if j == k else 0 for j in range(nvars))
-            terms[mono] = (c * inv) % p
+            terms[tuple(e if j == k else 0 for j in range(nvars))] = c
     return MultiPoly._raw(field, nvars, terms)
 
 
@@ -574,20 +570,6 @@ def _dense_coeffs(f: MultiPoly, k: int) -> list[int]:
     for m, c in f.terms.items():
         out[m[k]] = c
     return out
-
-
-def _dense_mod(fa: list[int], fb: list[int], p: int) -> list[int]:
-    r = list(fa)
-    db = len(fb) - 1
-    inv_lcb = pow(fb[-1], p - 2, p)
-    while len(r) - 1 >= db and r:
-        q = (r[-1] * inv_lcb) % p
-        shift = len(r) - 1 - db
-        for i, c in enumerate(fb):
-            r[shift + i] = (r[shift + i] - q * c) % p
-        while r and r[-1] == 0:
-            r.pop()
-    return r
 
 
 def _to_univar(f: MultiPoly, k: int) -> dict[int, MultiPoly]:

@@ -348,6 +348,27 @@ def test_keep_going_reports_worst_code():
 def test_flag_validation():
     assert cli("--p", "4", stdin="").returncode == 2
     assert cli("--max-level", "-1", stdin="").returncode == 2
+    # each refused before any work: a huge p is not trial-divided, and no
+    # session is built for too many variables or too deep a level cap
+    for args, stdin in [
+        (("--p", "1000000000000000003"), ""),
+        (("--p", "2147483659"), ""),
+        (("--vars", "2000000"), ""),
+        (("--vars", "-1"), ""),
+        (
+            ("--p", "2", "--vars", "2", "--max-level", "100000"),
+            "eval root(x1, 20000) + x2\n",
+        ),
+        (("--max-level", "100000000"), "eval root(1, 3000000)\n"),
+    ]:
+        start = time.perf_counter()
+        proc = cli(*args, stdin=stdin)
+        assert time.perf_counter() - start < 2.0, args
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith("error: "), args
+        assert "Traceback" not in proc.stderr, args
+    # the default level cap passes for the largest supported prime
+    assert cli("--p", "2147483647", stdin="eval x1\n").returncode == 0
 
 
 def test_script_file(tmp_path):
