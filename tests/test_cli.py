@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from perffield.errors import (
     EvalError,
     NotPerfectMode,
     ParseError,
+    PerffieldError,
     UnknownCommand,
     UnknownVariable,
     UsageError,
@@ -447,3 +449,97 @@ def test_fq_bad_prime_or_degree_is_usage_error():
         assert proc.returncode == 2, line
         assert proc.stderr.startswith("error: "), proc.stderr[:200]
         assert "Traceback" not in proc.stderr, line
+
+
+# -- pinned error rendering ------------------------------------------------------
+
+_HALF = 2**2000
+_BIG_POW = f"eval (x1^{_HALF})^{2**2096}"
+
+# (p, vars, setup lines, line, kind, text line, exit code); the JSON
+# message is the text line without its "error...: " prefix
+_PINNED_ERRORS = [
+    (2, 1, [], "eval 1/(x1-x1)", "EvalError",
+     "error[5..14]: DivisionByZero: division by zero in the perfect closure", 1),
+    (2, 1, [], "eval -(1/(x1-x1))", "EvalError",
+     "error[6..17]: DivisionByZero: division by zero in the perfect closure", 1),
+    (2, 1, [], "eval (t+1)^(-1)", "EvalError",
+     "error[5..15]: ValueError: polynomials cannot be raised to negative powers", 1),
+    (2, 1, [], "eval root(t,1)", "EvalError",
+     "error[5..14]: UsageError: the indeterminate t cannot appear under root(...)", 1),
+    (2, 1, [], "eval (t^2)/(t+1)", "EvalError",
+     "error[5..16]: NotDivisible: inexact polynomial division", 1),
+    (2, 1, [], "eval root(x1,65)", "EvalError",
+     "error[5..16]: LevelOverflow: p^65-th root would exceed the session level cap 64", 1),
+    (2, 1, ["mode level0"], "eval x1 + root(x1,1)", "EvalError",
+     "error[10..20]: NotPerfectMode: root leaves Z_2(X); level0 mode has no p-th "
+     "roots for this element", 1),
+    (2, 1, ["let q = t + root(x1,1)", "mode level0"], "eval q", "EvalError",
+     "error[5..6]: NotPerfectMode: coefficient root(x1,1) has level 1; level0 mode "
+     "is confined to Z_2(X)", 1),
+    (2, 1, ["let a = root(x1,1)", "mode level0"], "eval 1 + a", "EvalError",
+     "error[9..10]: NotPerfectMode: binding 'a' lies outside Z_2(X)", 1),
+    (2, 1, ["mode level0"], "pthroot x1 + 1", "EvalError",
+     "error[8..14]: NotPerfectMode: root leaves Z_2(X) in level0 mode", 1),
+    (2, 1, [], "pthroot x1 65", "EvalError",
+     "error[8..10]: LevelOverflow: p^65-th root would exceed the session level cap 64", 1),
+    (2, 1, [], "pthroot t 1", "UsageError",
+     "error: pthroot applies to field elements; use prootpoly for polynomials", 2),
+    (2, 1, [], "issep 1", "EvalError",
+     "error[6..7]: ConstantPolynomial: separability is about nonconstant polynomials", 1),
+    (2, 1, [], "sqfree x1", "EvalError",
+     "error[7..9]: ConstantPolynomial: squarefree decomposition needs a nonconstant "
+     "input", 1),
+    (2, 1, [], "sepdec  x1 + 1", "EvalError",
+     "error[8..14]: ConstantPolynomial: separable decomposition needs a nonconstant "
+     "input", 1),
+    (2, 1, [], "prootpoly t + x1", "EvalError",
+     "error[10..16]: DerivativeNonzero: input has nonzero derivative; it is not a "
+     "p-th power", 1),
+    (2, 1, [], "sqfree t +", "ParseError",
+     "error[offset 10]: expected '(', '-', a name, a number, found end of input", 2),
+    (2, 1, [], "frob x1 +", "ParseError",
+     "error[offset 9]: expected '(', '-', a name, a number, found end of input", 2),
+    (2, 1, [], "frob x1 y", "UsageError",
+     "error: expected an integer after the expression, got 'y'", 2),
+    (2, 1, [], "let b = x9 + 1", "UnknownVariable",
+     "error[8..10]: unknown variable 'x9'", 2),
+    (2, 1, [], "eval t^70000", "EvalError",
+     "error[5..12]: BoundExceeded: resulting t-degree 70000 exceeds the limit 65536", 1),
+    (2, 1, [], "frob x1 4096", "BoundExceeded",
+     "error: frob 4096 would raise level-0 exponents past 4096 bits", 1),
+    (101, 3, [], "eval (x1+x2+x3+1)^4096", "EvalError",
+     "error[5..22]: BoundExceeded: the power could produce more than 32768 terms", 1),
+    (101, 3, [], "eval 1/(x1+x2+x3+1)^64", "EvalError",
+     "error[7..22]: BoundExceeded: the power could produce more than 32768 terms", 1),
+    (2, 2, [], _BIG_POW, "EvalError",
+     f"error[5..{len(_BIG_POW)}]: BoundExceeded: the power would raise exponents "
+     "past 4096 bits", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "p, nvars, setup, line, kind, text, code",
+    _PINNED_ERRORS,
+    ids=[case[3][:24] for case in _PINNED_ERRORS],
+)
+def test_pinned_error_rendering(p, nvars, setup, line, kind, text, code):
+    prefix, message = text.split(": ", 1)
+    span = re.fullmatch(r"error\[(?:offset (\d+)|(\d+)\.\.(\d+))\]", prefix)
+    for json_mode in (False, True):
+        s = Session(p, nvars)
+        for before in setup:
+            run(s, before)
+        s.json_mode = json_mode
+        with pytest.raises(PerffieldError) as exc:
+            run(s, line)
+        assert classify_exit(exc.value) == code
+        rendered = render_error(exc.value, json_mode)
+        if not json_mode:
+            assert rendered == text
+            continue
+        error = {"kind": kind, "message": message}
+        if span:
+            start, end = span.group(1, 1) if span.group(1) else span.group(2, 3)
+            error.update(start=int(start), end=int(end))
+        assert json.loads(rendered) == {"schema": 1, "ok": False, "error": error}
