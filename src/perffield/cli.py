@@ -16,11 +16,9 @@ import argparse
 import json
 import re
 import sys
-from math import comb
 
 from . import fqtower, parser, septools
 from .errors import (
-    BoundExceeded,
     DivisionByZero,
     EvalError,
     NotPerfectMode,
@@ -31,18 +29,8 @@ from .errors import (
     UnknownVariable,
     UsageError,
 )
-from .multipoly import MultiPoly
-from .perfclosure import PerfContext, PerfElem
+from .perfclosure import DEFAULT_MAX_LEVEL, PerfContext, PerfElem
 from .septools import UniPoly
-
-# desk-scale guards on expression evaluation
-MAX_T_DEGREE = 1 << 16
-# bit length of the largest exponent `frob` or `^` may produce
-MAX_FROB_EXP_BITS = 1 << 12
-# terms a power may produce in its numerator or its denominator
-MAX_POWER_TERMS = 1 << 15
-# ground variables a session may declare
-MAX_VARS = 1 << 10
 
 _LET_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*(\S.*)$")
 _RESERVED = {"t", "root"}
@@ -56,20 +44,12 @@ class Session:
         p: int,
         nvars: int,
         mode: str = "perfect",
-        max_level: int = 64,
+        max_level: int = DEFAULT_MAX_LEVEL,
         json_mode: bool = False,
     ):
         if mode not in ("perfect", "level0"):
             raise UsageError(f"mode must be 'perfect' or 'level0', got {mode!r}")
         self.ctx = PerfContext(p, nvars, max_level)
-        if nvars > MAX_VARS:
-            raise UsageError(f"at most {MAX_VARS} variables, got {nvars}")
-        # a level-L element lifts exponents by p^L, so cap L as `frob` is capped
-        if _exp_bits_exceed(1, p, max_level):
-            raise UsageError(
-                f"max_level {max_level} would let exponents pass "
-                f"{MAX_FROB_EXP_BITS} bits at p = {p}"
-            )
         self.mode = mode
         self.json_mode = json_mode
         self.bindings: dict[str, object] = {}
@@ -83,11 +63,24 @@ class Session:
 # -- expression evaluation ------------------------------------------------------
 
 
-def _wrap(err: Exception, node: parser.Node, base: int) -> EvalError:
-    return EvalError(err, base + node.start, base + node.end)
+def _at(node: parser.Node, base: int, fn, *args):
+    """fn(*args), with an algebra failure re-raised as an EvalError over
+    the node's source span; errors that already carry a span pass through."""
+    try:
+        return fn(*args)
+    except SourceError:
+        raise
+    except (PerffieldError, ValueError) as err:
+        raise EvalError(err, base + node.start, base + node.end) from err
 
 
-def _promote(a, b, session: Session):
+def eval_ast(node: parser.Node, session: Session, base: int = 0):
+    """Evaluate a parsed expression to a PerfElem or a UniPoly; algebra
+    failures come back as EvalError with the span of the failing node."""
+    return _at(node, base, _EVAL[type(node)], node, session, base)
+
+
+def _promote(a, b):
     if isinstance(a, UniPoly) and isinstance(b, PerfElem):
         return a, UniPoly.const(a.ctx, b, a.mode)
     if isinstance(a, PerfElem) and isinstance(b, UniPoly):
@@ -95,78 +88,11 @@ def _promote(a, b, session: Session):
     return a, b
 
 
-def eval_ast(node: parser.Node, session: Session, base: int = 0):
-    """Evaluate a parsed expression to a PerfElem or a UniPoly; algebra
-    failures come back as EvalError with the offending source span."""
-    try:
-        return _ev(node, session, base)
-    except SourceError:
-        raise
-    except PerffieldError as err:
-        raise _wrap(err, node, base) from err
+def _ev_num(node: parser.Num, session: Session, base: int):
+    return session.ctx.const(node.value)
 
 
-def _ev(node: parser.Node, session: Session, base: int):
-    ctx = session.ctx
-    if isinstance(node, parser.Num):
-        return ctx.const(node.value)
-    if isinstance(node, parser.Name):
-        return _resolve_name(node, session, base)
-    if isinstance(node, parser.Unary):
-        return -_ev(node.operand, session, base)
-    if isinstance(node, parser.BinOp):
-        lhs = _ev(node.lhs, session, base)
-        rhs = _ev(node.rhs, session, base)
-        lhs, rhs = _promote(lhs, rhs, session)
-        try:
-            if node.op == "+":
-                return lhs + rhs
-            if node.op == "-":
-                return lhs - rhs
-            if node.op == "*":
-                return lhs * rhs
-            # division: exact division for polynomials, field division otherwise
-            if isinstance(lhs, UniPoly):
-                if rhs.is_zero:
-                    raise DivisionByZero("polynomial division by zero")
-                if rhs.is_constant:
-                    return lhs.scale(rhs.coeff(0).inv())
-                return lhs.divexact(rhs)
-            return lhs / rhs
-        except PerffieldError as err:
-            raise _wrap(err, node, base) from err
-    if isinstance(node, parser.Pow):
-        value = _ev(node.base, session, base)
-        try:
-            return _checked_pow(value, node.exponent)
-        except (PerffieldError, ValueError) as err:
-            raise _wrap(err, node, base) from err
-    if isinstance(node, parser.Root):
-        arg = _ev(node.arg, session, base)
-        if isinstance(arg, UniPoly):
-            raise _wrap(
-                UsageError("the indeterminate t cannot appear under root(...)"),
-                node,
-                base,
-            )
-        try:
-            out = arg.pn_root(node.depth)
-        except PerffieldError as err:
-            raise _wrap(err, node, base) from err
-        if session.mode == "level0" and out.level > 0:
-            raise _wrap(
-                NotPerfectMode(
-                    f"root leaves Z_{session.p}(X); level0 mode has no p-th roots "
-                    f"for this element"
-                ),
-                node,
-                base,
-            )
-        return out
-    raise TypeError(f"unhandled syntax node {type(node).__name__}")
-
-
-def _resolve_name(node: parser.Name, session: Session, base: int):
+def _ev_name(node: parser.Name, session: Session, base: int):
     name = node.name
     if name == "t":
         return UniPoly.t_var(session.ctx, session.mode)
@@ -178,84 +104,71 @@ def _resolve_name(node: parser.Name, session: Session, base: int):
         raise UnknownVariable(name, base + node.start, base + node.end)
     if isinstance(bound, PerfElem):
         if session.mode == "level0" and bound.level > 0:
-            raise _wrap(
-                NotPerfectMode(f"binding '{name}' lies outside Z_{session.p}(X)"),
-                node,
-                base,
-            )
+            raise NotPerfectMode(f"binding '{name}' lies outside Z_{session.p}(X)")
         return bound
     if bound.mode != session.mode:
-        try:
-            return bound.with_mode(session.mode)
-        except PerffieldError as err:
-            raise _wrap(err, node, base) from err
+        return bound.with_mode(session.mode)
     return bound
 
 
-def _checked_pow(value, e: int):
-    if isinstance(value, UniPoly):
-        if e < 0:
-            raise ValueError("polynomials cannot be raised to negative powers")
-        deg = value.degree
-        if deg and deg * e > MAX_T_DEGREE:
-            raise BoundExceeded(
-                f"resulting t-degree {deg * e} exceeds the limit {MAX_T_DEGREE}"
-            )
-        return value**e
-    if (_top_exponent(value) * abs(e)).bit_length() > MAX_FROB_EXP_BITS:
-        raise BoundExceeded(
-            f"the power would raise exponents past {MAX_FROB_EXP_BITS} bits"
-        )
-    p = value.ctx.p
-    for poly in (value.body.num, value.body.den):
-        if _power_terms(poly, abs(e), p) > MAX_POWER_TERMS:
-            raise BoundExceeded(
-                f"the power could produce more than {MAX_POWER_TERMS} terms"
-            )
-    return value**e
+def _ev_unary(node: parser.Unary, session: Session, base: int):
+    return -eval_ast(node.operand, session, base)
 
 
-def _power_terms(f: MultiPoly, e: int, p: int) -> int:
-    """An upper bound on the number of terms of f**e over Z_p.
-
-    With e = sum e_i p^i in base p, f**e is the product of the
-    Frobenius images of f**e_i, and a Frobenius image keeps the term
-    count. f**e_i has total degree e_i * deg f in the v variables f uses,
-    and is a sum of products of e_i of f's t terms, so it has at most
-    min(C(e_i deg f + v, v), C(e_i + t - 1, t - 1)) terms. The product of
-    these bounds f**e; the loop stops once it passes MAX_POWER_TERMS.
-    """
-    t = len(f.terms)
-    if t < 2:
-        return t
-    deg = f.total_degree()
-    v = len(f.support_vars())
-    bound = 1
-    while e and bound <= MAX_POWER_TERMS:
-        e, digit = divmod(e, p)
-        if digit:
-            bound *= min(comb(digit * deg + v, v), comb(digit + t - 1, t - 1))
-    return bound
+def _ev_binop(node: parser.BinOp, session: Session, base: int):
+    lhs, rhs = _promote(
+        eval_ast(node.lhs, session, base), eval_ast(node.rhs, session, base)
+    )
+    if node.op == "+":
+        return lhs + rhs
+    if node.op == "-":
+        return lhs - rhs
+    if node.op == "*":
+        return lhs * rhs
+    # division: exact division for polynomials, field division otherwise
+    if isinstance(lhs, UniPoly):
+        if rhs.is_zero:
+            raise DivisionByZero("polynomial division by zero")
+        if rhs.is_constant:
+            return lhs.scale(rhs.coeff(0).inv())
+        return lhs.divexact(rhs)
+    return lhs / rhs
 
 
-def _top_exponent(value: PerfElem) -> int:
-    """The largest exponent of any variable in the element's body."""
-    body = value.body
-    return max((e for m in (*body.num.terms, *body.den.terms) for e in m), default=0)
+def _ev_pow(node: parser.Pow, session: Session, base: int):
+    return eval_ast(node.base, session, base) ** node.exponent
 
 
-def _parse_full(text: str, base: int) -> parser.Node:
+def _ev_root(node: parser.Root, session: Session, base: int):
+    arg = eval_ast(node.arg, session, base)
+    if isinstance(arg, UniPoly):
+        raise UsageError("the indeterminate t cannot appear under root(...)")
+    why = "; level0 mode has no p-th roots for this element"
+    return _root(session, arg, node.depth, why)
+
+
+def _root(session: Session, value: PerfElem, k: int, why: str) -> PerfElem:
+    """The p^k-th root of value, which level0 mode refuses off level 0."""
+    out = value.pn_root(k)
+    if session.mode == "level0" and out.level > 0:
+        raise NotPerfectMode(f"root leaves Z_{session.p}(X){why}")
+    return out
+
+
+_EVAL = {
+    parser.Num: _ev_num,
+    parser.Name: _ev_name,
+    parser.Unary: _ev_unary,
+    parser.BinOp: _ev_binop,
+    parser.Pow: _ev_pow,
+    parser.Root: _ev_root,
+}
+
+
+def _parse(parse, text: str, base: int):
+    """parse(text), with error offsets shifted by base into the command line."""
     try:
-        return parser.parse_expression(text)
-    except SourceError as err:
-        err.start += base
-        err.end += base
-        raise
-
-
-def _parse_prefix(text: str, base: int):
-    try:
-        return parser.parse_prefix(text)
+        return parse(text)
     except SourceError as err:
         err.start += base
         err.end += base
@@ -263,7 +176,7 @@ def _parse_prefix(text: str, base: int):
 
 
 def eval_text(session: Session, text: str, base: int = 0):
-    return eval_ast(_parse_full(text, base), session, base)
+    return eval_ast(_parse(parser.parse_expression, text, base), session, base)
 
 
 # -- value rendering -------------------------------------------------------------
@@ -279,10 +192,6 @@ def value_json(value) -> dict:
         "mode": value.mode,
         "coeffs": [value_json(c) for c in value.coeffs],
     }
-
-
-def _render_value(value) -> str:
-    return str(value)
 
 
 # -- command dispatch --------------------------------------------------------------
@@ -326,11 +235,7 @@ def _cmd_let(session: Session, rest: str, base: int) -> str:
     value = eval_text(session, expr, base + m.start(2))
     session.bindings[name] = value
     return _reply(
-        session,
-        f"{name} = {_render_value(value)}",
-        command="let",
-        name=name,
-        value=value_json(value),
+        session, f"{name} = {value}", command="let", name=name, value=value_json(value)
     )
 
 
@@ -338,13 +243,11 @@ def _cmd_eval(session: Session, rest: str, base: int) -> str:
     if not rest:
         raise UsageError("usage: eval <expr>")
     value = eval_text(session, rest, base)
-    return _reply(
-        session, _render_value(value), command="eval", value=value_json(value)
-    )
+    return _reply(session, str(value), command="eval", value=value_json(value))
 
 
 def _expr_then_int(session: Session, rest: str, base: int, default=None):
-    node, stop = _parse_prefix(rest, base)
+    node, stop = _parse(parser.parse_prefix, rest, base)
     tail = rest[stop:].strip()
     if not tail:
         if default is None:
@@ -364,48 +267,20 @@ def _cmd_pthroot(session: Session, rest: str, base: int) -> str:
         raise UsageError("pthroot applies to field elements; use prootpoly for polynomials")
     if k < 0:
         raise UsageError("root depth must be non-negative")
-    try:
-        out = value.pn_root(k)
-    except PerffieldError as err:
-        raise _wrap(err, node, base) from err
-    if session.mode == "level0" and out.level > 0:
-        raise _wrap(
-            NotPerfectMode(f"root leaves Z_{session.p}(X) in level0 mode"), node, base
-        )
-    return _reply(session, _render_value(out), command="pthroot", value=value_json(out))
+    out = _at(node, base, _root, session, value, k, " in level0 mode")
+    return _reply(session, str(out), command="pthroot", value=value_json(out))
 
 
 def _cmd_frob(session: Session, rest: str, base: int) -> str:
     if not rest:
         raise UsageError("usage: frob <expr> [k]")
-    value, k, node = _expr_then_int(session, rest, base, default=1)
+    value, k, _ = _expr_then_int(session, rest, base, default=1)
     if isinstance(value, UniPoly):
         raise UsageError("frob applies to field elements")
     if k < 0:
         raise UsageError("frobenius count must be non-negative")
-    _check_frob_size(value, k)
     out = value.frobenius_iter(k)
-    return _reply(session, _render_value(out), command="frob", value=value_json(out))
-
-
-def _check_frob_size(value: PerfElem, k: int) -> None:
-    """Refuse a^(p^k) before computing it when its level-0 exponents would
-    pass MAX_FROB_EXP_BITS bits: the first `level` steps only lower the
-    level, and each further step multiplies every exponent by p. A constant
-    counts as exponent 1, which bounds the number of steps."""
-    steps = k - value.level
-    if steps > 0 and _exp_bits_exceed(_top_exponent(value), value.ctx.p, steps):
-        raise BoundExceeded(
-            f"frob {k} would raise level-0 exponents past {MAX_FROB_EXP_BITS} bits"
-        )
-
-
-def _exp_bits_exceed(top: int, p: int, steps: int) -> bool:
-    """Whether max(top, 1) * p^steps passes MAX_FROB_EXP_BITS bits."""
-    # p >= 2, so p^steps has more than `steps` bits: no need to build it
-    return steps >= MAX_FROB_EXP_BITS or (
-        (max(top, 1) * p**steps).bit_length() > MAX_FROB_EXP_BITS
-    )
+    return _reply(session, str(out), command="frob", value=value_json(out))
 
 
 def _cmd_level(session: Session, rest: str, base: int) -> str:
@@ -417,33 +292,24 @@ def _cmd_level(session: Session, rest: str, base: int) -> str:
     return _reply(session, str(value.level), command="level", value=value.level)
 
 
-def _poly_arg(session: Session, rest: str, base: int):
-    node = _parse_full(rest, base)
-    value = eval_ast(node, session, base)
-    if isinstance(value, PerfElem):
-        value = UniPoly.const(session.ctx, value, session.mode)
-    return value, node
+def _on_poly(session: Session, rest: str, base: int, command: str, fn):
+    """fn applied to the command's argument read as a polynomial in t."""
+    if not rest:
+        raise UsageError(f"usage: {command} <poly>")
+    node = _parse(parser.parse_expression, rest, base)
+    f = eval_ast(node, session, base)
+    if isinstance(f, PerfElem):
+        f = UniPoly.const(session.ctx, f, session.mode)
+    return _at(node, base, fn, f)
 
 
 def _cmd_issep(session: Session, rest: str, base: int) -> str:
-    if not rest:
-        raise UsageError("usage: issep <poly>")
-    f, node = _poly_arg(session, rest, base)
-    try:
-        ans = septools.is_separable(f)
-    except PerffieldError as err:
-        raise _wrap(err, node, base) from err
+    ans = _on_poly(session, rest, base, "issep", septools.is_separable)
     return _reply(session, "true" if ans else "false", command="issep", value=ans)
 
 
 def _cmd_sqfree(session: Session, rest: str, base: int) -> str:
-    if not rest:
-        raise UsageError("usage: sqfree <poly>")
-    f, node = _poly_arg(session, rest, base)
-    try:
-        dec = septools.squarefree_decomposition(f)
-    except PerffieldError as err:
-        raise _wrap(err, node, base) from err
+    dec = _on_poly(session, rest, base, "sqfree", septools.squarefree_decomposition)
     return _reply(
         session,
         str(dec),
@@ -456,13 +322,7 @@ def _cmd_sqfree(session: Session, rest: str, base: int) -> str:
 
 
 def _cmd_sepdec(session: Session, rest: str, base: int) -> str:
-    if not rest:
-        raise UsageError("usage: sepdec <poly>")
-    f, node = _poly_arg(session, rest, base)
-    try:
-        dec = septools.separable_decomposition(f)
-    except PerffieldError as err:
-        raise _wrap(err, node, base) from err
+    dec = _on_poly(session, rest, base, "sepdec", septools.separable_decomposition)
     return _reply(
         session,
         f"s = {dec.s}, e = {dec.e}",
@@ -473,14 +333,8 @@ def _cmd_sepdec(session: Session, rest: str, base: int) -> str:
 
 
 def _cmd_prootpoly(session: Session, rest: str, base: int) -> str:
-    if not rest:
-        raise UsageError("usage: prootpoly <poly>")
-    f, node = _poly_arg(session, rest, base)
-    try:
-        g = septools.pth_root_poly(f)
-    except PerffieldError as err:
-        raise _wrap(err, node, base) from err
-    return _reply(session, _render_value(g), command="prootpoly", value=value_json(g))
+    g = _on_poly(session, rest, base, "prootpoly", septools.pth_root_poly)
+    return _reply(session, str(g), command="prootpoly", value=value_json(g))
 
 
 _INT_RE = re.compile(r"-?([0-9]+)\Z")
@@ -693,7 +547,10 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--script", metavar="FILE", help="run commands from FILE and exit")
     ap.add_argument("--json", action="store_true", help="start with JSON output on")
-    ap.add_argument("--max-level", type=int, default=64, help="cap on root-taking depth")
+    ap.add_argument(
+        "--max-level", type=int, default=DEFAULT_MAX_LEVEL,
+        help="cap on root-taking depth",
+    )
     ap.add_argument(
         "--keep-going", action="store_true",
         help="in batch mode, report errors but keep running",

@@ -55,7 +55,8 @@ class ConstantPolynomial(PerffieldError):
 
 
 class BoundExceeded(PerffieldError):
-    """Finite-field parameters outside the supported desk-scale bounds."""
+    """A size outside the supported desk-scale bounds: finite-field
+    parameters, or a power or Frobenius whose result would be too large."""
 
 
 class NoEmbedding(PerffieldError):

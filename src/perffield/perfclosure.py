@@ -18,9 +18,11 @@ semantic equality.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Sequence
 
 from .errors import (
+    BoundExceeded,
     ContextMismatch,
     DivisionByZero,
     LevelOverflow,
@@ -31,6 +33,12 @@ from .primefield import PrimeField
 from .ratfunc import RatFunc
 
 DEFAULT_MAX_LEVEL = 64
+# ground variables a context may declare
+MAX_VARS = 1 << 10
+# bit length of the largest exponent a power or a Frobenius may produce
+MAX_FROB_EXP_BITS = 1 << 12
+# terms a power may produce in its numerator or its denominator
+MAX_POWER_TERMS = 1 << 15
 
 
 class PerfContext:
@@ -45,6 +53,14 @@ class PerfContext:
         if not isinstance(max_level, int) or max_level < 0:
             raise ValueError(f"max_level must be a non-negative integer, got {max_level!r}")
         self.field = PrimeField(p)
+        if nvars > MAX_VARS:
+            raise ValueError(f"at most {MAX_VARS} variables, got {nvars}")
+        # a level-L element lifts exponents by p^L, so cap L as frobenius is
+        if _exp_bits_exceed(1, p, max_level):
+            raise ValueError(
+                f"max_level {max_level} would let exponents pass "
+                f"{MAX_FROB_EXP_BITS} bits at p = {p}"
+            )
         self.nvars = nvars
         self.max_level = max_level
 
@@ -239,11 +255,28 @@ class PerfElem:
         return PerfElem.canonical(self.ctx, self.level, self.body.inv())
 
     def __pow__(self, e: int):
+        """a^e, refused before any work when the result could have an
+        exponent past MAX_FROB_EXP_BITS bits or more than MAX_POWER_TERMS
+        terms in its numerator or its denominator."""
         if not isinstance(e, int):
             raise TypeError("exponents must be integers")
-        if e < 0:
-            return self.inv() ** (-e)
-        return PerfElem.canonical(self.ctx, self.level, self.body**e)
+        n = abs(e)
+        if (self._top_exponent() * n).bit_length() > MAX_FROB_EXP_BITS:
+            raise BoundExceeded(
+                f"the power would raise exponents past {MAX_FROB_EXP_BITS} bits"
+            )
+        for poly in (self.body.num, self.body.den):
+            if _power_terms(poly, n, self.ctx.p) > MAX_POWER_TERMS:
+                raise BoundExceeded(
+                    f"the power could produce more than {MAX_POWER_TERMS} terms"
+                )
+        base = self.inv() if e < 0 else self
+        return PerfElem.canonical(self.ctx, base.level, base.body**n)
+
+    def _top_exponent(self) -> int:
+        """The largest exponent of any variable in the body."""
+        body = self.body
+        return max((e for m in (*body.num.terms, *body.den.terms) for e in m), default=0)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -289,7 +322,18 @@ class PerfElem:
         return PerfElem.canonical(self.ctx, self.level + k, self.body)
 
     def frobenius_iter(self, k: int) -> PerfElem:
-        """a^(p^k) by k applications of frobenius."""
+        """a^(p^k) by k applications of frobenius.
+
+        Refused before any work when its level-0 exponents would pass
+        MAX_FROB_EXP_BITS bits: the first `level` steps only lower the
+        level, and each further step multiplies every exponent by p. A
+        constant counts as exponent 1, which bounds the number of steps.
+        """
+        steps = k - self.level
+        if steps > 0 and _exp_bits_exceed(self._top_exponent(), self.ctx.p, steps):
+            raise BoundExceeded(
+                f"frob {k} would raise level-0 exponents past {MAX_FROB_EXP_BITS} bits"
+            )
         out = self
         for _ in range(k):
             out = out.frobenius()
@@ -338,3 +382,34 @@ class PerfElem:
             "num": [[list(m), c] for m, c in self.body.num.sorted_terms()],
             "den": [[list(m), c] for m, c in self.body.den.sorted_terms()],
         }
+
+
+def _exp_bits_exceed(top: int, p: int, steps: int) -> bool:
+    """Whether max(top, 1) * p^steps passes MAX_FROB_EXP_BITS bits."""
+    # p >= 2, so p^steps has more than `steps` bits: no need to build it
+    return steps >= MAX_FROB_EXP_BITS or (
+        (max(top, 1) * p**steps).bit_length() > MAX_FROB_EXP_BITS
+    )
+
+
+def _power_terms(f: MultiPoly, e: int, p: int) -> int:
+    """An upper bound on the number of terms of f**e over Z_p.
+
+    With e = sum e_i p^i in base p, f**e is the product of the
+    Frobenius images of f**e_i, and a Frobenius image keeps the term
+    count. f**e_i has total degree e_i * deg f in the v variables f uses,
+    and is a sum of products of e_i of f's t terms, so it has at most
+    min(C(e_i deg f + v, v), C(e_i + t - 1, t - 1)) terms. The product of
+    these bounds f**e; the loop stops once it passes MAX_POWER_TERMS.
+    """
+    t = len(f.terms)
+    if t < 2:
+        return t
+    deg = f.total_degree()
+    v = len(f.support_vars())
+    bound = 1
+    while e and bound <= MAX_POWER_TERMS:
+        e, digit = divmod(e, p)
+        if digit:
+            bound *= min(comb(digit * deg + v, v), comb(digit + t - 1, t - 1))
+    return bound

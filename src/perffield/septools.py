@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BoundExceeded,
     ConstantPolynomial,
     ContextMismatch,
     DerivativeNonzero,
@@ -28,6 +29,8 @@ from .errors import (
 from .perfclosure import PerfContext, PerfElem
 
 MODES = ("perfect", "level0")
+# largest t-degree a power may produce
+MAX_T_DEGREE = 1 << 16
 
 
 class UniPoly:
@@ -156,7 +159,12 @@ class UniPoly:
 
     def __pow__(self, e: int):
         if e < 0:
-            raise ValueError("negative power of a polynomial")
+            raise ValueError("polynomials cannot be raised to negative powers")
+        deg = self.degree
+        if deg and deg * e > MAX_T_DEGREE:
+            raise BoundExceeded(
+                f"resulting t-degree {deg * e} exceeds the limit {MAX_T_DEGREE}"
+            )
         result = UniPoly.const(self.ctx, 1, self.mode)
         base = self
         while e:

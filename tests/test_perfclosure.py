@@ -1,10 +1,12 @@
 """Tests for the perfect closure: level-tagged elements, Frobenius, roots."""
 
 import random
+import time
 
 import pytest
 
 from perffield.errors import (
+    BoundExceeded,
     ContextMismatch,
     DivisionByZero,
     LevelOverflow,
@@ -15,6 +17,7 @@ from perffield.fqtower import make_field
 from perffield.multipoly import MultiPoly
 from perffield.perfclosure import PerfContext, PerfElem
 from perffield.ratfunc import RatFunc
+from perffield.septools import UniPoly
 
 from helpers import random_nonzero_perfelem, random_perfelem
 
@@ -286,3 +289,40 @@ def test_constants_stay_level_zero():
     assert c.level == 0
     assert c.pth_root() == c
     assert c.pth_root().level == 0
+
+
+def test_context_refuses_oversized_parameters():
+    # a level cap of 100000 at p = 2 would let root(x1, 20000) print an
+    # exponent far past what int/str conversion accepts
+    with pytest.raises(ValueError, match="max_level 100000 would let exponents pass"):
+        PerfContext(2, 2, 100000)
+    with pytest.raises(ValueError, match="at most 1024 variables, got 2000"):
+        PerfContext(2, 2000)
+    PerfContext(2, 1024)
+    PerfContext(2, 1, 4095)
+    PerfContext(2147483647, 1)
+
+
+def test_powers_and_frobenius_bounded_before_work():
+    ctx = PerfContext(2, 3)
+    x1, x2, x3 = (ctx.variable(i) for i in range(3))
+    f = x1 + x2 + x3 + 1
+    refused = [
+        lambda: x1 ** 2**5000,
+        lambda: x1 ** -(2**5000),
+        lambda: f ** (2**15 - 1),
+        lambda: x1.frobenius_iter(5000),
+        lambda: UniPoly.t_var(ctx) ** 70000,
+    ]
+    for work in refused:
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded):
+            work()
+        assert time.perf_counter() - start < 1.0
+    # the boundary cases still compute
+    assert x1.frobenius_iter(4095) == x1 ** 2**4095
+    assert str(x1.frobenius_iter(4095)) == f"x1^{2**4095}"
+    assert len((f**8192).body.num.terms) == 4
+    assert str(UniPoly.t_var(ctx) ** 65536) == "t^65536"
+    with pytest.raises(ValueError, match="cannot be raised to negative powers"):
+        UniPoly.t_var(ctx) ** -1
