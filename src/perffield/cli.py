@@ -63,21 +63,49 @@ class Session:
 # -- expression evaluation ------------------------------------------------------
 
 
-def _at(node: parser.Node, base: int, fn, *args):
-    """fn(*args), with an algebra failure re-raised as an EvalError over
-    the node's source span; errors that already carry a span pass through."""
+def eval_ast(node: parser.Node, session: Session, base: int = 0):
+    """Evaluate a parsed expression to a PerfElem or a UniPoly; algebra
+    failures come back as EvalError with the span of the failing node.
+
+    The dispatch is inline so that evaluation takes one stack frame per
+    level of the tree, and a sum of n terms is n levels deep.
+    """
     try:
-        return fn(*args)
+        kind = type(node)
+        if kind is parser.Num:
+            return session.ctx.const(node.value)
+        if kind is parser.Name:
+            return _resolve_name(node, session, base)
+        if kind is parser.Unary:
+            return -eval_ast(node.operand, session, base)
+        if kind is parser.BinOp:
+            lhs = eval_ast(node.lhs, session, base)
+            rhs = eval_ast(node.rhs, session, base)
+            return _binop(node.op, *_promote(lhs, rhs))
+        if kind is parser.Pow:
+            return eval_ast(node.base, session, base) ** node.exponent
+        if kind is parser.Root:
+            arg = eval_ast(node.arg, session, base)
+            if isinstance(arg, UniPoly):
+                raise UsageError("the indeterminate t cannot appear under root(...)")
+            why = "; level0 mode has no p-th roots for this element"
+            return _root(session, arg, node.depth, why)
+        raise TypeError(f"unhandled syntax node {kind.__name__}")
     except SourceError:
         raise
     except (PerffieldError, ValueError) as err:
         raise EvalError(err, base + node.start, base + node.end) from err
 
 
-def eval_ast(node: parser.Node, session: Session, base: int = 0):
-    """Evaluate a parsed expression to a PerfElem or a UniPoly; algebra
-    failures come back as EvalError with the span of the failing node."""
-    return _at(node, base, _EVAL[type(node)], node, session, base)
+def _at(node: parser.Node, base: int, fn, *args):
+    """fn(*args), with an algebra failure re-raised as an EvalError over
+    the node's source span, as eval_ast does."""
+    try:
+        return fn(*args)
+    except SourceError:
+        raise
+    except (PerffieldError, ValueError) as err:
+        raise EvalError(err, base + node.start, base + node.end) from err
 
 
 def _promote(a, b):
@@ -88,11 +116,24 @@ def _promote(a, b):
     return a, b
 
 
-def _ev_num(node: parser.Num, session: Session, base: int):
-    return session.ctx.const(node.value)
+def _binop(op: str, lhs, rhs):
+    if op == "+":
+        return lhs + rhs
+    if op == "-":
+        return lhs - rhs
+    if op == "*":
+        return lhs * rhs
+    # division: exact division for polynomials, field division otherwise
+    if isinstance(lhs, UniPoly):
+        if rhs.is_zero:
+            raise DivisionByZero("polynomial division by zero")
+        if rhs.is_constant:
+            return lhs.scale(rhs.coeff(0).inv())
+        return lhs.divexact(rhs)
+    return lhs / rhs
 
 
-def _ev_name(node: parser.Name, session: Session, base: int):
+def _resolve_name(node: parser.Name, session: Session, base: int):
     name = node.name
     if name == "t":
         return UniPoly.t_var(session.ctx, session.mode)
@@ -111,58 +152,12 @@ def _ev_name(node: parser.Name, session: Session, base: int):
     return bound
 
 
-def _ev_unary(node: parser.Unary, session: Session, base: int):
-    return -eval_ast(node.operand, session, base)
-
-
-def _ev_binop(node: parser.BinOp, session: Session, base: int):
-    lhs, rhs = _promote(
-        eval_ast(node.lhs, session, base), eval_ast(node.rhs, session, base)
-    )
-    if node.op == "+":
-        return lhs + rhs
-    if node.op == "-":
-        return lhs - rhs
-    if node.op == "*":
-        return lhs * rhs
-    # division: exact division for polynomials, field division otherwise
-    if isinstance(lhs, UniPoly):
-        if rhs.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        if rhs.is_constant:
-            return lhs.scale(rhs.coeff(0).inv())
-        return lhs.divexact(rhs)
-    return lhs / rhs
-
-
-def _ev_pow(node: parser.Pow, session: Session, base: int):
-    return eval_ast(node.base, session, base) ** node.exponent
-
-
-def _ev_root(node: parser.Root, session: Session, base: int):
-    arg = eval_ast(node.arg, session, base)
-    if isinstance(arg, UniPoly):
-        raise UsageError("the indeterminate t cannot appear under root(...)")
-    why = "; level0 mode has no p-th roots for this element"
-    return _root(session, arg, node.depth, why)
-
-
 def _root(session: Session, value: PerfElem, k: int, why: str) -> PerfElem:
     """The p^k-th root of value, which level0 mode refuses off level 0."""
     out = value.pn_root(k)
     if session.mode == "level0" and out.level > 0:
         raise NotPerfectMode(f"root leaves Z_{session.p}(X){why}")
     return out
-
-
-_EVAL = {
-    parser.Num: _ev_num,
-    parser.Name: _ev_name,
-    parser.Unary: _ev_unary,
-    parser.BinOp: _ev_binop,
-    parser.Pow: _ev_pow,
-    parser.Root: _ev_root,
-}
 
 
 def _parse(parse, text: str, base: int):

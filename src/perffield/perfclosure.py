@@ -43,7 +43,8 @@ MAX_POWER_TERMS = 1 << 15
 
 class PerfContext:
     """Ambient data for perfect-closure elements: the prime p, the number
-    of ground variables, and a cap on root-taking depth."""
+    of ground variables (at most MAX_VARS), and a cap on root-taking
+    depth (p^max_level of at most MAX_FROB_EXP_BITS bits)."""
 
     __slots__ = ("field", "nvars", "max_level")
 
@@ -55,7 +56,8 @@ class PerfContext:
         self.field = PrimeField(p)
         if nvars > MAX_VARS:
             raise ValueError(f"at most {MAX_VARS} variables, got {nvars}")
-        # a level-L element lifts exponents by p^L, so cap L as frobenius is
+        # a level-L element lifts exponents by p^L, so L takes the
+        # exponent bound of frobenius_iter
         if _exp_bits_exceed(1, p, max_level):
             raise ValueError(
                 f"max_level {max_level} would let exponents pass "
@@ -276,7 +278,8 @@ class PerfElem:
     def _top_exponent(self) -> int:
         """The largest exponent of any variable in the body."""
         body = self.body
-        return max((e for m in (*body.num.terms, *body.den.terms) for e in m), default=0)
+        terms = (*body.num.terms, *body.den.terms)
+        return max((e for m in terms for e in m), default=0)
 
     def __eq__(self, other):
         if isinstance(other, int):

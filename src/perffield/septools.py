@@ -161,6 +161,9 @@ class UniPoly:
         if e < 0:
             raise ValueError("polynomials cannot be raised to negative powers")
         deg = self.degree
+        if deg == 0:
+            # a constant: its coefficient's power, under that power's bounds
+            return UniPoly.const(self.ctx, self.coeffs[0] ** e, self.mode)
         if deg and deg * e > MAX_T_DEGREE:
             raise BoundExceeded(
                 f"resulting t-degree {deg * e} exceeds the limit {MAX_T_DEGREE}"

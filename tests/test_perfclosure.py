@@ -313,6 +313,8 @@ def test_powers_and_frobenius_bounded_before_work():
         lambda: f ** (2**15 - 1),
         lambda: x1.frobenius_iter(5000),
         lambda: UniPoly.t_var(ctx) ** 70000,
+        # a constant polynomial is bounded as its coefficient is
+        lambda: UniPoly.const(ctx, f) ** (2**15 - 1),
     ]
     for work in refused:
         start = time.perf_counter()
@@ -324,5 +326,8 @@ def test_powers_and_frobenius_bounded_before_work():
     assert str(x1.frobenius_iter(4095)) == f"x1^{2**4095}"
     assert len((f**8192).body.num.terms) == 4
     assert str(UniPoly.t_var(ctx) ** 65536) == "t^65536"
+    assert UniPoly.const(ctx, f) ** 8192 == UniPoly.const(ctx, f**8192)
+    assert UniPoly.const(ctx, f) ** 0 == UniPoly.const(ctx, 1)
+    assert UniPoly.zero(ctx) ** 3 == UniPoly.zero(ctx)
     with pytest.raises(ValueError, match="cannot be raised to negative powers"):
         UniPoly.t_var(ctx) ** -1
