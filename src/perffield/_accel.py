@@ -3,12 +3,17 @@
 Elements are rows of an (N, n) int64 matrix of residues; the modulus
 enters through a precomputed reduction table (row k = t^(n+k) mod f).
 
-The exhaustive perfectness sweep does not need these kernels: fqtower
-applies the Frobenius as one F_p-linear map. `batch_mulmod` runs only
-the Horner evaluation of a modulus over the small subfield searched for
-an embedding root. `batch_pow` is on no library path; it stays because
-the benchmark's layer table (perfbench/layers.py) traces it. Both are
-checked in the tests against scalar `FqElem` arithmetic, their oracle.
+The exhaustive perfectness sweep does not use this module: fqtower
+builds its image table by linearity. Everything here serves the
+embedding root search: `decode_range` lists the small subfield searched
+for a root, `batch_mulmod` runs the Horner evaluation of the source
+modulus over it, and `encode_rows` turns the roots found back into
+encodings. `batch_pow` is on no library path; it stays because the
+benchmark's layer table (perfbench/layers.py) traces it. The kernels
+are checked in the tests against scalar `FqElem` arithmetic, their
+oracle, and the test oracle for the exhaustive sweep uses the encode
+and decode helpers. fqtower imports this module, and numpy with it,
+only when a root search runs.
 
 Coefficient magnitudes: with p^n <= 2^20 the schoolbook products and
 reduction accumulations stay far below 2^63, so plain int64 arithmetic

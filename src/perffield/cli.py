@@ -67,30 +67,39 @@ def eval_ast(node: parser.Node, session: Session, base: int = 0):
     """Evaluate a parsed expression to a PerfElem or a UniPoly; algebra
     failures come back as EvalError with the span of the failing node.
 
-    The dispatch is inline so that evaluation takes one stack frame per
-    level of the tree, and a sum of n terms is n levels deep.
+    A left-deep chain of binary operators and powers, such as a sum of n
+    terms, is walked down its left spine in a loop and applied on the way
+    back up. The dispatch is inline, so evaluation takes one stack frame
+    per level of nesting (parentheses, roots, signs and right operands,
+    which parser.MAX_DEPTH bounds), whatever the length of a chain.
     """
+    spine = []
+    while type(node) is parser.BinOp or type(node) is parser.Pow:
+        spine.append(node)
+        node = node.lhs if type(node) is parser.BinOp else node.base
     try:
         kind = type(node)
         if kind is parser.Num:
-            return session.ctx.const(node.value)
-        if kind is parser.Name:
-            return _resolve_name(node, session, base)
-        if kind is parser.Unary:
-            return -eval_ast(node.operand, session, base)
-        if kind is parser.BinOp:
-            lhs = eval_ast(node.lhs, session, base)
-            rhs = eval_ast(node.rhs, session, base)
-            return _binop(node.op, *_promote(lhs, rhs))
-        if kind is parser.Pow:
-            return eval_ast(node.base, session, base) ** node.exponent
-        if kind is parser.Root:
+            value = session.ctx.const(node.value)
+        elif kind is parser.Name:
+            value = _resolve_name(node, session, base)
+        elif kind is parser.Unary:
+            value = -eval_ast(node.operand, session, base)
+        elif kind is parser.Root:
             arg = eval_ast(node.arg, session, base)
             if isinstance(arg, UniPoly):
                 raise UsageError("the indeterminate t cannot appear under root(...)")
             why = "; level0 mode has no p-th roots for this element"
-            return _root(session, arg, node.depth, why)
-        raise TypeError(f"unhandled syntax node {kind.__name__}")
+            value = _root(session, arg, node.depth, why)
+        else:
+            raise TypeError(f"unhandled syntax node {kind.__name__}")
+        for node in reversed(spine):
+            if type(node) is parser.Pow:
+                value = value ** node.exponent
+            else:
+                rhs = eval_ast(node.rhs, session, base)
+                value = _binop(node.op, *_promote(value, rhs))
+        return value
     except SourceError:
         raise
     except (PerffieldError, ValueError) as err:

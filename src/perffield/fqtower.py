@@ -12,12 +12,17 @@ inverses, Rabin's test) is the dense Z_p[t] arithmetic of `zpoly`.
 The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
 Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
 (row i = t^(i p^(n-1)) mod f), built on first use. The exhaustive sweep
-maps every element through Q at once; the embedding root search looks
-only in the subfield ker(Q^m - I) where every root lies; the scalar
-`frobenius` and `inv_frobenius` are one vector-matrix product each.
-Scalar powering (`FqElem.__pow__`, square-and-multiply on residues)
-never goes through these matrices, and the tests check the matrices
-against it element by element.
+builds the images of all p^n elements by linearity, one encoding digit
+(one row of Q) at a time; the embedding root search looks only in the
+subfield ker(Q^m - I) where every root lies; the scalar `frobenius`
+and `inv_frobenius` are one vector-matrix product each. Scalar powering
+(`FqElem.__pow__`, square-and-multiply on residues) never goes through
+these matrices, and the tests check the matrices against it element by
+element.
+
+numpy is imported inside the two sweeps, `check_perfect` and
+`find_embedding_root`, and nowhere else, so importing the library or
+the CLI does not load it.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import _accel, zpoly
+from . import zpoly
 from .errors import BoundExceeded, DivisionByZero, NoEmbedding
 from .primefield import is_prime
 
@@ -160,10 +163,6 @@ class FqField:
 
     def modulus_str(self) -> str:
         return _poly_str(self.modulus)
-
-    # batch table of every element, one row per encoding
-    def _all_rows(self) -> np.ndarray:
-        return _accel.decode_range(0, self.order, self.n, self.p)
 
 
 def _poly_str(coeffs) -> str:
@@ -355,17 +354,31 @@ class PerfectReport:
 
 def check_perfect(field: FqField) -> PerfectReport:
     """Verify by enumeration that x -> x^p permutes the whole field, and
-    return the order of that permutation (the degree n, when all is well)."""
+    return the order of that permutation (the degree n, when all is well).
+
+    The image of sum c_i t^i is sum c_i Q[i], so the table of all p^n
+    images is built one encoding digit at a time: the images of the
+    elements below p^(i+1) are the p multiples of Q[i] added to the
+    images of the elements below p^i, reduced mod p.
+    """
+    import numpy as np
+
     if field.order > MAX_EXHAUSTIVE:
         raise BoundExceeded(
             f"exhaustive check limited to order <= {MAX_EXHAUSTIVE}, "
             f"field has {field.order}"
         )
-    p = field.p
-    Q = np.array(field.frobenius_matrix(), dtype=np.int64)
+    p, n = field.p, field.n
+    # images[:, k] holds the coordinates of the image of the element encoded k
+    images = np.zeros((n, 1), dtype=np.int64)
+    digits = np.arange(p, dtype=np.int64)
+    for row in np.array(field.frobenius_matrix(), dtype=np.int64):
+        images = (np.outer(row, digits) % p)[:, :, None] + images[:, None, :]
+        np.remainder(images, p, out=images)
+        images = images.reshape(n, -1)
     # enc[k] is the encoding of the image of the element encoded k
-    enc = _accel.encode_rows((field._all_rows() @ Q) % p, p)
-    if np.unique(enc).size != field.order:
+    enc = p ** np.arange(n, dtype=np.int64) @ images
+    if np.bincount(enc, minlength=field.order).max() != 1:
         # locate one collision pair for the report
         seen: dict[int, int] = {}
         pair = (0, 0)
@@ -427,6 +440,10 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     (p^gcd(m, n) when m does not divide n). Only that subfield is
     searched, and the root with the smallest encoding is returned.
     """
+    import numpy as np
+
+    from . import _accel
+
     if source.p != target.p:
         raise NoEmbedding(
             f"no embedding between characteristics {source.p} and {target.p}"

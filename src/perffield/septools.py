@@ -143,10 +143,11 @@ class UniPoly:
         if self.is_zero or other.is_zero:
             return UniPoly.zero(self.ctx, self.mode)
         out = [self.ctx.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero]
         for i, a in enumerate(self.coeffs):
             if a.is_zero:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in nonzero:
                 out[i + j] = out[i + j] + a * b
         return UniPoly(self.ctx, out, self.mode)
 
@@ -168,14 +169,28 @@ class UniPoly:
             raise BoundExceeded(
                 f"resulting t-degree {deg * e} exceeds the limit {MAX_T_DEGREE}"
             )
+        # f^e is the product of Frob^i(f)^(e_i) over the base-p digits e_i
+        # of e, and Frob(f) = f^p moves each c_j t^j to c_j^p t^(jp); so
+        # squarings stay below f^p and no intermediate outgrows the result
+        p = self.ctx.p
         result = UniPoly.const(self.ctx, 1, self.mode)
         base = self
         while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
+            e, digit = divmod(e, p)
+            if digit:
+                result = result * base._pow_digit(digit)
             if e:
-                base = base * base
+                frob = [c if c.is_zero else c.frobenius() for c in base.coeffs]
+                base = UniPoly(self.ctx, frob, self.mode).subst_tpow(p)
+        return result
+
+    def _pow_digit(self, e: int) -> UniPoly:
+        """self**e by binary powering, for 0 < e < p."""
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __divmod__(self, other):

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import random
 
-from perffield.errors import DivisionByZero, NotDivisible
+import numpy as np
+
+from perffield import _accel
+from perffield.errors import BoundExceeded, DivisionByZero, NotDivisible
+from perffield.fqtower import MAX_EXHAUSTIVE, FqField, PerfectReport
 from perffield.multipoly import MultiPoly, gcd_cofactors, grlex_key
 from perffield.perfclosure import PerfContext, PerfElem
 from perffield.primefield import PrimeField
@@ -204,3 +208,39 @@ def oracle_pow(x: RatFunc, e: int) -> RatFunc:
             raise DivisionByZero("inverse of the zero rational function")
         x, e = oracle_reduce(x.den, x.num), -e
     return oracle_reduce(x.num**e, x.den**e)
+
+
+# The matmul sweep of the exhaustive perfectness check: decode every
+# element to a row, map all rows through Berlekamp's Q in one int64
+# product, and test bijectivity with np.unique. Kept as the oracle for
+# the digit-by-digit sweep in fqtower.check_perfect.
+
+
+def oracle_check_perfect(field: FqField) -> PerfectReport:
+    if field.order > MAX_EXHAUSTIVE:
+        raise BoundExceeded(
+            f"exhaustive check limited to order <= {MAX_EXHAUSTIVE}, "
+            f"field has {field.order}"
+        )
+    p = field.p
+    Q = np.array(field.frobenius_matrix(), dtype=np.int64)
+    rows = _accel.decode_range(0, field.order, field.n, p)
+    enc = _accel.encode_rows((rows @ Q) % p, p)
+    if np.unique(enc).size != field.order:
+        seen: dict[int, int] = {}
+        pair = (0, 0)
+        for i, v in enumerate(enc.tolist()):
+            if v in seen:
+                pair = (seen[v], i)
+                break
+            seen[v] = i
+        return PerfectReport(p, field.n, field.order, False, None, pair)
+    home = np.arange(field.order, dtype=enc.dtype)
+    k = 1
+    cur = enc
+    while not np.array_equal(cur, home):
+        cur = enc[cur]
+        k += 1
+        if k > field.n:
+            raise RuntimeError("Frobenius order exceeded the extension degree")
+    return PerfectReport(p, field.n, field.order, True, k, None)

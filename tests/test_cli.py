@@ -543,3 +543,50 @@ def test_pinned_error_rendering(p, nvars, setup, line, kind, text, code):
             start, end = span.group(1, 1) if span.group(1) else span.group(2, 3)
             error.update(start=int(start), end=int(end))
         assert json.loads(rendered) == {"schema": 1, "ok": False, "error": error}
+
+
+def test_long_chains_evaluate_without_recursion():
+    # left-deep chains are walked in a loop, so their length is not
+    # limited by the interpreter's recursion limit
+    total = "+".join(["x1"] * 5000)
+    powers = "x1" + "^1" * 5000
+    s = Session(7, 2)
+    assert run(s, f"eval {total}") == "2*x1"  # 5000 = 2 mod 7
+    assert run(s, f"eval {powers}") == "x1"
+    assert run(s, "eval " + "*".join(["x2"] * 5000)) == "x2^5000"
+    proc = cli("--p", "7", "--vars", "2", stdin=f"eval {total}\neval {powers}\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2*x1\nx1\n", "")
+
+
+def test_long_chain_error_keeps_the_failing_node_span():
+    head = "+".join(["x1"] * 3000) + "+"
+    s = Session(7, 2)
+    for tail, failing in [
+        ("1/(x2-x2)+x1", "1/(x2-x2)"),
+        ("x2*(t+x1)^(-1)^2*x1", "(t+x1)^(-1)"),
+        ("x1^2^0/(x1-x1)^3", "x1^2^0/(x1-x1)^3"),
+    ]:
+        line = f"eval {head}{tail}"
+        with pytest.raises(EvalError) as exc:
+            run(s, line)
+        start = line.index(failing)
+        assert (exc.value.start, exc.value.end) == (start, start + len(failing)), tail
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy loads only when a finite-field sweep or root search runs
+    code = (
+        "import sys, perffield.cli\n"
+        "from perffield import fqtower\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "fqtower.check_perfect(fqtower.make_field(2, 3))\n"
+        "print(loaded, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=os.environ.copy(),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False True\n"), proc.stderr

@@ -15,6 +15,8 @@ from perffield.fqtower import (
 )
 from perffield.primefield import is_prime
 
+from helpers import oracle_check_perfect
+
 
 def test_prime_field_modulus():
     F2 = make_field(2, 1)
@@ -186,6 +188,56 @@ def test_check_perfect_bound():
         check_perfect(make_field(2, 17))
     with pytest.raises(BoundExceeded):
         check_perfect(make_field(5, 8))  # 5^8 > 2^16 but constructible
+
+
+def _report_or_error(check, field):
+    try:
+        return check(field)
+    except RuntimeError as err:
+        return type(err), str(err)
+
+
+def test_check_perfect_matches_matmul_sweep_on_every_small_field():
+    fields = [
+        (p, n)
+        for p in range(2, 2**12 + 1)
+        if is_prime(p)
+        for n in range(1, 17)
+        if p**n <= 2**12
+    ]
+    assert len(fields) > 500
+    for p, n in fields:
+        field = make_field(p, n)
+        assert check_perfect(field) == oracle_check_perfect(field), (p, n)
+
+
+def test_check_perfect_matches_matmul_sweep_on_reducible_moduli():
+    # every monic modulus of a few small (p, n), then random ones of larger
+    # degree: squarefree reducible moduli pass with an order that may pass
+    # n, moduli with a repeated factor report a collision pair. Among them
+    # is (t^2 + t + 1)(t^3 + t + 1) over Z_2: Z_2[t]/(f) is F_4 x F_8, where
+    # the Frobenius is a bijection of order lcm(2, 3) = 6 > 5, which raises
+    moduli = [
+        (p, n, tuple(k // p**i % p for i in range(n)) + (1,))
+        for p, top in [(2, 6), (3, 4), (5, 3), (7, 2)]
+        for n in range(1, top + 1)
+        for k in range(p**n)
+    ]
+    rng = random.Random(8)
+    for p, n in [(2, 12), (2, 16), (3, 7), (5, 5), (13, 3), (251, 2)]:
+        for _ in range(6):
+            moduli.append((p, n, tuple(rng.randrange(p) for _ in range(n)) + (1,)))
+    outcomes = set()
+    for p, n, modulus in moduli:
+        ring = FqField(p, n, modulus)
+        got = _report_or_error(check_perfect, ring)
+        assert got == _report_or_error(oracle_check_perfect, ring), modulus
+        outcomes.add(got[0] if isinstance(got, tuple) else got.passed)
+    assert outcomes == {True, False, RuntimeError}
+    assert _report_or_error(check_perfect, FqField(2, 5, (1, 0, 0, 0, 1, 1))) == (
+        RuntimeError,
+        "Frobenius order exceeded the extension degree",
+    )
 
 
 def _first_root_by_scan(source, target):

@@ -1,6 +1,7 @@
 """Tests for the characteristic-p separability toolkit."""
 
 import random
+import time
 
 import pytest
 
@@ -352,3 +353,42 @@ def _dense_gcd(a, b, fq):
 
 def _dense_divides(d, f, fq):
     return not _dense_mod(f, d, fq)
+
+
+def _power_by_multiplication(f, e):
+    out = UniPoly.const(f.ctx, 1, f.mode)
+    for _ in range(e):
+        out = out * f
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("mode", ["perfect", "level0"])
+def test_power_by_digits_matches_repeated_multiplication(p, mode):
+    ctx = PerfContext(p, 2)
+    rng = random.Random(p)
+    x, y = ctx.variable(0), ctx.variable(1)
+    t = UniPoly.t_var(ctx, mode)
+    bases = [UniPoly.zero(ctx, mode), t, t + x, t * t - y / (x + 1), (t + 1) * (t + x)]
+    if mode == "perfect":
+        bases.append(t + x.pth_root() * y.pn_root(2))
+    level = 2 if mode == "perfect" else 0
+    bases += [random_monic_unipoly(rng, ctx, 1, 3, mode, level) for _ in range(2)]
+    for f in bases:
+        for e in range(p * p + 2):
+            got = f**e
+            want = _power_by_multiplication(f, e)
+            assert got == want and str(got) == str(want), (str(f), e)
+
+
+def test_power_by_digits_is_cheap_for_large_exponents():
+    ctx = PerfContext(3, 2)
+    f = UniPoly.t_var(ctx) + ctx.variable(1)
+    start = time.perf_counter()
+    g = f**4096
+    assert time.perf_counter() - start < 1.0
+    # 4096 = 1 + 2*3^2 + 3^3 + 2*3^4 + 3^5 + 2*3^6 + 3^7 in base 3, so
+    # (t + x2)^4096 has (1+1)(2+1)(1+1)(2+1)(1+1)(2+1)(1+1) = 432 terms
+    assert len([c for c in g.coeffs if not c.is_zero]) == 432
+    assert g.degree == 4096 and g.coeff(4096) == 1
+    assert g.coeff(0) == ctx.variable(1) ** 4096
