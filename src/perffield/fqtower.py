@@ -151,12 +151,16 @@ class FqField:
             yield self.from_encoding(k)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FqField):
             return NotImplemented
-        return self.p == other.p and self.n == other.n
+        # two moduli of one degree give isomorphic fields, but residues
+        # of one are not residues of the other
+        return (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
 
     def __hash__(self):
-        return hash((self.p, self.n))
+        return hash((self.p, self.n, self.modulus))
 
     def __repr__(self):
         return f"FqField(p={self.p}, n={self.n}, modulus={self.modulus_str()})"

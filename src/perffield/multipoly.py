@@ -25,13 +25,14 @@ new remainder monomial lies below the leader it came from. Its digits
 get one spare top bit each, so one subtraction and one mask test decide
 whether the divisor's leading monomial divides the leader.
 
-GCD uses content/primitive-part splitting with a primitive pseudo-
-remainder sequence in the highest shared variable; the univariate case
-is Euclid on dense coefficient lists in `zpoly`. Exact division
-double-checks every gcd before it is returned, and `gcd_cofactors`
-hands back the quotients of that check, which are the cofactors a/g and
-b/g. There is no modular gcd yet, so gcds in four or more variables with
-dense factors remain slow.
+GCD is one recursion, `_gcd_nonzero`: it splits content and primitive
+part in the highest shared variable, recurses on the contents, and runs
+a primitive pseudo-remainder sequence on the univariate views of the
+primitive parts; the univariate case is Euclid on dense coefficient
+lists in `zpoly`. Exact division certifies the gcd once, in
+`gcd_cofactors`, which hands back the quotients of that check: the
+cofactors a/g and b/g. There is no modular gcd yet, so gcds in four or
+more variables with dense factors remain slow.
 """
 
 from __future__ import annotations
@@ -507,7 +508,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
     Recursive content/primitive-part splitting in the highest variable
     common to both supports, with a primitive PRS for the univariate
-    step. The result is verified by exact division before returning.
+    step. `gcd_cofactors` certifies the result by exact division, once
+    per call; the recursion itself does not re-enter it.
     """
     return gcd_cofactors(a, b)[0]
 
@@ -535,6 +537,13 @@ def gcd_cofactors(
 
 
 def _gcd_nonzero(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Monic gcd of two nonzero polynomials, uncertified.
+
+    In the highest variable x_k common to both supports, the contents
+    (gcds of the x_k-coefficients) recurse here, and the primitive parts
+    run a primitive PRS on univariate views {e: coefficient} until the
+    result is rebuilt once at the end.
+    """
     field, nvars = a.field, a.nvars
     if a.is_constant or b.is_constant:
         return MultiPoly.const(field, nvars, 1)
@@ -547,11 +556,23 @@ def _gcd_nonzero(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         (k,) = union
         return _univar_gcd(a, b, k)
     k = max(common)
-    ca, pa = _content_pp(a, k)
-    cb, pb = _content_pp(b, k)
-    c = poly_gcd(ca, cb)
-    g = _prs_gcd(pa, pb, k)
-    return (c * g).monic()
+    ca, F = _primitive(_to_univar(a, k))
+    cb, G = _primitive(_to_univar(b, k))
+    c = _gcd_nonzero(ca, cb)
+    if max(F) < max(G):
+        F, G = G, F
+    while True:
+        R = _prem(F, G)
+        if not R:
+            break
+        if max(R) == 0:
+            return c
+        F, G = G, _primitive(R)[1]
+    terms: dict[Mono, int] = {}
+    for e, poly in G.items():
+        for m, v in poly.terms.items():
+            terms[m[:k] + (e,) + m[k + 1 :]] = v
+    return (c * MultiPoly._raw(field, nvars, terms)).monic()
 
 
 def _univar_gcd(a: MultiPoly, b: MultiPoly, k: int) -> MultiPoly:
@@ -584,47 +605,20 @@ def _to_univar(f: MultiPoly, k: int) -> dict[int, MultiPoly]:
     }
 
 
-def _from_univar(coeffs: dict[int, MultiPoly], k: int, field, nvars) -> MultiPoly:
-    terms: dict[Mono, int] = {}
-    for e, poly in coeffs.items():
-        for m, c in poly.terms.items():
-            terms[m[:k] + (e,) + m[k + 1 :]] = c
-    return MultiPoly._raw(field, nvars, terms)
-
-
-def _content_pp(f: MultiPoly, k: int) -> tuple[MultiPoly, MultiPoly]:
-    """Content (gcd of x_k-coefficients, monic) and primitive part."""
-    coeffs = list(_to_univar(f, k).values())
-    content = coeffs[0]
-    for c in coeffs[1:]:
+def _primitive(F: dict[int, MultiPoly]) -> tuple[MultiPoly, dict[int, MultiPoly]]:
+    """Content and primitive part of a univariate view. A non-constant
+    content is the monic gcd of the coefficients; a constant one is
+    returned as it is and left in the part."""
+    coeffs = iter(F.values())
+    content = next(coeffs)
+    for c in coeffs:
         if content.is_constant:
             break
-        content = poly_gcd(content, c)
+        content = _gcd_nonzero(content, c)
     if content.is_constant:
-        one = MultiPoly.const(f.field, f.nvars, 1)
-        # primitive up to the unit we fold into the part itself
-        return one, f
+        return content, F
     content = content.monic()
-    return content, f.divexact(content)
-
-
-def _prs_gcd(pa: MultiPoly, pb: MultiPoly, k: int) -> MultiPoly:
-    """Primitive PRS gcd of two x_k-primitive polynomials, both of
-    positive degree in x_k."""
-    F = _to_univar(pa, k)
-    G = _to_univar(pb, k)
-    if max(F) < max(G):
-        F, G = G, F
-    field, nvars = pa.field, pa.nvars
-    while True:
-        R = _prem(F, G)
-        if not R:
-            return _from_univar(G, k, field, nvars)
-        if max(R) == 0:
-            return MultiPoly.const(field, nvars, 1)
-        r_poly = _from_univar(R, k, field, nvars)
-        _, r_pp = _content_pp(r_poly, k)
-        F, G = G, _to_univar(r_pp, k)
+    return content, {e: c.divexact(content) for e, c in F.items()}
 
 
 def _prem(F: dict[int, MultiPoly], G: dict[int, MultiPoly]) -> dict[int, MultiPoly]:

@@ -26,7 +26,8 @@ from .errors import (
     NotDivisible,
     NotPerfectMode,
 )
-from .perfclosure import PerfContext, PerfElem
+from .multipoly import MultiPoly
+from .perfclosure import MAX_POWER_TERMS, PerfContext, PerfElem, _power_terms
 
 MODES = ("perfect", "level0")
 # largest t-degree a power may produce
@@ -169,10 +170,16 @@ class UniPoly:
             raise BoundExceeded(
                 f"resulting t-degree {deg * e} exceeds the limit {MAX_T_DEGREE}"
             )
+        p = self.ctx.p
+        if deg and any(
+            _power_terms(f, e, p) > MAX_POWER_TERMS for f in self._bound_parts()
+        ):
+            raise BoundExceeded(
+                f"the power could produce more than {MAX_POWER_TERMS} terms"
+            )
         # f^e is the product of Frob^i(f)^(e_i) over the base-p digits e_i
         # of e, and Frob(f) = f^p moves each c_j t^j to c_j^p t^(jp); so
         # squarings stay below f^p and no intermediate outgrows the result
-        p = self.ctx.p
         result = UniPoly.const(self.ctx, 1, self.mode)
         base = self
         while e:
@@ -192,6 +199,28 @@ class UniPoly:
             if bit == "1":
                 result = result * self
         return result
+
+    def _bound_parts(self) -> tuple[MultiPoly, MultiPoly]:
+        """The sizes a power's term bound reads, with every coefficient
+        lifted to the highest coefficient level: the numerators as one
+        polynomial in the ground variables and t (the last variable), and
+        the product of the distinct denominators. The product stops once
+        it passes MAX_POWER_TERMS terms, which already fails the bound."""
+        level = max(c.level for c in self.coeffs)
+        nums: dict[tuple[int, ...], int] = {}
+        dens = {}
+        for j, c in enumerate(self.coeffs):
+            body = c.lift(level).body
+            for m, v in body.num.terms.items():
+                nums[m + (j,)] = v
+            dens[body.den] = None
+        field, d = self.ctx.field, self.ctx.nvars
+        den = MultiPoly.const(field, d, 1)
+        for f in dens:
+            if len(den.terms) > MAX_POWER_TERMS:
+                break
+            den = den * f
+        return MultiPoly._raw(field, d + 1, nums), den
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -281,16 +310,6 @@ class UniPoly:
         if mode == self.mode:
             return self
         return UniPoly(self.ctx, self.coeffs, mode)
-
-    def eval_at(self, tval, point, field=None):
-        """Evaluate with t = tval and ground variables at `point`, all in
-        one finite field. Used as the independent oracle for gcd tests."""
-        if field is None:
-            field = tval.field
-        acc = field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * tval + c.eval(point, field)
-        return acc
 
     # -- printing --------------------------------------------------------------
 

@@ -157,6 +157,75 @@ def oracle_divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly(a.field, a.nvars, quot)
 
 
+# The recursive primitive PRS gcd on whole polynomials: content and
+# primitive part in the highest shared variable, every content gcd
+# through oracle_poly_gcd again, and pseudo-remainders taken on whole
+# MultiPolys. It checks its result by exact division at every level.
+# Kept as the oracle for multipoly's gcd, which recurses on univariate
+# views and certifies once at the top.
+
+
+def oracle_poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Monic gcd of a and b, not both zero."""
+    a, b = a._reconcile(b)
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    if a.is_zero or b.is_zero:
+        return (a + b).monic()
+    one = MultiPoly.const(a.field, a.nvars, 1)
+    common = _oracle_support(a) & _oracle_support(b)
+    if a.is_constant or b.is_constant or not common:
+        return one
+    k = max(common)
+    ca, pa = _oracle_content_pp(a, k)
+    cb, pb = _oracle_content_pp(b, k)
+    g = (oracle_poly_gcd(ca, cb) * _oracle_prs_gcd(pa, pb, k)).monic()
+    a.divexact(g)
+    b.divexact(g)
+    return g
+
+
+def _oracle_support(f: MultiPoly) -> set[int]:
+    return {i for m in f.terms for i, e in enumerate(m) if e}
+
+
+def _oracle_to_univar(f: MultiPoly, k: int) -> dict[int, MultiPoly]:
+    coeffs: dict[int, dict[tuple[int, ...], int]] = {}
+    for m, c in f.terms.items():
+        coeffs.setdefault(m[k], {})[m[:k] + (0,) + m[k + 1 :]] = c
+    return {e: MultiPoly(f.field, f.nvars, t) for e, t in coeffs.items()}
+
+
+def _oracle_content_pp(f: MultiPoly, k: int) -> tuple[MultiPoly, MultiPoly]:
+    content = MultiPoly.zero(f.field, f.nvars)
+    for c in _oracle_to_univar(f, k).values():
+        content = oracle_poly_gcd(content, c)
+    if content.is_constant:
+        return MultiPoly.const(f.field, f.nvars, 1), f
+    return content, f.divexact(content)
+
+
+def _oracle_prs_gcd(pa: MultiPoly, pb: MultiPoly, k: int) -> MultiPoly:
+    """Primitive PRS of two x_k-primitive polynomials of positive degree
+    in x_k; pseudo-remainders are taken on the whole polynomials."""
+    if pa.degree_in(k) < pb.degree_in(k):
+        pa, pb = pb, pa
+    xk = MultiPoly.variable(pa.field, pa.nvars, k)
+    while True:
+        r = pa
+        G = _oracle_to_univar(pb, k)
+        dg = max(G)
+        while not r.is_zero and r.degree_in(k) >= dg:
+            R = _oracle_to_univar(r, k)
+            dr = max(R)
+            r = r * G[dg] - R[dr] * xk ** (dr - dg) * pb
+        if r.is_zero:
+            return pb
+        if r.degree_in(k) == 0:
+            return MultiPoly.const(pa.field, pa.nvars, 1)
+        pa, pb = pb, _oracle_content_pp(r, k)[1]
+
+
 # Multiply-then-reduce RatFunc arithmetic: every result is multiplied out
 # over the product of the denominators and reduced by one full gcd. Kept
 # as the oracle for the Henrici rules in RatFunc.

@@ -191,6 +191,26 @@ def test_power_bounded_by_result_terms():
     assert time.perf_counter() - start < 1.0
 
 
+def test_unipoly_power_bounded_by_result_terms():
+    # at p = 2, (t+x1+x2+1)^(2^k - 1) has 4^k terms in x1, x2 and t; the
+    # bound reads the base as one polynomial in them, before any work
+    s = Session(2, 2)
+    for line in (
+        "eval (t+x1+x2+1)^255",
+        "eval (t+x1+x2+1)^1023",
+        # the numerators t + 1 pass; the denominator's power has 3^10 terms
+        "eval (t/(x1+x2+1) + 1)^1023",
+    ):
+        start = time.perf_counter()
+        with pytest.raises(EvalError, match="more than 32768 terms") as exc:
+            run(s, line)
+        assert time.perf_counter() - start < 1.0, line
+        assert isinstance(exc.value.cause, BoundExceeded)
+    out = run(s, "eval (t+x1+x2+1)^127")
+    assert out.count(" + ") == 4**7 - 1
+    assert out.startswith("t^127 + (x1 + x2 + 1)*t^126 + ")
+
+
 def test_power_bound_exits_1_without_traceback():
     start = time.perf_counter()
     proc = cli("--p", "101", "--vars", "3", stdin="eval (x1+x2+x3+1)^4096\n")

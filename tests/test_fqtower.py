@@ -49,6 +49,18 @@ def test_modulus_deterministic():
     assert a.modulus == b.modulus
 
 
+def test_fields_with_different_moduli_do_not_mix():
+    # same order, different modulus: residues of one are not residues of
+    # the other, so mixing them must fail instead of reducing mod either
+    G = FqField(2, 5, (1, 0, 0, 0, 1, 1))
+    F = make_field(2, 5)
+    assert G != F and F == FqField(2, 5, F.modulus)
+    assert len({F, G, FqField(2, 5, F.modulus)}) == 2
+    with pytest.raises(TypeError, match="different fields"):
+        G.from_encoding(2) * F.from_encoding(16)
+    assert F.from_encoding(2) * F.from_encoding(16) == F.elem([1, 0, 1])
+
+
 def test_make_field_validation():
     with pytest.raises(ValueError):
         make_field(4, 2)

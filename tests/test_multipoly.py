@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from perffield import multipoly
 from perffield.errors import DivisionByZero, NotAPthPower, NotDivisible
 from perffield.fqtower import make_field
 from perffield.multipoly import MultiPoly, gcd_cofactors, poly_gcd
@@ -12,6 +13,7 @@ from perffield.primefield import PrimeField
 from helpers import (
     oracle_divexact,
     oracle_mul,
+    oracle_poly_gcd,
     random_multipoly,
     random_nonzero_multipoly,
 )
@@ -216,6 +218,59 @@ def test_gcd_structured_random():
             # common factor divides the gcd, and the gcd divides both inputs
             assert g.divides(d)
             assert d.divides(a) and d.divides(b)
+
+
+def _gcd_pairs(rng, field, nvars):
+    """Coprime pairs, planted common factors, a common content free of
+    the highest variable, and one zero operand."""
+
+    def poly(terms, deg, n=nvars):
+        f = random_nonzero_multipoly(rng, field, n, max_terms=terms, max_deg=deg)
+        return f._pad(nvars)
+
+    pairs = [(poly(4, 3), poly(4, 3)) for _ in range(3)]
+    for _ in range(3):
+        g = poly(3, 2)
+        pairs.append((g * poly(3, 2), g * poly(3, 2)))
+    for _ in range(2):
+        c = poly(2, 2, max(nvars - 1, 1))
+        g = poly(2, 2)
+        pairs.append((c * g * poly(3, 2), c * g * poly(2, 2)))
+    pairs.append((poly(4, 3), MultiPoly.zero(field, nvars)))
+    return pairs
+
+
+def test_gcd_cofactors_match_recursive_prs_oracle():
+    rng = random.Random(909)
+    for p in (2, 3, 5, 7, 101):
+        field = PrimeField(p)
+        for nvars in range(1, 5):
+            for a, b in _gcd_pairs(rng, field, nvars):
+                g, ag, bg = gcd_cofactors(a, b)
+                want = oracle_poly_gcd(a, b)
+                assert g.terms == want.terms, (p, a, b)
+                assert ag.terms == oracle_divexact(a, want).terms
+                assert bg.terms == oracle_divexact(b, want).terms
+
+
+def test_gcd_certifies_once_per_call(monkeypatch):
+    # content x1 + x2 + 1 in x3, and a primitive PRS of several steps: the
+    # recursion stays inside the gcd and the exact-division check runs once
+    entries, prems = [], []
+    top, prem = multipoly.gcd_cofactors, multipoly._prem
+    monkeypatch.setattr(
+        multipoly, "gcd_cofactors", lambda a, b: entries.append(1) or top(a, b)
+    )
+    monkeypatch.setattr(
+        multipoly, "_prem", lambda F, G: prems.append(1) or prem(F, G)
+    )
+    x1, x2, x3 = (MultiPoly.variable(F5, 3, i) for i in range(3))
+    c, g = x1 + x2 + 1, x3**2 + x1 * x3 + x2
+    a = c * g * (x3**3 + x1 * x3 + 2)
+    b = c * g * (x3**2 + x2 * x3 + x1 + 1)
+    assert multipoly.gcd_cofactors(a, b)[0] == c * g
+    assert len(entries) == 1
+    assert len(prems) >= 2
 
 
 # Total degrees on either side of powers of two, where the digit width of
