@@ -439,19 +439,16 @@ def _null_space(a: list[list[int]], p: int) -> list[list[int]]:
 def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     """First root of the source modulus in the target, in encoding order.
 
-    The modulus is irreducible of degree m, so each of its roots is fixed
-    by x -> x^(p^m) and lies in the subfield ker(Q^m - I) of p^m elements
-    (p^gcd(m, n) when m does not divide n). Only that subfield is
-    searched, and the root with the smallest encoding is returned.
+    The modulus is irreducible of degree m dividing n, so each of its
+    roots is fixed by x -> x^(p^m) and lies in the subfield ker(Q^m - I)
+    of p^m elements. Only that subfield is searched, and the root with
+    the smallest encoding is returned.
     """
     import numpy as np
 
     from . import _accel
 
-    if source.p != target.p:
-        raise NoEmbedding(
-            f"no embedding between characteristics {source.p} and {target.p}"
-        )
+    _check_embeddable(source, target)
     p, n = target.p, target.n
     # x is fixed by x -> x^(p^m) iff x (F - I) = 0, i.e. (F - I)^T x = 0
     F = target.power_map(p**source.n)
@@ -469,9 +466,19 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
             val = _accel.batch_mulmod(val, X, red, p)
             val[:, 0] = (val[:, 0] + c) % p
         roots += _accel.encode_rows(X[~val.any(axis=1)], p).tolist()
-    if not roots:
-        raise RuntimeError("no root of the source modulus in the target field")
     return target.from_encoding(min(roots))
+
+
+def _check_embeddable(source: FqField, target: FqField) -> None:
+    """F_{p^m} embeds in F_{q^n} exactly when p = q and m divides n."""
+    if source.p != target.p:
+        raise NoEmbedding(
+            f"no embedding between characteristics {source.p} and {target.p}"
+        )
+    if target.n % source.n != 0:
+        raise NoEmbedding(
+            f"degree {source.n} does not divide {target.n}; no embedding exists"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -484,14 +491,7 @@ def embed(a: FqElem, target: FqField) -> FqElem:
     """Canonical embedding F_{p^m} -> F_{p^n} for m dividing n: send the
     source generator to the first root of the source modulus."""
     source = a.field
-    if source.p != target.p:
-        raise NoEmbedding(
-            f"no embedding between characteristics {source.p} and {target.p}"
-        )
-    if target.n % source.n != 0:
-        raise NoEmbedding(
-            f"degree {source.n} does not divide {target.n}; no embedding exists"
-        )
+    _check_embeddable(source, target)
     if source.n == target.n:
         return target.elem(list(a.coeffs))
     if source.n == 1:

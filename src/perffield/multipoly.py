@@ -25,11 +25,14 @@ new remainder monomial lies below the leader it came from. Its digits
 get one spare top bit each, so one subtraction and one mask test decide
 whether the divisor's leading monomial divides the leader.
 
-GCD is one recursion, `_gcd_nonzero`: it splits content and primitive
-part in the highest shared variable, recurses on the contents, and runs
-a primitive pseudo-remainder sequence on the univariate views of the
-primitive parts; the univariate case is Euclid on dense coefficient
-lists in `zpoly`. Exact division certifies the gcd once, in
+GCD is one recursion, `_gcd_nonzero`. A variable that only one input
+uses cannot occur in the gcd, so the gcd is that of the other input
+with each of this one's coefficients in that variable, stopping at 1.
+Otherwise it splits content and primitive part in the highest shared
+variable, recurses on the contents, and runs a primitive
+pseudo-remainder sequence on the univariate views of the primitive
+parts; the univariate case is Euclid on dense coefficient lists in
+`zpoly`. Exact division certifies the gcd once, in
 `gcd_cofactors`, which hands back the quotients of that check: the
 cofactors a/g and b/g. There is no modular gcd yet, so gcds in four or
 more variables with dense factors remain slow.
@@ -539,10 +542,11 @@ def gcd_cofactors(
 def _gcd_nonzero(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic gcd of two nonzero polynomials, uncertified.
 
-    In the highest variable x_k common to both supports, the contents
-    (gcds of the x_k-coefficients) recurse here, and the primitive parts
-    run a primitive PRS on univariate views {e: coefficient} until the
-    result is rebuilt once at the end.
+    A variable in one support only is removed through the coefficients in
+    it. Then, in the highest variable x_k common to both supports, the
+    contents (gcds of the x_k-coefficients) recurse here, and the
+    primitive parts run a primitive PRS on univariate views
+    {e: coefficient} until the result is rebuilt once at the end.
     """
     field, nvars = a.field, a.nvars
     if a.is_constant or b.is_constant:
@@ -551,6 +555,19 @@ def _gcd_nonzero(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     common = sup_a & sup_b
     if not common:
         return MultiPoly.const(field, nvars, 1)
+    only = sup_a ^ sup_b
+    if only:
+        # a variable that only a uses cannot occur in the gcd, so the gcd
+        # is that of b with each of a's coefficients in it, in turn
+        k = max(only)
+        if k in sup_b:
+            a, b = b, a
+        g = b
+        for c in sorted(_to_univar(a, k).values(), key=lambda c: len(c.terms)):
+            g = _gcd_nonzero(g, c)
+            if g.is_constant:
+                break
+        return g
     union = sup_a | sup_b
     if len(union) == 1:
         (k,) = union

@@ -1,16 +1,20 @@
 """Separability toolkit for univariate polynomials in characteristic p.
 
-Coefficients come from the perfect closure (perfclosure.PerfElem). A
-polynomial carries a mode flag: "perfect" allows arbitrary coefficient
-levels, "level0" confines coefficients to the rational function field
-Z_p(X) inside the closure. The same algorithms run in both modes; the
-difference is that taking a coefficient p-th root can fail in level0
-mode, and that failure (NotPerfectMode) is the library's computational
-witness that Z_p(X) is not perfect.
+A UniPoly stores its coefficients as one fraction, as a PerfElem stores
+one element: a level L and a reduced RatFunc N/D in the ground variables
+and t (t last), whose ground variables read as p^L-th roots. D is monic
+and free of t, and L is the least level any coefficient needs, so `==`
+is structural; canonical coefficients are rebuilt only for `coeffs`,
+`coeff` and printing. Arithmetic is RatFunc arithmetic at a common
+level. By Gauss's lemma (Knuth, TAOCP vol. 2, 4.6.1) the monic gcd over
+the closure is that of the numerators made monic in t, so the gcd and
+the decompositions run on numerators through multipoly.gcd_cofactors,
+where a factor free of t is a unit.
 
-The decompositions are exact: squarefree parts reassemble to the input
-on the nose, and the separable core s of f satisfies s(t^(p^e)) = f
-with the coefficients of f carried over unchanged.
+Mode "level0" confines coefficients to Z_p(X), where a p-th root can
+fail: that NotPerfectMode witnesses that Z_p(X) is not perfect. The
+decompositions are exact: squarefree parts reassemble to the input, and
+the separable core s of f has s(t^(p^e)) = f with f's coefficients.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ from .errors import (
     ContextMismatch,
     DerivativeNonzero,
     DivisionByZero,
+    LevelOverflow,
     NotDivisible,
     NotPerfectMode,
 )
-from .multipoly import MultiPoly
-from .perfclosure import MAX_POWER_TERMS, PerfContext, PerfElem, _power_terms
+from .multipoly import MultiPoly, gcd_cofactors, poly_gcd
+from .perfclosure import PerfContext, PerfElem, check_power
+from .ratfunc import RatFunc
 
 MODES = ("perfect", "level0")
 # largest t-degree a power may produce
@@ -35,39 +41,52 @@ MAX_T_DEGREE = 1 << 16
 
 
 class UniPoly:
-    """A univariate polynomial in t over the perfect closure.
+    """An immutable polynomial in t over the perfect closure, stored as
+    (level, body); in level0 mode every coefficient has level 0."""
 
-    coeffs[i] is the coefficient of t^i; the sequence never ends in a
-    zero, so the zero polynomial is the empty tuple. Values are
-    immutable. In level0 mode every coefficient must have level 0.
-    """
-
-    __slots__ = ("ctx", "coeffs", "mode")
+    __slots__ = ("ctx", "level", "body", "mode", "_coeffs")
 
     def __init__(self, ctx: PerfContext, coeffs, mode: str = "perfect"):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        clean: list[PerfElem] = []
-        for c in coeffs:
-            if isinstance(c, int):
-                c = ctx.const(c)
-            elif not isinstance(c, PerfElem):
+        clean = [ctx.const(c) if isinstance(c, int) else c for c in coeffs]
+        for c in clean:
+            if not isinstance(c, PerfElem):
                 raise TypeError(f"coefficients must be PerfElem or int, got {type(c).__name__}")
-            elif c.ctx != ctx:
+            if c.ctx != ctx:
                 raise ContextMismatch("coefficient from a different context")
-            clean.append(c)
-        while clean and clean[-1].is_zero:
-            clean.pop()
-        if mode == "level0":
-            for c in clean:
-                if c.level > 0:
-                    raise NotPerfectMode(
-                        f"coefficient {c} has level {c.level}; level0 mode is "
-                        f"confined to Z_{ctx.p}(X)"
-                    )
-        self.ctx = ctx
-        self.coeffs = tuple(clean)
-        self.mode = mode
+            if mode == "level0" and c.level > 0:
+                raise NotPerfectMode(f"coefficient {c} has level {c.level}; level0 "
+                                     f"mode is confined to Z_{ctx.p}(X)")
+        level = max((c.level for c in clean), default=0)
+        n = ctx.nvars
+        t = RatFunc.variable(ctx.field, n + 1, n)
+        body = RatFunc.const(ctx.field, n + 1, 0)
+        for c in reversed(clean):
+            body = body * t + c.lift(level).body._pad(n + 1)
+        canon = UniPoly._make(ctx, level, body, mode)  # for a lifted coefficient
+        self.ctx, self.level, self.body, self.mode = ctx, canon.level, canon.body, mode
+
+    @classmethod
+    def _raw(cls, ctx: PerfContext, level: int, body: RatFunc, mode: str) -> UniPoly:
+        # trusted constructor: body reduced, den monic and free of t, level least
+        self = object.__new__(cls)
+        self.ctx, self.level, self.body, self.mode = ctx, level, body, mode
+        return self
+
+    @classmethod
+    def _make(cls, ctx: PerfContext, level: int, body: RatFunc, mode: str) -> UniPoly:
+        """body at its least level: shed one while p divides every ground exponent."""
+        p = ctx.p
+        while level and all(
+            e % p == 0 for f in (body.num, body.den) for m in f.terms for e in m[:-1]
+        ):
+            body = _map_ground(body, lambda e: e // p)
+            level -= 1
+        return cls._raw(ctx, level, body, mode)
+
+    def _new(self, body: RatFunc) -> UniPoly:
+        return UniPoly._make(self.ctx, self.level, body, self.mode)
 
     @classmethod
     def zero(cls, ctx: PerfContext, mode: str = "perfect") -> UniPoly:
@@ -86,25 +105,40 @@ class UniPoly:
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return _t_degree(self.body.num) if self.body.num.terms else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.body.is_zero
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return not _t_degree(self.body.num)
 
-    def leading_coeff(self) -> PerfElem:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+    @property
+    def coeffs(self) -> tuple[PerfElem, ...]:
+        """The canonical coefficients, that of t^i at index i, never ending in
+        0; each takes a gcd, so they are built once."""
+        if not hasattr(self, "_coeffs"):
+            by_degree = _t_coeffs(self.body.num)
+            top = max(by_degree, default=-1)
+            self._coeffs = tuple(self._coeff(by_degree.get(i)) for i in range(top + 1))
+        return self._coeffs
 
     def coeff(self, i: int) -> PerfElem:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ctx.zero()
+        return self._coeff(_t_coeffs(self.body.num).get(i))
+
+    def leading_coeff(self) -> PerfElem:
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeff(self.degree)
+
+    def _coeff(self, num: MultiPoly | None) -> PerfElem:
+        """The canonical element num/D, for num free of t; None is zero."""
+        if num is None:
+            return self.ctx.zero()
+        (den,) = _t_coeffs(self.body.den).values()
+        return PerfElem.canonical(self.ctx, self.level, RatFunc(num, den))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -119,129 +153,70 @@ class UniPoly:
             raise ContextMismatch(f"modes differ: {self.mode} vs {other.mode}")
         return other
 
-    def __add__(self, other):
+    def _reconcile(self, other) -> tuple[UniPoly, UniPoly]:
+        """Both operands at their common level: the lower one is lifted,
+        its ground exponents multiplied by a power of p (uncanonical)."""
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.ctx,
-            [self.coeff(i) + other.coeff(i) for i in range(n)],
-            self.mode,
-        )
+        m = max(self.level, other.level)
+        return self._lift(m), other._lift(m)
+
+    def _lift(self, m: int) -> UniPoly:
+        if m == self.level:
+            return self
+        q = self.ctx.p ** (m - self.level)
+        return UniPoly._raw(self.ctx, m, _map_ground(self.body, lambda e: e * q), self.mode)
+
+    def __add__(self, other):
+        a, b = self._reconcile(other)
+        return a._new(a.body + b.body)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.ctx, [-c for c in self.coeffs], self.mode)
+        return UniPoly._raw(self.ctx, self.level, -self.body, self.mode)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        a, b = self._reconcile(other)
+        return a._new(a.body - b.body)
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        a, b = self._reconcile(other)
+        return a._new(b.body - a.body)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.ctx, self.mode)
-        out = [self.ctx.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in nonzero:
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.ctx, out, self.mode)
+        a, b = self._reconcile(other)
+        return a._new(a.body * b.body)
 
-    __rmul__ = __mul__
-
-    def scale(self, c) -> UniPoly:
-        if isinstance(c, int):
-            c = self.ctx.const(c)
-        return UniPoly(self.ctx, [c * a for a in self.coeffs], self.mode)
+    # scale(c): multiplication by a constant, which coerces like any operand
+    __rmul__ = scale = __mul__
 
     def __pow__(self, e: int):
+        """f^e, refused first past MAX_T_DEGREE or check_power on the body."""
         if e < 0:
             raise ValueError("polynomials cannot be raised to negative powers")
         deg = self.degree
-        if deg == 0:
-            # a constant: its coefficient's power, under that power's bounds
-            return UniPoly.const(self.ctx, self.coeffs[0] ** e, self.mode)
         if deg and deg * e > MAX_T_DEGREE:
             raise BoundExceeded(
                 f"resulting t-degree {deg * e} exceeds the limit {MAX_T_DEGREE}"
             )
-        p = self.ctx.p
-        if deg and any(
-            _power_terms(f, e, p) > MAX_POWER_TERMS for f in self._bound_parts()
-        ):
-            raise BoundExceeded(
-                f"the power could produce more than {MAX_POWER_TERMS} terms"
-            )
-        # f^e is the product of Frob^i(f)^(e_i) over the base-p digits e_i
-        # of e, and Frob(f) = f^p moves each c_j t^j to c_j^p t^(jp); so
-        # squarings stay below f^p and no intermediate outgrows the result
-        result = UniPoly.const(self.ctx, 1, self.mode)
-        base = self
-        while e:
-            e, digit = divmod(e, p)
-            if digit:
-                result = result * base._pow_digit(digit)
-            if e:
-                frob = [c if c.is_zero else c.frobenius() for c in base.coeffs]
-                base = UniPoly(self.ctx, frob, self.mode).subst_tpow(p)
-        return result
-
-    def _pow_digit(self, e: int) -> UniPoly:
-        """self**e by binary powering, for 0 < e < p."""
-        result = self
-        for bit in bin(e)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
-
-    def _bound_parts(self) -> tuple[MultiPoly, MultiPoly]:
-        """The sizes a power's term bound reads, with every coefficient
-        lifted to the highest coefficient level: the numerators as one
-        polynomial in the ground variables and t (the last variable), and
-        the product of the distinct denominators. The product stops once
-        it passes MAX_POWER_TERMS terms, which already fails the bound."""
-        level = max(c.level for c in self.coeffs)
-        nums: dict[tuple[int, ...], int] = {}
-        dens = {}
-        for j, c in enumerate(self.coeffs):
-            body = c.lift(level).body
-            for m, v in body.num.terms.items():
-                nums[m + (j,)] = v
-            dens[body.den] = None
-        field, d = self.ctx.field, self.ctx.nvars
-        den = MultiPoly.const(field, d, 1)
-        for f in dens:
-            if len(den.terms) > MAX_POWER_TERMS:
-                break
-            den = den * f
-        return MultiPoly._raw(field, d + 1, nums), den
+        check_power(self.body, e, self.ctx.p)
+        return self._new(self.body**e)
 
     def __divmod__(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
+        """Pseudo-division of the numerators (Knuth, TAOCP vol. 2, 4.6.1):
+        s*A = Q*B + R with s a power of lc_t(B), so A/D is Q*E/(s*D) times
+        B/E plus R/(s*D)."""
+        a, b = self._reconcile(other)
+        if b.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        q = [self.ctx.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
-        r = list(self.coeffs)
-        inv_lc = other.leading_coeff().inv()
-        db = other.degree
-        while len(r) - 1 >= db and r:
-            c = r[-1] * inv_lc
-            shift = len(r) - 1 - db
-            q[shift] = c
-            for i, b in enumerate(other.coeffs):
-                r[shift + i] = r[shift + i] - c * b
-            while r and r[-1].is_zero:
-                r.pop()
-        return (
-            UniPoly(self.ctx, q, self.mode),
-            UniPoly(self.ctx, r, self.mode),
-        )
+        (A, D), (B, E) = (a.body.num, a.body.den), (b.body.num, b.body.den)
+        db, lc = _t_degree(B), _lc_t(B)
+        t = MultiPoly.variable(A.field, A.nvars, A.nvars - 1)
+        Q, R, s = MultiPoly.zero(A.field, A.nvars), A, MultiPoly.const(A.field, A.nvars, 1)
+        while R.terms and _t_degree(R) >= db:
+            step = _lc_t(R) * t ** (_t_degree(R) - db)
+            Q, R, s = Q * lc + step, R * lc - step * B, s * lc
+        return a._new(RatFunc(Q * E, s * D)), a._new(RatFunc(R, s * D))
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -250,79 +225,72 @@ class UniPoly:
         return divmod(self, other)[0]
 
     def divexact(self, other: UniPoly) -> UniPoly:
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        """The quotient, exact when that of the bodies has a t-free den."""
+        a, b = self._reconcile(other)
+        if b.is_zero:
+            raise DivisionByZero("polynomial division by zero")
+        q = a.body / b.body
+        if _t_degree(q.den):
             raise NotDivisible("inexact polynomial division")
-        return q
+        return a._new(q)
 
     def monic(self) -> UniPoly:
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
-        lc = self.leading_coeff()
-        if lc == 1:
+        if _lc_t(self.body.num) == self.body.den:
             return self
-        return self.scale(lc.inv())
+        return _monic(self.ctx, self.level, self.body.num, self.mode)
 
     def __eq__(self, other):
         if isinstance(other, (int, PerfElem)):
             other = UniPoly.const(self.ctx, other, self.mode)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self.ctx == other.ctx and (self.level, self.body) == (other.level, other.body)
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.level, self.body))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return not self.body.is_zero
 
     # -- calculus and substitution ---------------------------------------------
 
     def derivative(self) -> UniPoly:
-        return UniPoly(
-            self.ctx,
-            [c * i for i, c in enumerate(self.coeffs)][1:],
-            self.mode,
-        )
+        return self._new(RatFunc(_dt(self.body.num), self.body.den))
 
     def gcd(self, other: UniPoly) -> UniPoly:
-        """Monic gcd by the Euclidean algorithm over the coefficient field."""
-        other = self._coerce(other)
-        if self.is_zero and other.is_zero:
+        """Monic gcd: that of the numerators in Z_p[X][t], made monic in t."""
+        a, b = self._reconcile(other)
+        if a.is_zero and b.is_zero:
             raise ValueError("gcd(0, 0) is undefined")
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        return _monic(a.ctx, a.level, poly_gcd(a.body.num, b.body.num), a.mode)
 
     def subst_tpow(self, q: int) -> UniPoly:
-        """f(t^q): spread coefficient i to degree i*q."""
+        """f(t^q): multiply the exponents of t by q."""
         if q < 1:
             raise ValueError("substitution power must be positive")
-        if self.is_zero:
-            return self
-        out = [self.ctx.zero()] * (q * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * q] = c
-        return UniPoly(self.ctx, out, self.mode)
+        return self._with_num(_regrade(self.body.num, lambda m: m[:-1] + (m[-1] * q,)))
+
+    def _with_num(self, num: MultiPoly) -> UniPoly:
+        # new exponents of t keep N/D reduced and the level least: every
+        # coefficient of N in t is still one of N's
+        return UniPoly._raw(self.ctx, self.level, RatFunc._raw(num, self.body.den), self.mode)
 
     def with_mode(self, mode: str) -> UniPoly:
-        if mode == self.mode:
-            return self
-        return UniPoly(self.ctx, self.coeffs, mode)
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if mode == "level0" and self.level:
+            return UniPoly(self.ctx, self.coeffs, mode)  # refuses a rooted coefficient
+        return UniPoly._raw(self.ctx, self.level, self.body, mode)
 
     # -- printing --------------------------------------------------------------
 
     def format(self) -> str:
         if self.is_zero:
             return "0"
-        chunks = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero:
-                continue
-            chunks.append(_term_str(c, i))
-        return " + ".join(chunks)
+        terms = reversed(list(enumerate(self.coeffs)))
+        return " + ".join(_term_str(c, i) for i, c in terms if not c.is_zero)
 
     def __str__(self):
         return self.format()
@@ -343,6 +311,51 @@ def _term_str(c: PerfElem, e: int) -> str:
     return f"{cs}*{var}"
 
 
+# -- a body as a polynomial in t: exponent vectors end in that of t -------------
+
+
+def _t_degree(num: MultiPoly) -> int:
+    return num.degree_in(num.nvars - 1)
+
+
+def _dt(num: MultiPoly) -> MultiPoly:
+    return num.derivative(num.nvars - 1)
+
+
+def _t_coeffs(f: MultiPoly) -> dict[int, MultiPoly]:
+    """f as {e: coefficient of t^e}, each in the ground variables only."""
+    out: dict[int, dict] = {}
+    for m, c in f.terms.items():
+        out.setdefault(m[-1], {})[m[:-1]] = c
+    return {e: MultiPoly._raw(f.field, f.nvars - 1, terms) for e, terms in out.items()}
+
+
+def _lc_t(num: MultiPoly) -> MultiPoly:
+    """The leading coefficient of num in t, kept in num's variables."""
+    top = _t_degree(num)
+    terms = {m[:-1] + (0,): c for m, c in num.terms.items() if m[-1] == top}
+    return MultiPoly._raw(num.field, num.nvars, terms)
+
+
+def _regrade(f: MultiPoly, fn) -> MultiPoly:
+    """f with each exponent vector m replaced by fn(m)."""
+    return MultiPoly._raw(f.field, f.nvars, {fn(m): c for m, c in f.terms.items()})
+
+
+def _map_ground(body: RatFunc, fn) -> RatFunc:
+    """body with fn applied to each ground exponent; that of t is kept."""
+
+    def regrade(m):
+        return tuple(map(fn, m[:-1])) + m[-1:]
+
+    return RatFunc._raw(_regrade(body.num, regrade), _regrade(body.den, regrade))
+
+
+def _monic(ctx: PerfContext, level: int, num: MultiPoly, mode: str) -> UniPoly:
+    """num / lc_t(num): the monic polynomial num stands for over the closure."""
+    return UniPoly._make(ctx, level, RatFunc(num, _lc_t(num)), mode)
+
+
 # -- separability operations ---------------------------------------------------
 
 
@@ -351,28 +364,27 @@ def is_separable(f: UniPoly) -> bool:
     separability criterion; for general f it means squarefree."""
     if f.is_constant:
         raise ConstantPolynomial("separability is about nonconstant polynomials")
-    return f.gcd(f.derivative()).is_constant
+    return not _t_degree(poly_gcd(f.body.num, _dt(f.body.num)))
 
 
 def pth_root_poly(f: UniPoly) -> UniPoly:
     """The g with g^p = f, for f with zero derivative: divide exponents
-    by p and take coefficient p-th roots. In level0 mode a coefficient
-    whose root leaves Z_p(X) raises NotPerfectMode."""
-    p = f.ctx.p
-    if not f.derivative().is_zero:
+    of t by p and read the body one level up. In level0 mode a
+    coefficient whose root leaves Z_p(X) raises NotPerfectMode."""
+    ctx, num, p = f.ctx, f.body.num, f.ctx.p
+    if _dt(num).terms:
         raise DerivativeNonzero("input has nonzero derivative; it is not a p-th power")
-    out = [f.ctx.zero()] * (len(f.coeffs) // p + 1 if f.coeffs else 0)
-    for i, c in enumerate(f.coeffs):
-        if c.is_zero:
-            continue
-        # zero derivative forces p | i for every surviving term
-        r = c.pth_root()
-        if f.mode == "level0" and r.level > 0:
-            raise NotPerfectMode(
-                f"coefficient {c} is not a p-th power in Z_{p}(X)"
-            )
-        out[i // p] = r
-    return UniPoly(f.ctx, out, f.mode)
+    if f.is_zero:
+        return f
+    if f.level + 1 > ctx.max_level:
+        raise LevelOverflow(f"p-th root would exceed the session level cap {ctx.max_level}")
+    # zero derivative forces p | i for every term t^i
+    body = RatFunc._raw(_regrade(num, lambda m: m[:-1] + (m[-1] // p,)), f.body.den)
+    g = UniPoly._make(ctx, f.level + 1, body, f.mode)
+    if g.level > 0 and f.mode == "level0":
+        c = next(c for c in f.coeffs if c.pth_root().level > 0)
+        raise NotPerfectMode(f"coefficient {c} is not a p-th power in Z_{p}(X)")
+    return g
 
 
 @dataclass(frozen=True)
@@ -385,21 +397,15 @@ class SqfDecomposition:
     def reassemble(self) -> UniPoly:
         if not self.parts:
             raise ValueError("no parts to reassemble")
-        ctx = self.parts[0][0].ctx
-        mode = self.parts[0][0].mode
-        out = UniPoly.const(ctx, self.unit, mode)
+        first = self.parts[0][0]
+        out = UniPoly.const(first.ctx, self.unit, first.mode)
         for factor, mult in self.parts:
             out = out * factor**mult
         return out
 
     def __str__(self):
-        chunks = [
-            f"({f})^{m}" if m > 1 else f"({f})" for f, m in self.parts
-        ]
-        body = " * ".join(chunks)
-        if self.unit == 1:
-            return body
-        return f"{self.unit} * {body}"
+        body = " * ".join(f"({f})^{m}" if m > 1 else f"({f})" for f, m in self.parts)
+        return body if self.unit == 1 else f"{self.unit} * {body}"
 
 
 def squarefree_decomposition(f: UniPoly) -> SqfDecomposition:
@@ -415,26 +421,24 @@ def squarefree_decomposition(f: UniPoly) -> SqfDecomposition:
 
 
 def _sqf_recurse(f: UniPoly, mult: int, parts: list) -> None:
-    # f monic, nonconstant
-    df = f.derivative()
-    if df.is_zero:
-        _sqf_recurse(pth_root_poly(f), mult * f.ctx.p, parts)
+    # f monic, nonconstant. On numerators in Z_p[X][t] the cascade agrees
+    # with the one over the closure up to units, the factors free of t
+    ctx, level, mode = f.ctx, f.level, f.mode
+    num = f.body.num
+    if not _dt(num).terms:
+        _sqf_recurse(pth_root_poly(f), mult * ctx.p, parts)
         return
-    a = f.gcd(df)
-    b = f.divexact(a)  # product of the distinct factors with p-free multiplicity
+    # b: the product of the distinct factors with p-free multiplicity
+    a, b, _ = gcd_cofactors(num, _dt(num))
     i = 1
-    while not b.is_constant:
-        c = b.gcd(a) if not a.is_constant else UniPoly.const(f.ctx, 1, f.mode)
-        z = b.divexact(c)
-        if not z.is_constant:
-            parts.append((z.monic(), mult * i))
-        b = c
-        if not a.is_constant:
-            a = a.divexact(c)
+    while _t_degree(b):
+        b, z, a = gcd_cofactors(b, a)
+        if _t_degree(z):
+            parts.append((_monic(ctx, level, z, mode), mult * i))
         i += 1
     # what survives in a has every multiplicity divisible by p
-    if not a.is_constant:
-        _sqf_recurse(pth_root_poly(a.monic()), mult * f.ctx.p, parts)
+    if _t_degree(a):
+        _sqf_recurse(pth_root_poly(_monic(ctx, level, a, mode)), mult * ctx.p, parts)
 
 
 @dataclass(frozen=True)
@@ -452,18 +456,13 @@ class SepDecomposition:
 
 
 def separable_decomposition(f: UniPoly) -> SepDecomposition:
-    """Peel t^p layers off f until the derivative is nonzero.
-
-    Each step rewrites f(t) = f1(t^p) by dividing exponents by p; the
-    coefficients are carried over unchanged, so the identity
-    s(t^(p^e)) = f is exact in both modes and no p-th roots are needed.
-    """
+    """Peel t^p layers off f until the derivative is nonzero: each step
+    divides the exponents of t by p and keeps the coefficients, so
+    s(t^(p^e)) = f is exact in both modes and needs no p-th roots."""
     if f.is_constant:
         raise ConstantPolynomial("separable decomposition needs a nonconstant input")
-    p = f.ctx.p
-    e = 0
-    while f.derivative().is_zero:
-        regrouped = [f.coeffs[i] for i in range(0, len(f.coeffs), p)]
-        f = UniPoly(f.ctx, regrouped, f.mode)
+    p, e, num = f.ctx.p, 0, f.body.num
+    while not _dt(num).terms:
+        num = _regrade(num, lambda m: m[:-1] + (m[-1] // p,))
         e += 1
-    return SepDecomposition(s=f, e=e)
+    return SepDecomposition(s=f._with_num(num), e=e)

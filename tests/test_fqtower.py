@@ -274,7 +274,7 @@ def test_embedding_root_matches_exhaustive_scan():
 
 
 def test_embedding_root_needs_a_subfield():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(NoEmbedding, match="degree 3 does not divide 4; no embedding exists"):
         find_embedding_root(make_field(2, 3), make_field(2, 4))
     with pytest.raises(NoEmbedding):
         find_embedding_root(make_field(2, 1), make_field(3, 2))

@@ -222,7 +222,8 @@ def test_gcd_structured_random():
 
 def _gcd_pairs(rng, field, nvars):
     """Coprime pairs, planted common factors, a common content free of
-    the highest variable, and one zero operand."""
+    the highest variable, one zero operand, and pairs where one input
+    lacks a variable the other uses."""
 
     def poly(terms, deg, n=nvars):
         f = random_nonzero_multipoly(rng, field, n, max_terms=terms, max_deg=deg)
@@ -237,6 +238,22 @@ def _gcd_pairs(rng, field, nvars):
         g = poly(2, 2)
         pairs.append((c * g * poly(3, 2), c * g * poly(2, 2)))
     pairs.append((poly(4, 3), MultiPoly.zero(field, nvars)))
+    if nvars > 1:
+        # one input lacks a variable the other uses: x_n, or else x_1
+        def without_last(terms, deg):
+            return poly(terms, deg, nvars - 1)
+
+        def without_first(terms, deg):
+            f = random_nonzero_multipoly(rng, field, nvars - 1, max_terms=terms, max_deg=deg)
+            return MultiPoly(field, nvars, {(0,) + m: c for m, c in f.terms.items()})
+
+        for low in (without_last, without_first):
+            pairs.append((poly(4, 3), low(4, 3)))
+            for _ in range(2):
+                g = low(2, 2)
+                pairs.append((g * poly(3, 2), g * low(3, 2)))
+            g = poly(2, 2)
+            pairs.append((low(2, 1) * g * poly(2, 1), low(2, 2) * g))
     return pairs
 
 

@@ -172,6 +172,16 @@ def test_pn_root_power_roundtrip():
         assert r.frobenius_iter(k) == a
 
 
+def test_frobenius_iter_refuses_negative_or_non_int_counts():
+    ctx = PerfContext(2, 1)
+    x1 = ctx.variable(0)
+    for k in (-1, -3, 1.0, "2"):
+        with pytest.raises(ValueError, match="Frobenius count must be a non-negative integer"):
+            x1.frobenius_iter(k)
+    assert x1.frobenius_iter(0) == x1
+    assert x1.pth_root().frobenius_iter(1) == x1
+
+
 def test_root_power_roundtrip_randomized():
     rng = random.Random(4040)
     for p in (2, 3, 5):

@@ -10,6 +10,7 @@ from perffield.errors import (
     DerivativeNonzero,
     DivisionByZero,
     NotPerfectMode,
+    PerffieldError,
     PoleAtPoint,
 )
 from perffield.fqtower import make_field
@@ -22,7 +23,14 @@ from perffield.septools import (
     squarefree_decomposition,
 )
 
-from helpers import random_monic_unipoly
+from helpers import (
+    OracleUniPoly,
+    oracle_pth_root_poly,
+    oracle_separable,
+    oracle_squarefree,
+    random_monic_unipoly,
+    random_nonzero_perfelem,
+)
 
 
 def up(ctx, coeffs, mode="perfect"):
@@ -392,3 +400,106 @@ def test_power_by_digits_is_cheap_for_large_exponents():
     assert len([c for c in g.coeffs if not c.is_zero]) == 432
     assert g.degree == 4096 and g.coeff(4096) == 1
     assert g.coeff(0) == ctx.variable(1) ** 4096
+
+
+def test_sqfree_with_fraction_coefficients_at_large_p_is_fast():
+    # at p = 101 in three variables the per-coefficient Euclid took 19 s
+    # at k = 8 and over a minute at k = 16
+    ctx = PerfContext(101, 3)
+    x1, x2, x3 = (ctx.variable(i) for i in range(3))
+    t = UniPoly.t_var(ctx)
+    a, b, c = t + x1 / x2, t - x3 + 1 / x1, t * t + x2
+    start = time.perf_counter()
+    dec = squarefree_decomposition(a**16 * b**2 * c)
+    assert time.perf_counter() - start < 5.0
+    assert dec.unit == 1
+    assert dec.parts == ((c, 1), (b, 2), (a, 16))
+    assert str(dec) == "(t^2 + x2) * (t + (100*x1*x3 + 1) / x1)^2 * (t + x1 / x2)^16"
+
+
+def _outcome(fn, *args):
+    """What a call gives, in a form both implementations share: the
+    canonical coefficients and printing of each polynomial in the result,
+    or the error's type and message."""
+    try:
+        res = fn(*args)
+    except (PerffieldError, ValueError) as err:
+        return (type(err).__name__, str(err))
+    if hasattr(res, "parts"):  # SqfDecomposition
+        res = (res.unit, list(res.parts))
+    elif hasattr(res, "s"):  # SepDecomposition
+        res = (res.s, res.e)
+    return _shape(res)
+
+
+def _shape(res):
+    if isinstance(res, (tuple, list)):
+        return tuple(_shape(r) for r in res)
+    if isinstance(res, (UniPoly, OracleUniPoly)):
+        return (res.coeffs, str(res))
+    return res
+
+
+def _oracle_cases(rng, p, trial):
+    """(function, UniPoly arguments, oracle arguments) triples on random
+    polynomials in 0 to 3 ground variables with coefficient levels up to
+    2, under a level cap of 2 so that p-th roots can overflow; every third
+    trial is in level0 mode. At p = 101 the oracle's Euclid is too slow
+    past one variable and level 1, so those trials stay there."""
+    d = trial % 4 if p < 10 else trial % 2
+    mode = "level0" if trial % 3 == 2 else "perfect"
+    ctx = PerfContext(p, d, max_level=2)
+    level = 0 if mode == "level0" else 2 if p < 10 else 1
+
+    def coeff():
+        if not d or rng.random() < 0.3:
+            return ctx.const(rng.randrange(p))
+        return random_nonzero_perfelem(rng, ctx, level, max_terms=2, max_deg=1)
+
+    def pair(min_deg, max_deg):
+        cs = [coeff() for _ in range(rng.randint(min_deg, max_deg) + 1)]
+        if rng.random() < 0.5:
+            cs[-1] = ctx.one()
+        return UniPoly(ctx, cs, mode), OracleUniPoly(ctx, cs, mode)
+
+    (f, of), (g, og), (h, oh), (k, ok) = pair(0, 2), pair(1, 2), pair(1, 1), pair(1, 1)
+    # a p-th power part, kept small: the oracle's Euclid is slow at large p
+    r, o_r = (h.subst_tpow(p) * h, oh.subst_tpow(p) * oh) if p < 5 else (h**p, oh**p)
+    small = [0, 1, 2, 3] + ([p, p + 1] if p < 10 else [])
+    return [
+        (lambda a: a, (f,), (of,)),
+        (lambda a, b: a + b, (f, g), (of, og)),
+        (lambda a, b: a - b, (f, g), (of, og)),
+        (lambda a, b: a * b, (f, g), (of, og)),
+        (divmod, (f, g), (of, og)),
+        (lambda a, b: (a * b).divexact(b), (f, g), (of, og)),
+        (lambda a, b: a.divexact(b), (f, g), (of, og)),
+        (lambda a, b, c: (a * c).gcd(b * c), (f, g, h), (of, og, oh)),
+        (lambda a: a.monic(), (f,), (of,)),
+        (lambda a: a.derivative(), (f,), (of,)),
+        (lambda a: [a**e for e in small], (g,), (og,)),
+        (pth_root_poly, (g**p,), (og**p,)),
+        (pth_root_poly, (h.subst_tpow(p),), (oh.subst_tpow(p),)),
+        (pth_root_poly, (f,), (of,)),
+        (squarefree_decomposition, (k * h**2,), (ok * oh**2,)),
+        (squarefree_decomposition, (r,), (o_r,)),
+        (squarefree_decomposition, (f,), (of,)),
+        (separable_decomposition, (h.subst_tpow(p) * g**p,), (oh.subst_tpow(p) * og**p,)),
+        (separable_decomposition, (f,), (of,)),
+    ]
+
+
+_ORACLES = {
+    pth_root_poly: oracle_pth_root_poly,
+    squarefree_decomposition: oracle_squarefree,
+    separable_decomposition: oracle_separable,
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_unipoly_matches_per_coefficient_oracle(p):
+    rng = random.Random(9000 + p)
+    for trial in range(12):
+        for fn, args, oargs in _oracle_cases(rng, p, trial):
+            want = _outcome(_ORACLES.get(fn, fn), *oargs)
+            assert _outcome(fn, *args) == want, (p, trial, fn, [str(a) for a in args])
