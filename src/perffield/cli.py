@@ -19,6 +19,7 @@ import sys
 
 from . import fqtower, parser, septools
 from .errors import (
+    DivisionByZero,
     EvalError,
     NotPerfectMode,
     ParseError,
@@ -133,6 +134,10 @@ def _binop(op: str, lhs, rhs):
         return lhs * rhs
     # division: exact division for polynomials, field division otherwise
     if isinstance(lhs, UniPoly):
+        if rhs.is_zero:
+            raise DivisionByZero("polynomial division by zero")
+        if rhs.is_constant:
+            return lhs.scale(rhs.coeff(0).inv())
         return lhs.divexact(rhs)
     return lhs / rhs
 

@@ -624,9 +624,10 @@ def _to_univar(f: MultiPoly, k: int) -> dict[int, MultiPoly]:
 
 def _primitive(F: dict[int, MultiPoly]) -> tuple[MultiPoly, dict[int, MultiPoly]]:
     """Content and primitive part of a univariate view. A non-constant
-    content is the monic gcd of the coefficients; a constant one is
+    content is the monic gcd of the coefficients, taken from the smallest
+    up so that each gcd is cheap and 1 comes early; a constant one is
     returned as it is and left in the part."""
-    coeffs = iter(F.values())
+    coeffs = iter(sorted(F.values(), key=lambda c: (c.total_degree(), len(c.terms))))
     content = next(coeffs)
     for c in coeffs:
         if content.is_constant:

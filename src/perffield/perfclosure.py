@@ -257,12 +257,29 @@ class PerfElem:
         return PerfElem.canonical(self.ctx, self.level, self.body.inv())
 
     def __pow__(self, e: int):
-        """a^e, refused first by check_power."""
+        """a^e, refused before any work when the result could have an
+        exponent past MAX_FROB_EXP_BITS bits or more than MAX_POWER_TERMS
+        terms in its numerator or its denominator."""
         if not isinstance(e, int):
             raise TypeError("exponents must be integers")
-        check_power(self.body, e, self.ctx.p)
+        n = abs(e)
+        if (self._top_exponent() * n).bit_length() > MAX_FROB_EXP_BITS:
+            raise BoundExceeded(
+                f"the power would raise exponents past {MAX_FROB_EXP_BITS} bits"
+            )
+        for poly in (self.body.num, self.body.den):
+            if _power_terms(poly, n, self.ctx.p) > MAX_POWER_TERMS:
+                raise BoundExceeded(
+                    f"the power could produce more than {MAX_POWER_TERMS} terms"
+                )
         base = self.inv() if e < 0 else self
-        return PerfElem.canonical(self.ctx, base.level, base.body ** abs(e))
+        return PerfElem.canonical(self.ctx, base.level, base.body**n)
+
+    def _top_exponent(self) -> int:
+        """The largest exponent of any variable in the body."""
+        body = self.body
+        terms = (*body.num.terms, *body.den.terms)
+        return max((e for m in terms for e in m), default=0)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -318,7 +335,7 @@ class PerfElem:
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"Frobenius count must be a non-negative integer, got {k!r}")
         steps = k - self.level
-        if steps > 0 and _exp_bits_exceed(_top_exponent(self.body), self.ctx.p, steps):
+        if steps > 0 and _exp_bits_exceed(self._top_exponent(), self.ctx.p, steps):
             raise BoundExceeded(
                 f"frob {k} would raise level-0 exponents past {MAX_FROB_EXP_BITS} bits"
             )
@@ -370,29 +387,6 @@ class PerfElem:
             "num": [[list(m), c] for m, c in self.body.num.sorted_terms()],
             "den": [[list(m), c] for m, c in self.body.den.sorted_terms()],
         }
-
-
-def check_power(body: RatFunc, e: int, p: int) -> None:
-    """Refuse body**e before any work when the result could have an
-    exponent past MAX_FROB_EXP_BITS bits or more than MAX_POWER_TERMS
-    terms in its numerator or its denominator. PerfElem and UniPoly
-    powers share it."""
-    n = abs(e)
-    if (_top_exponent(body) * n).bit_length() > MAX_FROB_EXP_BITS:
-        raise BoundExceeded(
-            f"the power would raise exponents past {MAX_FROB_EXP_BITS} bits"
-        )
-    for poly in (body.num, body.den):
-        if _power_terms(poly, n, p) > MAX_POWER_TERMS:
-            raise BoundExceeded(
-                f"the power could produce more than {MAX_POWER_TERMS} terms"
-            )
-
-
-def _top_exponent(body: RatFunc) -> int:
-    """The largest exponent of any variable in the body."""
-    terms = (*body.num.terms, *body.den.terms)
-    return max((e for m in terms for e in m), default=0)
 
 
 def _exp_bits_exceed(top: int, p: int, steps: int) -> bool:

@@ -1,20 +1,21 @@
 """Separability toolkit for univariate polynomials in characteristic p.
 
-A UniPoly stores its coefficients as one fraction, as a PerfElem stores
-one element: a level L and a reduced RatFunc N/D in the ground variables
-and t (t last), whose ground variables read as p^L-th roots. D is monic
-and free of t, and L is the least level any coefficient needs, so `==`
-is structural; canonical coefficients are rebuilt only for `coeffs`,
-`coeff` and printing. Arithmetic is RatFunc arithmetic at a common
-level. By Gauss's lemma (Knuth, TAOCP vol. 2, 4.6.1) the monic gcd over
-the closure is that of the numerators made monic in t, so the gcd and
-the decompositions run on numerators through multipoly.gcd_cofactors,
-where a factor free of t is a unit.
+Coefficients come from the perfect closure (perfclosure.PerfElem). A
+polynomial carries a mode flag: "perfect" allows arbitrary coefficient
+levels, "level0" confines coefficients to the rational function field
+Z_p(X) inside the closure. The same algorithms run in both modes; the
+difference is that taking a coefficient p-th root can fail in level0
+mode, and that failure (NotPerfectMode) is the library's computational
+witness that Z_p(X) is not perfect.
 
-Mode "level0" confines coefficients to Z_p(X), where a p-th root can
-fail: that NotPerfectMode witnesses that Z_p(X) is not perfect. The
-decompositions are exact: squarefree parts reassemble to the input, and
-the separable core s of f has s(t^(p^e)) = f with f's coefficients.
+The decompositions are exact: squarefree parts reassemble to the input
+on the nose, and the separable core s of f satisfies s(t^(p^e)) = f
+with the coefficients of f carried over unchanged.
+
+The gcd and the squarefree cascade run on numerators: at a common
+level, f is N/D with N in Z_p[X][t] and D free of t, and by Gauss's
+lemma (Knuth, TAOCP vol. 2, 4.6.1) the monic gcd over the closure is
+that of the numerators made monic in t.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .errors import (
     ContextMismatch,
     DerivativeNonzero,
     DivisionByZero,
-    LevelOverflow,
     NotDivisible,
     NotPerfectMode,
 )
 from .multipoly import MultiPoly, gcd_cofactors, poly_gcd
-from .perfclosure import PerfContext, PerfElem, check_power
+from .perfclosure import MAX_POWER_TERMS, PerfContext, PerfElem, _power_terms
 from .ratfunc import RatFunc
 
 MODES = ("perfect", "level0")
@@ -41,52 +41,39 @@ MAX_T_DEGREE = 1 << 16
 
 
 class UniPoly:
-    """An immutable polynomial in t over the perfect closure, stored as
-    (level, body); in level0 mode every coefficient has level 0."""
+    """A univariate polynomial in t over the perfect closure.
 
-    __slots__ = ("ctx", "level", "body", "mode", "_coeffs")
+    coeffs[i] is the coefficient of t^i; the sequence never ends in a
+    zero, so the zero polynomial is the empty tuple. Values are
+    immutable. In level0 mode every coefficient must have level 0.
+    """
+
+    __slots__ = ("ctx", "coeffs", "mode")
 
     def __init__(self, ctx: PerfContext, coeffs, mode: str = "perfect"):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        clean = [ctx.const(c) if isinstance(c, int) else c for c in coeffs]
-        for c in clean:
-            if not isinstance(c, PerfElem):
+        clean: list[PerfElem] = []
+        for c in coeffs:
+            if isinstance(c, int):
+                c = ctx.const(c)
+            elif not isinstance(c, PerfElem):
                 raise TypeError(f"coefficients must be PerfElem or int, got {type(c).__name__}")
-            if c.ctx != ctx:
+            elif c.ctx != ctx:
                 raise ContextMismatch("coefficient from a different context")
-            if mode == "level0" and c.level > 0:
-                raise NotPerfectMode(f"coefficient {c} has level {c.level}; level0 "
-                                     f"mode is confined to Z_{ctx.p}(X)")
-        level = max((c.level for c in clean), default=0)
-        n = ctx.nvars
-        t = RatFunc.variable(ctx.field, n + 1, n)
-        body = RatFunc.const(ctx.field, n + 1, 0)
-        for c in reversed(clean):
-            body = body * t + c.lift(level).body._pad(n + 1)
-        canon = UniPoly._make(ctx, level, body, mode)  # for a lifted coefficient
-        self.ctx, self.level, self.body, self.mode = ctx, canon.level, canon.body, mode
-
-    @classmethod
-    def _raw(cls, ctx: PerfContext, level: int, body: RatFunc, mode: str) -> UniPoly:
-        # trusted constructor: body reduced, den monic and free of t, level least
-        self = object.__new__(cls)
-        self.ctx, self.level, self.body, self.mode = ctx, level, body, mode
-        return self
-
-    @classmethod
-    def _make(cls, ctx: PerfContext, level: int, body: RatFunc, mode: str) -> UniPoly:
-        """body at its least level: shed one while p divides every ground exponent."""
-        p = ctx.p
-        while level and all(
-            e % p == 0 for f in (body.num, body.den) for m in f.terms for e in m[:-1]
-        ):
-            body = _map_ground(body, lambda e: e // p)
-            level -= 1
-        return cls._raw(ctx, level, body, mode)
-
-    def _new(self, body: RatFunc) -> UniPoly:
-        return UniPoly._make(self.ctx, self.level, body, self.mode)
+            clean.append(c)
+        while clean and clean[-1].is_zero:
+            clean.pop()
+        if mode == "level0":
+            for c in clean:
+                if c.level > 0:
+                    raise NotPerfectMode(
+                        f"coefficient {c} has level {c.level}; level0 mode is "
+                        f"confined to Z_{ctx.p}(X)"
+                    )
+        self.ctx = ctx
+        self.coeffs = tuple(clean)
+        self.mode = mode
 
     @classmethod
     def zero(cls, ctx: PerfContext, mode: str = "perfect") -> UniPoly:
@@ -105,40 +92,25 @@ class UniPoly:
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return _t_degree(self.body.num) if self.body.num.terms else None
+        return len(self.coeffs) - 1 if self.coeffs else None
 
     @property
     def is_zero(self) -> bool:
-        return self.body.is_zero
+        return not self.coeffs
 
     @property
     def is_constant(self) -> bool:
-        return not _t_degree(self.body.num)
-
-    @property
-    def coeffs(self) -> tuple[PerfElem, ...]:
-        """The canonical coefficients, that of t^i at index i, never ending in
-        0; each takes a gcd, so they are built once."""
-        if not hasattr(self, "_coeffs"):
-            by_degree = _t_coeffs(self.body.num)
-            top = max(by_degree, default=-1)
-            self._coeffs = tuple(self._coeff(by_degree.get(i)) for i in range(top + 1))
-        return self._coeffs
-
-    def coeff(self, i: int) -> PerfElem:
-        return self._coeff(_t_coeffs(self.body.num).get(i))
+        return len(self.coeffs) <= 1
 
     def leading_coeff(self) -> PerfElem:
-        if self.is_zero:
+        if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeff(self.degree)
+        return self.coeffs[-1]
 
-    def _coeff(self, num: MultiPoly | None) -> PerfElem:
-        """The canonical element num/D, for num free of t; None is zero."""
-        if num is None:
-            return self.ctx.zero()
-        (den,) = _t_coeffs(self.body.den).values()
-        return PerfElem.canonical(self.ctx, self.level, RatFunc(num, den))
+    def coeff(self, i: int) -> PerfElem:
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return self.ctx.zero()
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -153,70 +125,129 @@ class UniPoly:
             raise ContextMismatch(f"modes differ: {self.mode} vs {other.mode}")
         return other
 
-    def _reconcile(self, other) -> tuple[UniPoly, UniPoly]:
-        """Both operands at their common level: the lower one is lifted,
-        its ground exponents multiplied by a power of p (uncanonical)."""
-        other = self._coerce(other)
-        m = max(self.level, other.level)
-        return self._lift(m), other._lift(m)
-
-    def _lift(self, m: int) -> UniPoly:
-        if m == self.level:
-            return self
-        q = self.ctx.p ** (m - self.level)
-        return UniPoly._raw(self.ctx, m, _map_ground(self.body, lambda e: e * q), self.mode)
-
     def __add__(self, other):
-        a, b = self._reconcile(other)
-        return a._new(a.body + b.body)
+        other = self._coerce(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return UniPoly(
+            self.ctx,
+            [self.coeff(i) + other.coeff(i) for i in range(n)],
+            self.mode,
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly._raw(self.ctx, self.level, -self.body, self.mode)
+        return UniPoly(self.ctx, [-c for c in self.coeffs], self.mode)
 
     def __sub__(self, other):
-        a, b = self._reconcile(other)
-        return a._new(a.body - b.body)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
-        a, b = self._reconcile(other)
-        return a._new(b.body - a.body)
+        return (-self) + self._coerce(other)
 
     def __mul__(self, other):
-        a, b = self._reconcile(other)
-        return a._new(a.body * b.body)
+        other = self._coerce(other)
+        if self.is_zero or other.is_zero:
+            return UniPoly.zero(self.ctx, self.mode)
+        out = [self.ctx.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero]
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero:
+                continue
+            for j, b in nonzero:
+                out[i + j] = out[i + j] + a * b
+        return UniPoly(self.ctx, out, self.mode)
 
-    # scale(c): multiplication by a constant, which coerces like any operand
-    __rmul__ = scale = __mul__
+    __rmul__ = __mul__
+
+    def scale(self, c) -> UniPoly:
+        if isinstance(c, int):
+            c = self.ctx.const(c)
+        return UniPoly(self.ctx, [c * a for a in self.coeffs], self.mode)
 
     def __pow__(self, e: int):
-        """f^e, refused first past MAX_T_DEGREE or check_power on the body."""
         if e < 0:
             raise ValueError("polynomials cannot be raised to negative powers")
         deg = self.degree
+        if deg == 0:
+            # a constant: its coefficient's power, under that power's bounds
+            return UniPoly.const(self.ctx, self.coeffs[0] ** e, self.mode)
         if deg and deg * e > MAX_T_DEGREE:
             raise BoundExceeded(
                 f"resulting t-degree {deg * e} exceeds the limit {MAX_T_DEGREE}"
             )
-        check_power(self.body, e, self.ctx.p)
-        return self._new(self.body**e)
+        p = self.ctx.p
+        if deg and any(
+            _power_terms(f, e, p) > MAX_POWER_TERMS for f in self._bound_parts()
+        ):
+            raise BoundExceeded(
+                f"the power could produce more than {MAX_POWER_TERMS} terms"
+            )
+        # f^e is the product of Frob^i(f)^(e_i) over the base-p digits e_i
+        # of e, and Frob(f) = f^p moves each c_j t^j to c_j^p t^(jp); so
+        # squarings stay below f^p and no intermediate outgrows the result
+        result = UniPoly.const(self.ctx, 1, self.mode)
+        base = self
+        while e:
+            e, digit = divmod(e, p)
+            if digit:
+                result = result * base._pow_digit(digit)
+            if e:
+                frob = [c if c.is_zero else c.frobenius() for c in base.coeffs]
+                base = UniPoly(self.ctx, frob, self.mode).subst_tpow(p)
+        return result
+
+    def _pow_digit(self, e: int) -> UniPoly:
+        """self**e by binary powering, for 0 < e < p."""
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
+
+    def _bound_parts(self) -> tuple[MultiPoly, MultiPoly]:
+        """The sizes a power's term bound reads, with every coefficient
+        lifted to the highest coefficient level: the numerators as one
+        polynomial in the ground variables and t (the last variable), and
+        the product of the distinct denominators. The product stops once
+        it passes MAX_POWER_TERMS terms, which already fails the bound."""
+        level = max(c.level for c in self.coeffs)
+        nums: dict[tuple[int, ...], int] = {}
+        dens = {}
+        for j, c in enumerate(self.coeffs):
+            body = c.lift(level).body
+            for m, v in body.num.terms.items():
+                nums[m + (j,)] = v
+            dens[body.den] = None
+        field, d = self.ctx.field, self.ctx.nvars
+        den = MultiPoly.const(field, d, 1)
+        for f in dens:
+            if len(den.terms) > MAX_POWER_TERMS:
+                break
+            den = den * f
+        return MultiPoly._raw(field, d + 1, nums), den
 
     def __divmod__(self, other):
-        """Pseudo-division of the numerators (Knuth, TAOCP vol. 2, 4.6.1):
-        s*A = Q*B + R with s a power of lc_t(B), so A/D is Q*E/(s*D) times
-        B/E plus R/(s*D)."""
-        a, b = self._reconcile(other)
-        if b.is_zero:
+        other = self._coerce(other)
+        if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        (A, D), (B, E) = (a.body.num, a.body.den), (b.body.num, b.body.den)
-        db, lc = _t_degree(B), _lc_t(B)
-        t = MultiPoly.variable(A.field, A.nvars, A.nvars - 1)
-        Q, R, s = MultiPoly.zero(A.field, A.nvars), A, MultiPoly.const(A.field, A.nvars, 1)
-        while R.terms and _t_degree(R) >= db:
-            step = _lc_t(R) * t ** (_t_degree(R) - db)
-            Q, R, s = Q * lc + step, R * lc - step * B, s * lc
-        return a._new(RatFunc(Q * E, s * D)), a._new(RatFunc(R, s * D))
+        q = [self.ctx.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
+        r = list(self.coeffs)
+        inv_lc = other.leading_coeff().inv()
+        db = other.degree
+        while len(r) - 1 >= db and r:
+            c = r[-1] * inv_lc
+            shift = len(r) - 1 - db
+            q[shift] = c
+            for i, b in enumerate(other.coeffs):
+                r[shift + i] = r[shift + i] - c * b
+            while r and r[-1].is_zero:
+                r.pop()
+        return (
+            UniPoly(self.ctx, q, self.mode),
+            UniPoly(self.ctx, r, self.mode),
+        )
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -225,72 +256,81 @@ class UniPoly:
         return divmod(self, other)[0]
 
     def divexact(self, other: UniPoly) -> UniPoly:
-        """The quotient, exact when that of the bodies has a t-free den."""
-        a, b = self._reconcile(other)
-        if b.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        q = a.body / b.body
-        if _t_degree(q.den):
+        q, r = divmod(self, other)
+        if not r.is_zero:
             raise NotDivisible("inexact polynomial division")
-        return a._new(q)
+        return q
 
     def monic(self) -> UniPoly:
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
-        if _lc_t(self.body.num) == self.body.den:
+        lc = self.leading_coeff()
+        if lc == 1:
             return self
-        return _monic(self.ctx, self.level, self.body.num, self.mode)
+        return self.scale(lc.inv())
 
     def __eq__(self, other):
         if isinstance(other, (int, PerfElem)):
             other = UniPoly.const(self.ctx, other, self.mode)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.ctx == other.ctx and (self.level, self.body) == (other.level, other.body)
+        return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.level, self.body))
+        return hash((self.ctx, self.coeffs))
 
     def __bool__(self):
-        return not self.body.is_zero
+        return bool(self.coeffs)
 
     # -- calculus and substitution ---------------------------------------------
 
     def derivative(self) -> UniPoly:
-        return self._new(RatFunc(_dt(self.body.num), self.body.den))
+        return UniPoly(
+            self.ctx,
+            [c * i for i, c in enumerate(self.coeffs)][1:],
+            self.mode,
+        )
 
     def gcd(self, other: UniPoly) -> UniPoly:
-        """Monic gcd: that of the numerators in Z_p[X][t], made monic in t."""
-        a, b = self._reconcile(other)
-        if a.is_zero and b.is_zero:
+        """Monic gcd: that of the numerators, made monic in t."""
+        other = self._coerce(other)
+        if self.is_zero and other.is_zero:
             raise ValueError("gcd(0, 0) is undefined")
-        return _monic(a.ctx, a.level, poly_gcd(a.body.num, b.body.num), a.mode)
+        if self.is_zero or other.is_zero:
+            return (other if self.is_zero else self).monic()
+        # monic first: a factor that every coefficient carries cancels before
+        # anything is lifted
+        level, (a, b) = _numerators(self.monic(), other.monic())
+        return _monic(self.ctx, level, poly_gcd(a, b), self.mode)
 
     def subst_tpow(self, q: int) -> UniPoly:
-        """f(t^q): multiply the exponents of t by q."""
+        """f(t^q): spread coefficient i to degree i*q."""
         if q < 1:
             raise ValueError("substitution power must be positive")
-        return self._with_num(_regrade(self.body.num, lambda m: m[:-1] + (m[-1] * q,)))
-
-    def _with_num(self, num: MultiPoly) -> UniPoly:
-        # new exponents of t keep N/D reduced and the level least: every
-        # coefficient of N in t is still one of N's
-        return UniPoly._raw(self.ctx, self.level, RatFunc._raw(num, self.body.den), self.mode)
+        if self.is_zero:
+            return self
+        out = [self.ctx.zero()] * (q * (len(self.coeffs) - 1) + 1)
+        for i, c in enumerate(self.coeffs):
+            out[i * q] = c
+        return UniPoly(self.ctx, out, self.mode)
 
     def with_mode(self, mode: str) -> UniPoly:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if mode == "level0" and self.level:
-            return UniPoly(self.ctx, self.coeffs, mode)  # refuses a rooted coefficient
-        return UniPoly._raw(self.ctx, self.level, self.body, mode)
+        if mode == self.mode:
+            return self
+        return UniPoly(self.ctx, self.coeffs, mode)
 
     # -- printing --------------------------------------------------------------
 
     def format(self) -> str:
         if self.is_zero:
             return "0"
-        terms = reversed(list(enumerate(self.coeffs)))
-        return " + ".join(_term_str(c, i) for i, c in terms if not c.is_zero)
+        chunks = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if c.is_zero:
+                continue
+            chunks.append(_term_str(c, i))
+        return " + ".join(chunks)
 
     def __str__(self):
         return self.format()
@@ -311,49 +351,46 @@ def _term_str(c: PerfElem, e: int) -> str:
     return f"{cs}*{var}"
 
 
-# -- a body as a polynomial in t: exponent vectors end in that of t -------------
+# -- numerators: exponent vectors end in that of t ------------------------------
+
+
+def _numerators(*fs: UniPoly) -> tuple[int, list[MultiPoly]]:
+    """The highest level L of the fs' coefficients, and each f lifted to L
+    and times the lcm of its coefficients' denominators: a polynomial in
+    the ground variables and t (the last variable). The gcds of these,
+    made monic in t, are those of the fs, since a factor free of t is a
+    unit over the closure."""
+    ctx = fs[0].ctx
+    level = max((c.level for f in fs for c in f.coeffs), default=0)
+    nums = []
+    for f in fs:
+        bodies = [c.lift(level).body for c in f.coeffs]
+        lcm = MultiPoly.const(ctx.field, ctx.nvars, 1)
+        for den in dict.fromkeys(b.den for b in bodies):
+            lcm = lcm * gcd_cofactors(lcm, den)[2]
+        scale: dict[MultiPoly, MultiPoly] = {}
+        terms = {}
+        for j, b in enumerate(bodies):
+            if b.den not in scale:
+                scale[b.den] = lcm.divexact(b.den)
+            for m, c in (b.num * scale[b.den]).terms.items():
+                terms[m + (j,)] = c
+        nums.append(MultiPoly._raw(ctx.field, ctx.nvars + 1, terms))
+    return level, nums
+
+
+def _monic(ctx: PerfContext, level: int, num: MultiPoly, mode: str) -> UniPoly:
+    """The monic polynomial a numerator at this level stands for."""
+    by_degree: dict[int, dict] = {}
+    for m, c in num.terms.items():
+        by_degree.setdefault(m[-1], {})[m[:-1]] = c
+    top = max(by_degree)
+    cs = [MultiPoly._raw(ctx.field, ctx.nvars, by_degree.get(e, {})) for e in range(top + 1)]
+    return UniPoly(ctx, [ctx.from_ratfunc(RatFunc(c, cs[top]), level) for c in cs], mode)
 
 
 def _t_degree(num: MultiPoly) -> int:
     return num.degree_in(num.nvars - 1)
-
-
-def _dt(num: MultiPoly) -> MultiPoly:
-    return num.derivative(num.nvars - 1)
-
-
-def _t_coeffs(f: MultiPoly) -> dict[int, MultiPoly]:
-    """f as {e: coefficient of t^e}, each in the ground variables only."""
-    out: dict[int, dict] = {}
-    for m, c in f.terms.items():
-        out.setdefault(m[-1], {})[m[:-1]] = c
-    return {e: MultiPoly._raw(f.field, f.nvars - 1, terms) for e, terms in out.items()}
-
-
-def _lc_t(num: MultiPoly) -> MultiPoly:
-    """The leading coefficient of num in t, kept in num's variables."""
-    top = _t_degree(num)
-    terms = {m[:-1] + (0,): c for m, c in num.terms.items() if m[-1] == top}
-    return MultiPoly._raw(num.field, num.nvars, terms)
-
-
-def _regrade(f: MultiPoly, fn) -> MultiPoly:
-    """f with each exponent vector m replaced by fn(m)."""
-    return MultiPoly._raw(f.field, f.nvars, {fn(m): c for m, c in f.terms.items()})
-
-
-def _map_ground(body: RatFunc, fn) -> RatFunc:
-    """body with fn applied to each ground exponent; that of t is kept."""
-
-    def regrade(m):
-        return tuple(map(fn, m[:-1])) + m[-1:]
-
-    return RatFunc._raw(_regrade(body.num, regrade), _regrade(body.den, regrade))
-
-
-def _monic(ctx: PerfContext, level: int, num: MultiPoly, mode: str) -> UniPoly:
-    """num / lc_t(num): the monic polynomial num stands for over the closure."""
-    return UniPoly._make(ctx, level, RatFunc(num, _lc_t(num)), mode)
 
 
 # -- separability operations ---------------------------------------------------
@@ -364,27 +401,28 @@ def is_separable(f: UniPoly) -> bool:
     separability criterion; for general f it means squarefree."""
     if f.is_constant:
         raise ConstantPolynomial("separability is about nonconstant polynomials")
-    return not _t_degree(poly_gcd(f.body.num, _dt(f.body.num)))
+    return f.gcd(f.derivative()).is_constant
 
 
 def pth_root_poly(f: UniPoly) -> UniPoly:
     """The g with g^p = f, for f with zero derivative: divide exponents
-    of t by p and read the body one level up. In level0 mode a
-    coefficient whose root leaves Z_p(X) raises NotPerfectMode."""
-    ctx, num, p = f.ctx, f.body.num, f.ctx.p
-    if _dt(num).terms:
+    by p and take coefficient p-th roots. In level0 mode a coefficient
+    whose root leaves Z_p(X) raises NotPerfectMode."""
+    p = f.ctx.p
+    if not f.derivative().is_zero:
         raise DerivativeNonzero("input has nonzero derivative; it is not a p-th power")
-    if f.is_zero:
-        return f
-    if f.level + 1 > ctx.max_level:
-        raise LevelOverflow(f"p-th root would exceed the session level cap {ctx.max_level}")
-    # zero derivative forces p | i for every term t^i
-    body = RatFunc._raw(_regrade(num, lambda m: m[:-1] + (m[-1] // p,)), f.body.den)
-    g = UniPoly._make(ctx, f.level + 1, body, f.mode)
-    if g.level > 0 and f.mode == "level0":
-        c = next(c for c in f.coeffs if c.pth_root().level > 0)
-        raise NotPerfectMode(f"coefficient {c} is not a p-th power in Z_{p}(X)")
-    return g
+    out = [f.ctx.zero()] * (len(f.coeffs) // p + 1 if f.coeffs else 0)
+    for i, c in enumerate(f.coeffs):
+        if c.is_zero:
+            continue
+        # zero derivative forces p | i for every surviving term
+        r = c.pth_root()
+        if f.mode == "level0" and r.level > 0:
+            raise NotPerfectMode(
+                f"coefficient {c} is not a p-th power in Z_{p}(X)"
+            )
+        out[i // p] = r
+    return UniPoly(f.ctx, out, f.mode)
 
 
 @dataclass(frozen=True)
@@ -397,15 +435,21 @@ class SqfDecomposition:
     def reassemble(self) -> UniPoly:
         if not self.parts:
             raise ValueError("no parts to reassemble")
-        first = self.parts[0][0]
-        out = UniPoly.const(first.ctx, self.unit, first.mode)
+        ctx = self.parts[0][0].ctx
+        mode = self.parts[0][0].mode
+        out = UniPoly.const(ctx, self.unit, mode)
         for factor, mult in self.parts:
             out = out * factor**mult
         return out
 
     def __str__(self):
-        body = " * ".join(f"({f})^{m}" if m > 1 else f"({f})" for f, m in self.parts)
-        return body if self.unit == 1 else f"{self.unit} * {body}"
+        chunks = [
+            f"({f})^{m}" if m > 1 else f"({f})" for f, m in self.parts
+        ]
+        body = " * ".join(chunks)
+        if self.unit == 1:
+            return body
+        return f"{self.unit} * {body}"
 
 
 def squarefree_decomposition(f: UniPoly) -> SqfDecomposition:
@@ -421,15 +465,15 @@ def squarefree_decomposition(f: UniPoly) -> SqfDecomposition:
 
 
 def _sqf_recurse(f: UniPoly, mult: int, parts: list) -> None:
-    # f monic, nonconstant. On numerators in Z_p[X][t] the cascade agrees
-    # with the one over the closure up to units, the factors free of t
-    ctx, level, mode = f.ctx, f.level, f.mode
-    num = f.body.num
-    if not _dt(num).terms:
+    # f monic, nonconstant. On numerators the cascade agrees with the one
+    # over the closure up to units, the factors free of t
+    ctx, mode = f.ctx, f.mode
+    if f.derivative().is_zero:
         _sqf_recurse(pth_root_poly(f), mult * ctx.p, parts)
         return
+    level, (num,) = _numerators(f)
     # b: the product of the distinct factors with p-free multiplicity
-    a, b, _ = gcd_cofactors(num, _dt(num))
+    a, b, _ = gcd_cofactors(num, num.derivative(num.nvars - 1))
     i = 1
     while _t_degree(b):
         b, z, a = gcd_cofactors(b, a)
@@ -456,13 +500,18 @@ class SepDecomposition:
 
 
 def separable_decomposition(f: UniPoly) -> SepDecomposition:
-    """Peel t^p layers off f until the derivative is nonzero: each step
-    divides the exponents of t by p and keeps the coefficients, so
-    s(t^(p^e)) = f is exact in both modes and needs no p-th roots."""
+    """Peel t^p layers off f until the derivative is nonzero.
+
+    Each step rewrites f(t) = f1(t^p) by dividing exponents by p; the
+    coefficients are carried over unchanged, so the identity
+    s(t^(p^e)) = f is exact in both modes and no p-th roots are needed.
+    """
     if f.is_constant:
         raise ConstantPolynomial("separable decomposition needs a nonconstant input")
-    p, e, num = f.ctx.p, 0, f.body.num
-    while not _dt(num).terms:
-        num = _regrade(num, lambda m: m[:-1] + (m[-1] // p,))
+    p = f.ctx.p
+    e = 0
+    while f.derivative().is_zero:
+        regrouped = [f.coeffs[i] for i in range(0, len(f.coeffs), p)]
+        f = UniPoly(f.ctx, regrouped, f.mode)
         e += 1
-    return SepDecomposition(s=f._with_num(num), e=e)
+    return SepDecomposition(s=f, e=e)

@@ -12,20 +12,13 @@ import random
 import numpy as np
 
 from perffield import _accel
-from perffield.errors import (
-    BoundExceeded,
-    ConstantPolynomial,
-    DerivativeNonzero,
-    DivisionByZero,
-    NotDivisible,
-    NotPerfectMode,
-)
+from perffield.errors import BoundExceeded, ConstantPolynomial, DivisionByZero, NotDivisible
 from perffield.fqtower import MAX_EXHAUSTIVE, FqField, PerfectReport
 from perffield.multipoly import MultiPoly, gcd_cofactors, grlex_key
 from perffield.perfclosure import PerfContext, PerfElem
 from perffield.primefield import PrimeField
 from perffield.ratfunc import RatFunc
-from perffield.septools import UniPoly
+from perffield.septools import UniPoly, pth_root_poly
 
 
 def random_multipoly(
@@ -322,201 +315,46 @@ def oracle_check_perfect(field: FqField) -> PerfectReport:
     return PerfectReport(p, field.n, field.order, True, k, None)
 
 
-# The per-coefficient UniPoly: a tuple of canonical PerfElem coefficients
-# with schoolbook arithmetic, long division and Euclid over the closure,
-# powers by base-p digits, and the decompositions on top. Kept as the
-# oracle for septools.UniPoly, which holds one fraction at one level.
+# The Euclidean gcd over the closure and the Musser cascade built on it,
+# on UniPoly's per-coefficient long division: the oracle for septools,
+# whose gcd, separability test and cascade run on numerators.
 
 
-class OracleUniPoly:
-    """coeffs[i] is the canonical coefficient of t^i; never ends in a zero."""
-
-    def __init__(self, ctx: PerfContext, coeffs, mode: str = "perfect"):
-        clean = [ctx.const(c) if isinstance(c, int) else c for c in coeffs]
-        while clean and clean[-1].is_zero:
-            clean.pop()
-        if mode == "level0":
-            for c in clean:
-                if c.level > 0:
-                    raise NotPerfectMode(
-                        f"coefficient {c} has level {c.level}; level0 mode is "
-                        f"confined to Z_{ctx.p}(X)"
-                    )
-        self.ctx, self.coeffs, self.mode = ctx, tuple(clean), mode
-
-    def _new(self, coeffs) -> OracleUniPoly:
-        return OracleUniPoly(self.ctx, coeffs, self.mode)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, i: int) -> PerfElem:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ctx.zero()
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self._new([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __neg__(self):
-        return self._new([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return self._new([])
-        out = [self.ctx.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return self._new(out)
-
-    def __pow__(self, e: int):
-        # f^e is the product of Frob^i(f)^(e_i) over the base-p digits e_i
-        p = self.ctx.p
-        result, base = self._new([1]), self
-        while e:
-            e, digit = divmod(e, p)
-            if digit:
-                power = base
-                for bit in bin(digit)[3:]:
-                    power = power * power
-                    if bit == "1":
-                        power = power * base
-                result = result * power
-            if e:
-                base = self._new([c.frobenius() for c in base.coeffs]).subst_tpow(p)
-        return result
-
-    def __divmod__(self, other):
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        q = [self.ctx.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
-        r = list(self.coeffs)
-        inv_lc = other.coeffs[-1].inv()
-        db = other.degree
-        while r and len(r) - 1 >= db:
-            c = r[-1] * inv_lc
-            shift = len(r) - 1 - db
-            q[shift] = c
-            for i, b in enumerate(other.coeffs):
-                r[shift + i] = r[shift + i] - c * b
-            while r and r[-1].is_zero:
-                r.pop()
-        return self._new(q), self._new(r)
-
-    def divexact(self, other) -> OracleUniPoly:
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise NotDivisible("inexact polynomial division")
-        return q
-
-    def monic(self) -> OracleUniPoly:
-        if self.is_zero:
-            raise ValueError("zero polynomial cannot be made monic")
-        inv = self.coeffs[-1].inv()
-        return self._new([c * inv for c in self.coeffs])
-
-    def gcd(self, other) -> OracleUniPoly:
-        if self.is_zero and other.is_zero:
-            raise ValueError("gcd(0, 0) is undefined")
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, divmod(a, b)[1]
-        return a.monic()
-
-    def derivative(self) -> OracleUniPoly:
-        return self._new([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def subst_tpow(self, q: int) -> OracleUniPoly:
-        if self.is_zero:
-            return self
-        out = [self.ctx.zero()] * (q * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * q] = c
-        return self._new(out)
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        chunks = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c.is_zero:
-                continue
-            cs = c.format()
-            if e == 0:
-                chunks.append(cs)
-                continue
-            var = "t" if e == 1 else f"t^{e}"
-            if c == 1:
-                chunks.append(var)
-                continue
-            if " + " in cs or " / " in cs:
-                cs = f"({cs})"
-            chunks.append(f"{cs}*{var}")
-        return " + ".join(chunks)
+def oracle_unipoly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    if f.is_zero and g.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    while not g.is_zero:
+        f, g = g, f % g
+    return f.monic()
 
 
-def oracle_pth_root_poly(f: OracleUniPoly) -> OracleUniPoly:
-    p = f.ctx.p
-    if not f.derivative().is_zero:
-        raise DerivativeNonzero("input has nonzero derivative; it is not a p-th power")
-    out = [f.ctx.zero()] * (len(f.coeffs) // p + 1 if f.coeffs else 0)
-    for i, c in enumerate(f.coeffs):
-        if c.is_zero:
-            continue
-        r = c.pth_root()
-        if f.mode == "level0" and r.level > 0:
-            raise NotPerfectMode(f"coefficient {c} is not a p-th power in Z_{p}(X)")
-        out[i // p] = r
-    return f._new(out)
-
-
-def oracle_squarefree(f: OracleUniPoly):
+def oracle_squarefree(f: UniPoly):
     """(unit, parts) of the Musser cascade, parts sorted as septools does."""
-    if len(f.coeffs) <= 1:
+    if f.is_constant:
         raise ConstantPolynomial("squarefree decomposition needs a nonconstant input")
     parts: list = []
     _oracle_sqf(f.monic(), 1, parts)
     parts.sort(key=lambda fm: (fm[1], fm[0].degree, str(fm[0])))
-    return f.coeffs[-1], parts
+    return f.leading_coeff(), parts
 
 
-def _oracle_sqf(f: OracleUniPoly, mult: int, parts: list) -> None:
+def _oracle_sqf(f: UniPoly, mult: int, parts: list) -> None:
     p = f.ctx.p
     df = f.derivative()
     if df.is_zero:
-        _oracle_sqf(oracle_pth_root_poly(f), mult * p, parts)
+        _oracle_sqf(pth_root_poly(f), mult * p, parts)
         return
-    a = f.gcd(df)
+    a = oracle_unipoly_gcd(f, df)
     b = f.divexact(a)
     i = 1
-    while b.degree > 0:
-        c = b.gcd(a) if a.degree > 0 else f._new([1])
+    while not b.is_constant:
+        c = oracle_unipoly_gcd(b, a) if not a.is_constant else UniPoly.const(f.ctx, 1, f.mode)
         z = b.divexact(c)
-        if z.degree > 0:
+        if not z.is_constant:
             parts.append((z.monic(), mult * i))
         b = c
-        if a.degree > 0:
+        if not a.is_constant:
             a = a.divexact(c)
         i += 1
-    if a.degree > 0:
-        _oracle_sqf(oracle_pth_root_poly(a.monic()), mult * p, parts)
-
-
-def oracle_separable(f: OracleUniPoly):
-    """(s, e) with s(t^(p^e)) = f and s' nonzero."""
-    if len(f.coeffs) <= 1:
-        raise ConstantPolynomial("separable decomposition needs a nonconstant input")
-    p, e = f.ctx.p, 0
-    while f.derivative().is_zero:
-        f = f._new(f.coeffs[::p])
-        e += 1
-    return f, e
+    if not a.is_constant:
+        _oracle_sqf(pth_root_poly(a.monic()), mult * p, parts)

@@ -1,5 +1,6 @@
 """Tests for the command interface: output text, JSON mode, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -610,3 +611,43 @@ def test_cli_import_leaves_numpy_unloaded():
         timeout=120,
     )
     assert (proc.returncode, proc.stdout) == (0, "False True\n"), proc.stderr
+
+
+def test_fraction_heavy_lines_keep_their_speed():
+    # coefficients are stored one by one, so printing never reduces a
+    # cleared numerator against a common denominator; the digests are of
+    # the exact output
+    s = Session(7, 2)
+    for line, digest, budget in (
+        (
+            "prootpoly ((x1+2*x2^7)*(t+6)^2*(t+(6*x1^2)/(6*x2^2+5*x1))^14"
+            "*(t^7+(5*x1^7+3*x2)/(3*x1^2+1))^2)^7",
+            "a616b37240b636f8",
+            1.0,
+        ),
+        (
+            "sepdec (6*x1+4*x1^2)*(t+(1)/(4*x2^3+2*x1^7))^8*(t^7+(5*x2^7)/(3*x2+5*x1))"
+            "*(t+2*x2^7)",
+            "9eea54408997082f",
+            6.0,
+        ),
+    ):
+        start = time.perf_counter()
+        out = run(s, line)
+        assert time.perf_counter() - start < budget, line
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_separability_with_mixed_levels_at_large_p_is_fast():
+    # gcd makes both inputs monic before clearing denominators, so a
+    # level-2 factor of every coefficient cancels instead of lifting the
+    # level-0 fractions by 101^2; and gcd(f, 0) is f made monic
+    s = Session(101, 2)
+    for line in (
+        "issep (root((23)/(44+89*x2^3),2))*(t^2+(36*x2^3+48*x1^2)/(44*x1^2+15*x2))"
+        "*(t^101+(53*x1)/(83*x2))^2",
+        "issep (t+root(75*x1,2))^101*(t+(93*x2^101)/(49*x2+64*x2^2))^101",
+    ):
+        start = time.perf_counter()
+        assert run(s, line) == "false"
+        assert time.perf_counter() - start < 2.0, line

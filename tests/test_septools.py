@@ -14,7 +14,7 @@ from perffield.errors import (
     PoleAtPoint,
 )
 from perffield.fqtower import make_field
-from perffield.perfclosure import PerfContext
+from perffield.perfclosure import MAX_POWER_TERMS, PerfContext, _power_terms
 from perffield.septools import (
     UniPoly,
     is_separable,
@@ -24,10 +24,8 @@ from perffield.septools import (
 )
 
 from helpers import (
-    OracleUniPoly,
-    oracle_pth_root_poly,
-    oracle_separable,
     oracle_squarefree,
+    oracle_unipoly_gcd,
     random_monic_unipoly,
     random_nonzero_perfelem,
 )
@@ -417,35 +415,67 @@ def test_sqfree_with_fraction_coefficients_at_large_p_is_fast():
     assert str(dec) == "(t^2 + x2) * (t + (100*x1*x3 + 1) / x1)^2 * (t + x1 / x2)^16"
 
 
+def test_mixed_coefficient_levels_at_large_p_are_fast():
+    # a level-0 fraction next to a level-2 root at p = 101: one common
+    # level for all coefficients would lift the fraction by 101^2
+    ctx = PerfContext(101, 2)
+    x1, x2 = ctx.variable(0), ctx.variable(1)
+    a = (87 * x2**4 + 60 * x2**3) / (52 * x2**3 + 58 * x1**3 * x2**3 + 40)
+    b = (57 * x2**2 + 99 * x1**2 + 36 * x2**4) / (86 * x2**2 * x1**3 + 46 * x1 + 35 * x1**2)
+    start = time.perf_counter()
+    f = UniPoly.const(ctx, a) + UniPoly.t_var(ctx) * b.pn_root(2)
+    assert str(f) == (
+        "((38*root(x2,2)^4 + 54*root(x1,2)^2 + 77*root(x2,2)^2) / (root(x1,2)^3*root(x2,2)^2"
+        " + 65*root(x1,2)^2 + 71*root(x1,2)))*t + (52*x2^4 + 8*x2^3) / (x1^3*x2^3 + 81*x2^3 + 39)"
+    )
+    assert time.perf_counter() - start < 2.0
+
+
+def test_power_bound_accepts_fraction_coefficients():
+    # the per-coefficient bound: a cube of three fraction coefficients at
+    # p = 7 has at most 2,815 numerator terms, which the bound admits
+    ctx = PerfContext(7, 2)
+    x1, x2 = ctx.variable(0), ctx.variable(1)
+    f = UniPoly(ctx, [
+        (3 * x1**2 + 3 * x2**3 * x1**2 + 6 * x2 + 5) / (2 * x1**2 + 2 * x2**5 + 3),
+        (4 * x2**2 + 4 * x1**5 + 3 * x2**2 * x1) / (2 * x1**3 * x2**3 + 6 * x1**2),
+        (x1**2 * x2**3 + 3 * x2**3 * x1**3 + x2**2 * x1 + 6) / (2 * x2**3 + 6 * x1**2 + x1**3),
+    ])
+    assert all(_power_terms(part, 3, 7) <= MAX_POWER_TERMS for part in f._bound_parts())
+
+
 def _outcome(fn, *args):
-    """What a call gives, in a form both implementations share: the
-    canonical coefficients and printing of each polynomial in the result,
-    or the error's type and message."""
+    """The canonical coefficients and printing of each polynomial in the
+    result, or the error's type and message."""
     try:
         res = fn(*args)
     except (PerffieldError, ValueError) as err:
         return (type(err).__name__, str(err))
     if hasattr(res, "parts"):  # SqfDecomposition
         res = (res.unit, list(res.parts))
-    elif hasattr(res, "s"):  # SepDecomposition
-        res = (res.s, res.e)
     return _shape(res)
 
 
 def _shape(res):
     if isinstance(res, (tuple, list)):
         return tuple(_shape(r) for r in res)
-    if isinstance(res, (UniPoly, OracleUniPoly)):
+    if isinstance(res, UniPoly):
         return (res.coeffs, str(res))
     return res
 
 
+def _oracle_is_separable(f):
+    if f.is_constant:
+        raise ConstantPolynomial("separability is about nonconstant polynomials")
+    return oracle_unipoly_gcd(f, f.derivative()).is_constant
+
+
 def _oracle_cases(rng, p, trial):
-    """(function, UniPoly arguments, oracle arguments) triples on random
-    polynomials in 0 to 3 ground variables with coefficient levels up to
-    2, under a level cap of 2 so that p-th roots can overflow; every third
-    trial is in level0 mode. At p = 101 the oracle's Euclid is too slow
-    past one variable and level 1, so those trials stay there."""
+    """(function, oracle, arguments) on random polynomials in 0 to 3
+    ground variables with coefficient levels up to 2, under a level cap
+    of 2 so that p-th roots can overflow; every third trial is in level0
+    mode. At p = 101 the oracle's Euclid is too slow past one variable
+    and level 1, so those trials stay there."""
     d = trial % 4 if p < 10 else trial % 2
     mode = "level0" if trial % 3 == 2 else "perfect"
     ctx = PerfContext(p, d, max_level=2)
@@ -456,50 +486,36 @@ def _oracle_cases(rng, p, trial):
             return ctx.const(rng.randrange(p))
         return random_nonzero_perfelem(rng, ctx, level, max_terms=2, max_deg=1)
 
-    def pair(min_deg, max_deg):
+    def poly(min_deg, max_deg):
         cs = [coeff() for _ in range(rng.randint(min_deg, max_deg) + 1)]
         if rng.random() < 0.5:
             cs[-1] = ctx.one()
-        return UniPoly(ctx, cs, mode), OracleUniPoly(ctx, cs, mode)
+        return UniPoly(ctx, cs, mode)
 
-    (f, of), (g, og), (h, oh), (k, ok) = pair(0, 2), pair(1, 2), pair(1, 1), pair(1, 1)
+    f, g, h, k = poly(0, 2), poly(1, 2), poly(1, 1), poly(1, 1)
+    zero = UniPoly.zero(ctx, mode)
     # a p-th power part, kept small: the oracle's Euclid is slow at large p
-    r, o_r = (h.subst_tpow(p) * h, oh.subst_tpow(p) * oh) if p < 5 else (h**p, oh**p)
-    small = [0, 1, 2, 3] + ([p, p + 1] if p < 10 else [])
+    r = h.subst_tpow(p) * h if p < 5 else h**p
+    gcd, sqf = oracle_unipoly_gcd, oracle_squarefree
     return [
-        (lambda a: a, (f,), (of,)),
-        (lambda a, b: a + b, (f, g), (of, og)),
-        (lambda a, b: a - b, (f, g), (of, og)),
-        (lambda a, b: a * b, (f, g), (of, og)),
-        (divmod, (f, g), (of, og)),
-        (lambda a, b: (a * b).divexact(b), (f, g), (of, og)),
-        (lambda a, b: a.divexact(b), (f, g), (of, og)),
-        (lambda a, b, c: (a * c).gcd(b * c), (f, g, h), (of, og, oh)),
-        (lambda a: a.monic(), (f,), (of,)),
-        (lambda a: a.derivative(), (f,), (of,)),
-        (lambda a: [a**e for e in small], (g,), (og,)),
-        (pth_root_poly, (g**p,), (og**p,)),
-        (pth_root_poly, (h.subst_tpow(p),), (oh.subst_tpow(p),)),
-        (pth_root_poly, (f,), (of,)),
-        (squarefree_decomposition, (k * h**2,), (ok * oh**2,)),
-        (squarefree_decomposition, (r,), (o_r,)),
-        (squarefree_decomposition, (f,), (of,)),
-        (separable_decomposition, (h.subst_tpow(p) * g**p,), (oh.subst_tpow(p) * og**p,)),
-        (separable_decomposition, (f,), (of,)),
+        (UniPoly.gcd, gcd, (f, g)),
+        (UniPoly.gcd, gcd, (f * h, g * h)),
+        (UniPoly.gcd, gcd, (g * h**2, g.derivative() * h)),
+        (UniPoly.gcd, gcd, (f, zero)),
+        (UniPoly.gcd, gcd, (zero, zero)),
+        (is_separable, _oracle_is_separable, (g * h**2,)),
+        (is_separable, _oracle_is_separable, (f,)),
+        (squarefree_decomposition, sqf, (k * h**2,)),
+        (squarefree_decomposition, sqf, (r,)),
+        (squarefree_decomposition, sqf, (g**p * h,)),
+        (squarefree_decomposition, sqf, (f,)),
     ]
 
 
-_ORACLES = {
-    pth_root_poly: oracle_pth_root_poly,
-    squarefree_decomposition: oracle_squarefree,
-    separable_decomposition: oracle_separable,
-}
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
-def test_unipoly_matches_per_coefficient_oracle(p):
+def test_gcd_family_matches_euclid_oracle(p):
     rng = random.Random(9000 + p)
     for trial in range(12):
-        for fn, args, oargs in _oracle_cases(rng, p, trial):
-            want = _outcome(_ORACLES.get(fn, fn), *oargs)
+        for fn, oracle, args in _oracle_cases(rng, p, trial):
+            want = _outcome(oracle, *args)
             assert _outcome(fn, *args) == want, (p, trial, fn, [str(a) for a in args])
