@@ -32,7 +32,8 @@ from .errors import (
 from .perfclosure import DEFAULT_MAX_LEVEL, PerfContext, PerfElem
 from .septools import UniPoly
 
-_LET_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*(\S.*)$")
+# the parser's name characters, which are ASCII only
+_LET_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*)$")
 _RESERVED = {"t", "root"}
 
 
@@ -572,12 +573,13 @@ def main(argv=None) -> int:
 
     if args.script:
         try:
-            with open(args.script, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+            # decoded as stdin is: bad bytes become surrogates, only "\n" ends a line
+            with open(args.script, "rb") as fh:
+                text = fh.read().decode("utf-8", "surrogateescape")
         except OSError as err:
             print(f"error: cannot read script: {err}", file=sys.stderr)
             return 2
-        return _run_lines(lines, session, args.keep_going)
+        return _run_lines(text.split("\n"), session, args.keep_going)
 
     if sys.stdin.isatty():
         return _repl(session)

@@ -137,6 +137,8 @@ class FqField:
         return self.elem([0, 1])
 
     def from_encoding(self, k: int) -> FqElem:
+        if not isinstance(k, int):
+            raise ValueError(f"an encoding must be an integer, got {k!r}")
         if not 0 <= k < self.order:
             raise ValueError(f"encoding {k} out of range for a field of order {self.order}")
         cs = []

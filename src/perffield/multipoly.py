@@ -9,7 +9,9 @@ The two operations the perfect-closure construction leans on are
 `frobenius_substitute` (multiply every exponent by p, which equals
 raising the polynomial to the p-th power over Z_p) and its exact inverse
 `pth_root` (divide every exponent by p; coefficients are untouched
-because c^p = c in Z_p).
+because c^p = c in Z_p). The first drives `digit_power`, the one power
+routine for MultiPoly and septools' UniPoly; `check_power_terms` is the
+term bound PerfElem and UniPoly powers pass before any work.
 
 The product and the exact division work on packed monomials. Each
 kernel packs its operands once on entry and unpacks its result once on
@@ -41,13 +43,17 @@ more variables with dense factors remain slow.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Mapping, Sequence
+from math import comb
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import zpoly
-from .errors import ContextMismatch, DivisionByZero, NotAPthPower, NotDivisible
+from .errors import BoundExceeded, ContextMismatch, DivisionByZero, NotAPthPower, NotDivisible
 from .primefield import PrimeField
 
 Mono = tuple[int, ...]
+T = TypeVar("T")
+# terms a power may produce in its numerator or its denominator
+MAX_POWER_TERMS = 1 << 15
 
 
 def grlex_key(mono: Mono):
@@ -244,27 +250,8 @@ class MultiPoly:
             return MultiPoly._raw(
                 self.field, self.nvars, {tuple(k * e for k in mono): pow(c, e, p)}
             )
-        # f^e is the product of Frob^i(f)^(e_i) over the base-p digits e_i
-        # of e, and a Frobenius image only scales exponents; so squarings
-        # stay below f^p and no intermediate outgrows the result
-        result = MultiPoly.const(self.field, self.nvars, 1)
-        base = self
-        while e:
-            e, digit = divmod(e, p)
-            if digit:
-                result = result * base._pow_digit(digit)
-            if e:
-                base = base.frobenius_substitute()
-        return result
-
-    def _pow_digit(self, e: int) -> MultiPoly:
-        """self**e by binary powering, for 0 < e < p."""
-        result = self
-        for bit in bin(e)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        one = MultiPoly.const(self.field, self.nvars, 1)
+        return digit_power(self, e, p, one, MultiPoly.frobenius_substitute)
 
     def mul_scalar(self, c: int) -> MultiPoly:
         p = self.field.p
@@ -469,6 +456,55 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly(p={self.field.p}, {self})"
+
+
+def digit_power(x: T, e: int, p: int, one: T, frob: Callable[[T], T]) -> T:
+    """x**e for e >= 0, where frob(y) = y**p: the product of frob^i(x)**e_i
+    over the base-p digits e_i of e, each by binary powering below x**p.
+    A Frobenius image only moves exponents, so no intermediate outgrows
+    the result. `one` is x**0."""
+    result = None
+    while e:
+        e, digit = divmod(e, p)
+        if digit:
+            power = x
+            for bit in bin(digit)[3:]:
+                power = power * power
+                if bit == "1":
+                    power = power * x
+            result = power if result is None else result * power
+        if e:
+            x = frob(x)
+    return one if result is None else result
+
+
+def check_power_terms(polys: Iterable[MultiPoly], e: int, p: int) -> None:
+    """Raise BoundExceeded if f**e could pass MAX_POWER_TERMS terms for an f in polys."""
+    if any(_power_terms(f, e, p) > MAX_POWER_TERMS for f in polys):
+        raise BoundExceeded(f"the power could produce more than {MAX_POWER_TERMS} terms")
+
+
+def _power_terms(f: MultiPoly, e: int, p: int) -> int:
+    """An upper bound on the number of terms of f**e over Z_p.
+
+    With e = sum e_i p^i in base p, f**e is the product of the
+    Frobenius images of f**e_i, and a Frobenius image keeps the term
+    count. f**e_i has total degree e_i * deg f in the v variables f uses,
+    and is a sum of products of e_i of f's t terms, so it has at most
+    min(C(e_i deg f + v, v), C(e_i + t - 1, t - 1)) terms. The product of
+    these bounds f**e; the loop stops once it passes MAX_POWER_TERMS.
+    """
+    t = len(f.terms)
+    if t < 2:
+        return t
+    deg = f.total_degree()
+    v = len(f.support_vars())
+    bound = 1
+    while e and bound <= MAX_POWER_TERMS:
+        e, digit = divmod(e, p)
+        if digit:
+            bound *= min(comb(digit * deg + v, v), comb(digit + t - 1, t - 1))
+    return bound
 
 
 def _pack(terms: Mapping[Mono, int], w: int) -> list[tuple[int, int]]:

@@ -13,12 +13,11 @@ root of a level-n element is the same body reread at level n+1. And a
 reduced fraction with monic denominator stays reduced and monic under
 both exponent scaling and exponent division, so canonical forms compose
 cleanly with arithmetic. Structural equality of canonical forms is
-semantic equality.
+semantic equality. Powers pass multipoly's term bound before any work.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import Sequence
 
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     LevelOverflow,
     LevelTooLow,
 )
-from .multipoly import MultiPoly, poly_gcd
+from .multipoly import check_power_terms, poly_gcd
 from .primefield import PrimeField
 from .ratfunc import RatFunc
 
@@ -37,8 +36,6 @@ DEFAULT_MAX_LEVEL = 64
 MAX_VARS = 1 << 10
 # bit length of the largest exponent a power or a Frobenius may produce
 MAX_FROB_EXP_BITS = 1 << 12
-# terms a power may produce in its numerator or its denominator
-MAX_POWER_TERMS = 1 << 15
 
 
 class PerfContext:
@@ -258,8 +255,8 @@ class PerfElem:
 
     def __pow__(self, e: int):
         """a^e, refused before any work when the result could have an
-        exponent past MAX_FROB_EXP_BITS bits or more than MAX_POWER_TERMS
-        terms in its numerator or its denominator."""
+        exponent past MAX_FROB_EXP_BITS bits, or more terms in its numerator
+        or its denominator than multipoly.check_power_terms allows."""
         if not isinstance(e, int):
             raise TypeError("exponents must be integers")
         n = abs(e)
@@ -267,11 +264,7 @@ class PerfElem:
             raise BoundExceeded(
                 f"the power would raise exponents past {MAX_FROB_EXP_BITS} bits"
             )
-        for poly in (self.body.num, self.body.den):
-            if _power_terms(poly, n, self.ctx.p) > MAX_POWER_TERMS:
-                raise BoundExceeded(
-                    f"the power could produce more than {MAX_POWER_TERMS} terms"
-                )
+        check_power_terms((self.body.num, self.body.den), n, self.ctx.p)
         base = self.inv() if e < 0 else self
         return PerfElem.canonical(self.ctx, base.level, base.body**n)
 
@@ -395,26 +388,3 @@ def _exp_bits_exceed(top: int, p: int, steps: int) -> bool:
     return steps >= MAX_FROB_EXP_BITS or (
         (max(top, 1) * p**steps).bit_length() > MAX_FROB_EXP_BITS
     )
-
-
-def _power_terms(f: MultiPoly, e: int, p: int) -> int:
-    """An upper bound on the number of terms of f**e over Z_p.
-
-    With e = sum e_i p^i in base p, f**e is the product of the
-    Frobenius images of f**e_i, and a Frobenius image keeps the term
-    count. f**e_i has total degree e_i * deg f in the v variables f uses,
-    and is a sum of products of e_i of f's t terms, so it has at most
-    min(C(e_i deg f + v, v), C(e_i + t - 1, t - 1)) terms. The product of
-    these bounds f**e; the loop stops once it passes MAX_POWER_TERMS.
-    """
-    t = len(f.terms)
-    if t < 2:
-        return t
-    deg = f.total_degree()
-    v = len(f.support_vars())
-    bound = 1
-    while e and bound <= MAX_POWER_TERMS:
-        e, digit = divmod(e, p)
-        if digit:
-            bound *= min(comb(digit * deg + v, v), comb(digit + t - 1, t - 1))
-    return bound

@@ -15,7 +15,8 @@ with the coefficients of f carried over unchanged.
 The gcd and the squarefree cascade run on numerators: at a common
 level, f is N/D with N in Z_p[X][t] and D free of t, and by Gauss's
 lemma (Knuth, TAOCP vol. 2, 4.6.1) the monic gcd over the closure is
-that of the numerators made monic in t.
+that of the numerators made monic in t. Powers run multipoly's
+`digit_power` with the Frobenius step c_j t^j -> c_j^p t^(jp).
 """
 
 from __future__ import annotations
@@ -31,8 +32,15 @@ from .errors import (
     NotDivisible,
     NotPerfectMode,
 )
-from .multipoly import MultiPoly, gcd_cofactors, poly_gcd
-from .perfclosure import MAX_POWER_TERMS, PerfContext, PerfElem, _power_terms
+from .multipoly import (
+    MAX_POWER_TERMS,
+    MultiPoly,
+    check_power_terms,
+    digit_power,
+    gcd_cofactors,
+    poly_gcd,
+)
+from .perfclosure import PerfContext, PerfElem
 from .ratfunc import RatFunc
 
 MODES = ("perfect", "level0")
@@ -168,43 +176,23 @@ class UniPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("polynomials cannot be raised to negative powers")
+        if self.is_constant:
+            # zero or a constant: its coefficient's power, under that power's bounds
+            return UniPoly.const(self.ctx, self.coeff(0) ** e, self.mode)
         deg = self.degree
-        if deg == 0:
-            # a constant: its coefficient's power, under that power's bounds
-            return UniPoly.const(self.ctx, self.coeffs[0] ** e, self.mode)
-        if deg and deg * e > MAX_T_DEGREE:
+        if deg * e > MAX_T_DEGREE:
             raise BoundExceeded(
                 f"resulting t-degree {deg * e} exceeds the limit {MAX_T_DEGREE}"
             )
         p = self.ctx.p
-        if deg and any(
-            _power_terms(f, e, p) > MAX_POWER_TERMS for f in self._bound_parts()
-        ):
-            raise BoundExceeded(
-                f"the power could produce more than {MAX_POWER_TERMS} terms"
-            )
-        # f^e is the product of Frob^i(f)^(e_i) over the base-p digits e_i
-        # of e, and Frob(f) = f^p moves each c_j t^j to c_j^p t^(jp); so
-        # squarings stay below f^p and no intermediate outgrows the result
-        result = UniPoly.const(self.ctx, 1, self.mode)
-        base = self
-        while e:
-            e, digit = divmod(e, p)
-            if digit:
-                result = result * base._pow_digit(digit)
-            if e:
-                frob = [c if c.is_zero else c.frobenius() for c in base.coeffs]
-                base = UniPoly(self.ctx, frob, self.mode).subst_tpow(p)
-        return result
+        check_power_terms(self._bound_parts(), e, p)
 
-    def _pow_digit(self, e: int) -> UniPoly:
-        """self**e by binary powering, for 0 < e < p."""
-        result = self
-        for bit in bin(e)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        def frob(f: UniPoly) -> UniPoly:
+            # Frob(f) = f^p moves each c_j t^j to c_j^p t^(jp)
+            coeffs = [c if c.is_zero else c.frobenius() for c in f.coeffs]
+            return UniPoly(f.ctx, coeffs, f.mode).subst_tpow(p)
+
+        return digit_power(self, e, p, UniPoly.const(self.ctx, 1, self.mode), frob)
 
     def _bound_parts(self) -> tuple[MultiPoly, MultiPoly]:
         """The sizes a power's term bound reads, with every coefficient

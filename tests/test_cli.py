@@ -49,6 +49,15 @@ def test_let_and_reuse():
     assert run(s, "eval a*a") == "x1^2 + 1"
 
 
+def test_let_takes_only_the_parsers_name_characters():
+    # Unicode letters and digits match a regex \w but are not parser names
+    s = Session(2, 2)
+    for name in ("a\u00e9", "b\u0663"):
+        with pytest.raises(UsageError, match="usage: let"):
+            run(s, f"let {name} = x1")
+    assert run(s, "let a_1 = x1") == "a_1 = x1"
+
+
 def test_let_rejects_reserved_names():
     s = Session(2, 2)
     for name in ("t", "root", "x1", "x2"):
@@ -400,6 +409,31 @@ def test_script_file(tmp_path):
     proc = cli("--p", "2", "--script", str(script))
     assert proc.returncode == 0
     assert proc.stdout == "a = x1 + 1\nx1^2 + 1\n2\n"
+
+
+@pytest.mark.parametrize(
+    "data, out",
+    [
+        (b"eval x1\n\xff\xfe eval 1\n", b"x1\n"),
+        # only "\n" ends a line, so the form feed is inside one command
+        (b"eval x1\x0ceval 2\n", b""),
+    ],
+)
+def test_script_reads_like_stdin(tmp_path, data, out):
+    script = tmp_path / "bad.pf"
+    script.write_bytes(data)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "perffield.cli", *args],
+            input=stdin, capture_output=True, env=os.environ.copy(), timeout=120,
+        )
+        for args, stdin in ((("--script", str(script)), b""), ((), data))
+    ]
+    for proc in runs:
+        assert proc.returncode == 2
+        assert proc.stdout == out
+        assert b"Traceback" not in proc.stderr
+    assert runs[0].stderr == runs[1].stderr
 
 
 def test_missing_script_file(tmp_path):

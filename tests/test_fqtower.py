@@ -70,6 +70,14 @@ def test_make_field_validation():
         make_field(3, 14)  # 3^14 > 2^20
 
 
+def test_from_encoding_refuses_a_non_int():
+    F4 = make_field(2, 2)
+    for k in (1.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="an encoding must be an integer"):
+            F4.from_encoding(k)
+    assert F4.from_encoding(3) == F4.gen() + 1
+
+
 def test_make_field_checks_bounds_before_primality(monkeypatch):
     # trial division of a 19-digit prime would run for a long time
     def no_primality_test(p):

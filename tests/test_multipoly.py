@@ -64,14 +64,19 @@ def test_difference_of_squares_mod5():
 
 
 def test_pow_matches_repeated_mul():
-    # exponents with one, two and three base-p digits, zero digits included
+    # exponents with up to four base-p digits (three at p = 5), zero
+    # digits included; bases include zero, one term and a constant
     rng = random.Random(11)
     for p in (2, 3, 5):
         field = PrimeField(p)
-        for _ in range(20):
-            f = random_multipoly(rng, field, 2)
+        fixed = [
+            MultiPoly.zero(field, 2),
+            mk(field, 2, {(2, 1): p - 1}),
+            MultiPoly.const(field, 2, 2),
+        ]
+        for f in fixed + [random_multipoly(rng, field, 2) for _ in range(20)]:
             g = MultiPoly.const(field, 2, 1)
-            for e in range(p * p + 2):
+            for e in range(p**3 + 2 if p < 5 else p * p + p + 2):
                 assert (f**e).terms == g.terms
                 g = oracle_mul(g, f)
 

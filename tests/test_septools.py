@@ -14,7 +14,8 @@ from perffield.errors import (
     PoleAtPoint,
 )
 from perffield.fqtower import make_field
-from perffield.perfclosure import MAX_POWER_TERMS, PerfContext, _power_terms
+from perffield.multipoly import MAX_POWER_TERMS, _power_terms
+from perffield.perfclosure import PerfContext
 from perffield.septools import (
     UniPoly,
     is_separable,
@@ -361,13 +362,6 @@ def _dense_divides(d, f, fq):
     return not _dense_mod(f, d, fq)
 
 
-def _power_by_multiplication(f, e):
-    out = UniPoly.const(f.ctx, 1, f.mode)
-    for _ in range(e):
-        out = out * f
-    return out
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("mode", ["perfect", "level0"])
 def test_power_by_digits_matches_repeated_multiplication(p, mode):
@@ -376,15 +370,20 @@ def test_power_by_digits_matches_repeated_multiplication(p, mode):
     x, y = ctx.variable(0), ctx.variable(1)
     t = UniPoly.t_var(ctx, mode)
     bases = [UniPoly.zero(ctx, mode), t, t + x, t * t - y / (x + 1), (t + 1) * (t + x)]
+    # a constant and a one-term base
+    bases += [UniPoly.const(ctx, x / (y + 1), mode), t * t * y]
     if mode == "perfect":
         bases.append(t + x.pth_root() * y.pn_root(2))
     level = 2 if mode == "perfect" else 0
     bases += [random_monic_unipoly(rng, ctx, 1, 3, mode, level) for _ in range(2)]
+    # exponents with up to four base-p digits (three at p = 5)
+    top = p**3 + 2 if p < 5 else p * p + p + 2
     for f in bases:
-        for e in range(p * p + 2):
+        want = UniPoly.const(ctx, 1, mode)
+        for e in range(top):
             got = f**e
-            want = _power_by_multiplication(f, e)
             assert got == want and str(got) == str(want), (str(f), e)
+            want = want * f
 
 
 def test_power_by_digits_is_cheap_for_large_exponents():
