@@ -19,7 +19,6 @@ import sys
 
 from . import fqtower, parser, septools
 from .errors import (
-    DivisionByZero,
     EvalError,
     NotPerfectMode,
     ParseError,
@@ -135,10 +134,6 @@ def _binop(op: str, lhs, rhs):
         return lhs * rhs
     # division: exact division for polynomials, field division otherwise
     if isinstance(lhs, UniPoly):
-        if rhs.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        if rhs.is_constant:
-            return lhs.scale(rhs.coeff(0).inv())
         return lhs.divexact(rhs)
     return lhs / rhs
 
@@ -517,22 +512,19 @@ def _repl(session: Session) -> int:
         f"perffield: p={session.p}, vars={session.ctx.nvars}, mode={session.mode} "
         f"(commands: {', '.join(sorted(_COMMANDS))})"
     )
-    while True:
-        try:
-            line = input("perffield> ")
-        except EOFError:
-            print()
-            return 0
-        except KeyboardInterrupt:
-            print()
-            continue
-        try:
-            out = run_command(line, session)
-        except PerffieldError as err:
-            print(render_error(err, session.json_mode), file=sys.stderr)
-            continue
-        if out is not None:
-            print(out)
+
+    def lines():
+        while True:
+            try:
+                yield input("perffield> ")
+            except EOFError:
+                print()
+                return
+            except KeyboardInterrupt:
+                print()
+
+    _run_lines(lines(), session, keep_going=True)
+    return 0
 
 
 def main(argv=None) -> int:

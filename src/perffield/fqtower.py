@@ -484,22 +484,23 @@ def _check_embeddable(source: FqField, target: FqField) -> None:
 
 
 @lru_cache(maxsize=None)
-def _embedding_root_cached(p: int, m: int, n: int) -> int:
-    root = find_embedding_root(make_field(p, m), make_field(p, n))
-    return root.encode()
+def _embedding_root_cached(source: FqField, target: FqField) -> int:
+    return find_embedding_root(source, target).encode()
 
 
 def embed(a: FqElem, target: FqField) -> FqElem:
     """Canonical embedding F_{p^m} -> F_{p^n} for m dividing n: send the
-    source generator to the first root of the source modulus."""
+    source generator to the first root of the source modulus in the
+    target. The two fields, moduli included, decide the map, so it is a
+    homomorphism whatever the moduli; only a field into itself is the
+    identity."""
     source = a.field
     _check_embeddable(source, target)
-    if source.n == target.n:
-        return target.elem(list(a.coeffs))
+    if source == target:
+        return a
     if source.n == 1:
         return target.const(a.coeffs[0])
-    root_enc = _embedding_root_cached(source.p, source.n, target.n)
-    r = target.from_encoding(root_enc)
+    r = target.from_encoding(_embedding_root_cached(source, target))
     # Horner in the image of the generator
     acc = target.zero()
     for c in reversed(a.coeffs):

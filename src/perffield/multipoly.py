@@ -27,8 +27,9 @@ new remainder monomial lies below the leader it came from. Its digits
 get one spare top bit each, so one subtraction and one mask test decide
 whether the divisor's leading monomial divides the leader.
 
-GCD is one recursion, `_gcd_nonzero`. A variable that only one input
-uses cannot occur in the gcd, so the gcd is that of the other input
+GCD is one recursion, `_gcd_nonzero`. When either input is a monomial,
+the gcd is the monomial of the least exponents. A variable that only one
+input uses cannot occur in the gcd, so the gcd is that of the other input
 with each of this one's coefficients in that variable, stopping at 1.
 Otherwise it splits content and primitive part in the highest shared
 variable, recurses on the contents, and runs a primitive
@@ -578,15 +579,17 @@ def gcd_cofactors(
 def _gcd_nonzero(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic gcd of two nonzero polynomials, uncertified.
 
-    A variable in one support only is removed through the coefficients in
-    it. Then, in the highest variable x_k common to both supports, the
-    contents (gcds of the x_k-coefficients) recurse here, and the
-    primitive parts run a primitive PRS on univariate views
+    When either input is a monomial (a constant is the monomial with all
+    exponents 0), the gcd is the monomial of the least exponents over
+    every term of both. A variable in one support only is removed through
+    the coefficients in it. Then, in the highest variable x_k common to
+    both supports, the contents (gcds of the x_k-coefficients) recurse
+    here, and the primitive parts run a primitive PRS on univariate views
     {e: coefficient} until the result is rebuilt once at the end.
     """
     field, nvars = a.field, a.nvars
-    if a.is_constant or b.is_constant:
-        return MultiPoly.const(field, nvars, 1)
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return MultiPoly._raw(field, nvars, {tuple(map(min, *a.terms, *b.terms)): 1})
     sup_a, sup_b = a.support_vars(), b.support_vars()
     common = sup_a & sup_b
     if not common:

@@ -14,9 +14,9 @@ Knuth, TAOCP vol. 2, 4.5.1). For reduced a/b and c/d:
 - a/b * c/d is (a/g1 * c/g2) / (b/g2 * d/g1) with g1 = gcd(a, d) and
   g2 = gcd(c, b). A gcd against a denominator 1 is skipped, so the
   product of two polynomials takes no gcd at all.
-- a/b + c/d takes g = gcd(b, d), or g = 1 with no gcd when b or d is
-  1, and t = a*(d/g) + c*(b/g). When g is 1, t / (b*(d/g)) is reduced
-  as it stands. Else the only factors t can share with the denominator
+- a/b + c/d takes g = gcd(b, d), which is 1 at once when b or d is 1,
+  and t = a*(d/g) + c*(b/g). When g is 1, t / (b*(d/g)) is reduced as
+  it stands. Else the only factors t can share with the denominator
   are those of g, so with g2 = gcd(t, g) the result is
   (t/g2) / ((b/g) * (d/g2)).
 - Division and the inverse scale the new denominator monic and reuse
@@ -187,11 +187,7 @@ class RatFunc:
         if b.is_constant and d.is_constant:
             # polynomials: b = d = 1, and a zero sum is already 0/1
             return RatFunc._raw(a + c, b)
-        if b.is_constant or d.is_constant:
-            # a denominator 1 shares nothing with the other: g = 1
-            g, b1, d1 = (b if b.is_constant else d), b, d
-        else:
-            g, b1, d1 = gcd_cofactors(b, d)
+        g, b1, d1 = gcd_cofactors(b, d)
         t = a * d1 + c * b1
         if t.is_zero:
             return RatFunc.const(t.field, t.nvars, 0)

@@ -384,6 +384,11 @@ def _t_degree(num: MultiPoly) -> int:
 # -- separability operations ---------------------------------------------------
 
 
+def _zero_derivative(f: UniPoly) -> bool:
+    """f' == 0, read off the exponents: (c t^i)' = i c t^(i-1) is 0 when p | i."""
+    return all(c.is_zero for i, c in enumerate(f.coeffs) if i % f.ctx.p)
+
+
 def is_separable(f: UniPoly) -> bool:
     """gcd(f, f') constant? For irreducible f this is the textbook
     separability criterion; for general f it means squarefree."""
@@ -397,7 +402,7 @@ def pth_root_poly(f: UniPoly) -> UniPoly:
     by p and take coefficient p-th roots. In level0 mode a coefficient
     whose root leaves Z_p(X) raises NotPerfectMode."""
     p = f.ctx.p
-    if not f.derivative().is_zero:
+    if not _zero_derivative(f):
         raise DerivativeNonzero("input has nonzero derivative; it is not a p-th power")
     out = [f.ctx.zero()] * (len(f.coeffs) // p + 1 if f.coeffs else 0)
     for i, c in enumerate(f.coeffs):
@@ -456,7 +461,7 @@ def _sqf_recurse(f: UniPoly, mult: int, parts: list) -> None:
     # f monic, nonconstant. On numerators the cascade agrees with the one
     # over the closure up to units, the factors free of t
     ctx, mode = f.ctx, f.mode
-    if f.derivative().is_zero:
+    if _zero_derivative(f):
         _sqf_recurse(pth_root_poly(f), mult * ctx.p, parts)
         return
     level, (num,) = _numerators(f)
@@ -498,7 +503,7 @@ def separable_decomposition(f: UniPoly) -> SepDecomposition:
         raise ConstantPolynomial("separable decomposition needs a nonconstant input")
     p = f.ctx.p
     e = 0
-    while f.derivative().is_zero:
+    while _zero_derivative(f):
         regrouped = [f.coeffs[i] for i in range(0, len(f.coeffs), p)]
         f = UniPoly(f.ctx, regrouped, f.mode)
         e += 1

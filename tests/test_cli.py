@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from perffield import cli as cli_module
 from perffield.cli import Session, classify_exit, render_error, run_command
 from perffield.errors import (
     BoundExceeded,
@@ -349,6 +350,26 @@ def cli(*args, stdin=""):
     return proc
 
 
+def test_repl_reports_errors_and_ends_at_eof(monkeypatch, capsys):
+    # an interrupt at the prompt gives a new prompt, an error goes to
+    # stderr and the loop goes on, and end of input exits 0
+    replies = iter(["eval x1 + 1", KeyboardInterrupt, "eval x9", "eval x1^2", EOFError])
+
+    def fake_input(prompt):
+        assert prompt == "perffield> "
+        reply = next(replies)
+        if isinstance(reply, str):
+            return reply
+        raise reply
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    assert cli_module._repl(Session(3, 1)) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == ["x1 + 1", "", "x1^2", ""]
+    assert out.startswith("perffield: p=3, vars=1, mode=perfect (commands: ")
+    assert err == "error[5..7]: unknown variable 'x9'\n"
+
+
 def test_exit_codes():
     assert cli(stdin="eval x1\n").returncode == 0
     assert cli(stdin="eval x9\n").returncode == 2
@@ -670,6 +691,21 @@ def test_fraction_heavy_lines_keep_their_speed():
         out = run(s, line)
         assert time.perf_counter() - start < budget, line
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_monomial_denominators_take_the_monomial_gcd():
+    # a root of a monomial is a monomial, so the power's sums meet gcds of
+    # monomials with large exponents, which the PRS took seconds over;
+    # the digest is of the exact output
+    s = Session(7, 2)
+    line = (
+        "eval ((4*root(x1,1)^2*root(x2,1) + 4*root(x1,1)*root(x2,1)^2 + 2*root(x2,1)^2)*t^2"
+        " + ((3*x1 + 3*x2) / (x1^2*x2))*t + 5*x1^2*x2)^6"
+    )
+    start = time.perf_counter()
+    out = run(s, line)
+    assert time.perf_counter() - start < 1.0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "f68e38e511105ca3"
 
 
 def test_separability_with_mixed_levels_at_large_p_is_fast():

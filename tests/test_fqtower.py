@@ -311,16 +311,29 @@ def test_embed_degree_mismatch():
 
 
 def test_embed_same_field_identity():
-    F9 = make_field(3, 2)
-    for a in F9.elements():
-        assert embed(a, F9) == a
+    for F in (make_field(3, 2), FqField(3, 2, (2, 2, 1))):
+        for a in F.elements():
+            assert embed(a, F) == a
 
 
 def test_embed_is_ring_homomorphism_exhaustive():
-    for p, m, n in [(2, 2, 4), (2, 3, 6), (3, 2, 4), (5, 2, 4), (2, 4, 8)]:
-        src, dst = make_field(p, m), make_field(p, n)
+    pairs = [
+        (make_field(p, m), make_field(p, n))
+        for p, m, n in [(2, 2, 4), (2, 3, 6), (3, 2, 4), (5, 2, 4), (2, 4, 8)]
+    ]
+    # the map depends on both moduli, not only on (p, m, n)
+    F8 = FqField(2, 3, (1, 0, 1, 1))  # t^3 + t^2 + 1
+    pairs += [
+        (F8, make_field(2, 6)),
+        (F8, make_field(2, 3)),
+        (make_field(2, 3), F8),
+        (make_field(2, 2), FqField(2, 4, (1, 0, 0, 1, 1))),  # t^4 + t^3 + 1
+        (make_field(3, 1), FqField(3, 2, (2, 2, 1))),  # t^2 + 2t + 2
+    ]
+    for src, dst in pairs:
         if src.order > 2**8:
             continue
+        assert embed(src.one(), dst) == dst.one()
         els = list(src.elements())
         for a in els:
             for b in els:

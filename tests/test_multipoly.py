@@ -227,8 +227,8 @@ def test_gcd_structured_random():
 
 def _gcd_pairs(rng, field, nvars):
     """Coprime pairs, planted common factors, a common content free of
-    the highest variable, one zero operand, and pairs where one input
-    lacks a variable the other uses."""
+    the highest variable, one zero operand, monomial operands, and pairs
+    where one input lacks a variable the other uses."""
 
     def poly(terms, deg, n=nvars):
         f = random_nonzero_multipoly(rng, field, n, max_terms=terms, max_deg=deg)
@@ -243,6 +243,16 @@ def _gcd_pairs(rng, field, nvars):
         g = poly(2, 2)
         pairs.append((c * g * poly(3, 2), c * g * poly(2, 2)))
     pairs.append((poly(4, 3), MultiPoly.zero(field, nvars)))
+
+    def mono(exps):
+        return MultiPoly(field, nvars, {tuple(exps): rng.randrange(1, field.p)})
+
+    # a constant; a monomial above every exponent of an input with a
+    # planted monomial factor; two monomials
+    pairs.append((poly(4, 3), mono([0] * nvars)))
+    f = mono(rng.randint(0, 2) for _ in range(nvars)) * poly(3, 2)
+    pairs.append((f, mono(f.degree_in(i) + rng.randint(0, 2) for i in range(nvars))))
+    pairs.append(tuple(mono(rng.randint(0, 4) for _ in range(nvars)) for _ in range(2)))
     if nvars > 1:
         # one input lacks a variable the other uses: x_n, or else x_1
         def without_last(terms, deg):
