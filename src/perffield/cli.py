@@ -13,6 +13,7 @@ parse error. The first error stops a batch run unless --keep-going.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import sys
@@ -323,13 +324,7 @@ def _cmd_sqfree(session: Session, rest: str, base: int) -> str:
 
 def _cmd_sepdec(session: Session, rest: str, base: int) -> str:
     dec = _on_poly(session, rest, base, "sepdec", septools.separable_decomposition)
-    return _reply(
-        session,
-        f"s = {dec.s}, e = {dec.e}",
-        command="sepdec",
-        s=value_json(dec.s),
-        e=dec.e,
-    )
+    return _reply(session, str(dec), command="sepdec", s=value_json(dec.s), e=dec.e)
 
 
 def _cmd_prootpoly(session: Session, rest: str, base: int) -> str:
@@ -565,17 +560,18 @@ def main(argv=None) -> int:
 
     if args.script:
         try:
-            # decoded as stdin is: bad bytes become surrogates, only "\n" ends a line
             with open(args.script, "rb") as fh:
-                text = fh.read().decode("utf-8", "surrogateescape")
+                source = io.BytesIO(fh.read())
         except OSError as err:
             print(f"error: cannot read script: {err}", file=sys.stderr)
             return 2
-        return _run_lines(text.split("\n"), session, args.keep_going)
-
-    if sys.stdin.isatty():
+    elif sys.stdin.isatty():
         return _repl(session)
-    lines = (line.rstrip("\n") for line in sys.stdin)
+    else:
+        source = sys.stdin.buffer
+    # one reader for a script and for piped stdin, whatever the locale:
+    # only "\n" ends a line, and bytes that are not UTF-8 become surrogates
+    lines = (raw.rstrip(b"\n").decode("utf-8", "surrogateescape") for raw in source)
     return _run_lines(lines, session, args.keep_going)
 
 

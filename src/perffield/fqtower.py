@@ -131,9 +131,7 @@ class FqField:
         return self.elem([c])
 
     def gen(self) -> FqElem:
-        """The residue of t (equals the constant -c_0 when n = 1)."""
-        if self.n == 1:
-            return self.const(-self.modulus[0])
+        """The residue of t (the constant -c_0 when the modulus is t + c_0)."""
         return self.elem([0, 1])
 
     def from_encoding(self, k: int) -> FqElem:

@@ -582,8 +582,9 @@ def _gcd_nonzero(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     When either input is a monomial (a constant is the monomial with all
     exponents 0), the gcd is the monomial of the least exponents over
     every term of both. A variable in one support only is removed through
-    the coefficients in it. Then, in the highest variable x_k common to
-    both supports, the contents (gcds of the x_k-coefficients) recurse
+    the coefficients in it, which takes disjoint supports down to 1 by
+    the monomial rule. Then, in the highest variable x_k of the shared
+    support, the contents (gcds of the x_k-coefficients) recurse
     here, and the primitive parts run a primitive PRS on univariate views
     {e: coefficient} until the result is rebuilt once at the end.
     """
@@ -591,9 +592,6 @@ def _gcd_nonzero(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if len(a.terms) == 1 or len(b.terms) == 1:
         return MultiPoly._raw(field, nvars, {tuple(map(min, *a.terms, *b.terms)): 1})
     sup_a, sup_b = a.support_vars(), b.support_vars()
-    common = sup_a & sup_b
-    if not common:
-        return MultiPoly.const(field, nvars, 1)
     only = sup_a ^ sup_b
     if only:
         # a variable that only a uses cannot occur in the gcd, so the gcd
@@ -607,11 +605,10 @@ def _gcd_nonzero(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             if g.is_constant:
                 break
         return g
-    union = sup_a | sup_b
-    if len(union) == 1:
-        (k,) = union
+    # from here on both inputs use the same variables
+    k = max(sup_a)
+    if len(sup_a) == 1:
         return _univar_gcd(a, b, k)
-    k = max(common)
     ca, F = _primitive(_to_univar(a, k))
     cb, G = _primitive(_to_univar(b, k))
     c = _gcd_nonzero(ca, cb)

@@ -13,7 +13,11 @@ root of a level-n element is the same body reread at level n+1. And a
 reduced fraction with monic denominator stays reduced and monic under
 both exponent scaling and exponent division, so canonical forms compose
 cleanly with arithmetic. Structural equality of canonical forms is
-semantic equality. Powers pass multipoly's term bound before any work.
+semantic equality. The canonical form runs only where the level can
+drop: after + - * /, powers and roots. Negation and inversion keep
+every exponent, and Frobenius rereads a level-L body at level L-1, so
+their results are minimal as they stand. Powers pass multipoly's term
+bound before any work.
 """
 
 from __future__ import annotations
@@ -251,7 +255,8 @@ class PerfElem:
     def inv(self) -> PerfElem:
         if self.body.is_zero:
             raise DivisionByZero("inverse of zero in the perfect closure")
-        return PerfElem.canonical(self.ctx, self.level, self.body.inv())
+        # inverting keeps every exponent, so the level stays minimal
+        return PerfElem._raw(self.ctx, self.level, self.body.inv())
 
     def __pow__(self, e: int):
         """a^e, refused before any work when the result could have an
@@ -294,9 +299,11 @@ class PerfElem:
     # -- characteristic-p structure ----------------------------------------------
 
     def frobenius(self) -> PerfElem:
-        """a^p. One level down for free; at level 0 exponents scale by p."""
+        """a^p. One level down for free; at level 0 exponents scale by p.
+        A canonical body at level L > 0 has an exponent prime to p, so
+        level L - 1 is minimal for it too."""
         if self.level > 0:
-            return PerfElem.canonical(self.ctx, self.level - 1, self.body)
+            return PerfElem._raw(self.ctx, self.level - 1, self.body)
         return PerfElem._raw(self.ctx, 0, self.body.frobenius_substitute())
 
     def pth_root(self) -> PerfElem:

@@ -15,8 +15,10 @@ with the coefficients of f carried over unchanged.
 The gcd and the squarefree cascade run on numerators: at a common
 level, f is N/D with N in Z_p[X][t] and D free of t, and by Gauss's
 lemma (Knuth, TAOCP vol. 2, 4.6.1) the monic gcd over the closure is
-that of the numerators made monic in t. Powers run multipoly's
-`digit_power` with the Frobenius step c_j t^j -> c_j^p t^(jp).
+that of the numerators made monic in t. is_separable takes the
+cascade's first gcd, of the numerator and its t-derivative, and reads
+only its t-degree. Powers run multipoly's `digit_power` with the
+Frobenius step c_j t^j -> c_j^p t^(jp).
 """
 
 from __future__ import annotations
@@ -391,10 +393,13 @@ def _zero_derivative(f: UniPoly) -> bool:
 
 def is_separable(f: UniPoly) -> bool:
     """gcd(f, f') constant? For irreducible f this is the textbook
-    separability criterion; for general f it means squarefree."""
+    separability criterion; for general f it means squarefree. The gcd
+    is the squarefree cascade's first: that of the numerator N of f made
+    monic and dN/dt, whose t-degree is that of gcd(f, f')."""
     if f.is_constant:
         raise ConstantPolynomial("separability is about nonconstant polynomials")
-    return f.gcd(f.derivative()).is_constant
+    _, (num,) = _numerators(f.monic())
+    return not _t_degree(poly_gcd(num, num.derivative(num.nvars - 1)))
 
 
 def pth_root_poly(f: UniPoly) -> UniPoly:
@@ -404,17 +409,13 @@ def pth_root_poly(f: UniPoly) -> UniPoly:
     p = f.ctx.p
     if not _zero_derivative(f):
         raise DerivativeNonzero("input has nonzero derivative; it is not a p-th power")
-    out = [f.ctx.zero()] * (len(f.coeffs) // p + 1 if f.coeffs else 0)
-    for i, c in enumerate(f.coeffs):
-        if c.is_zero:
-            continue
-        # zero derivative forces p | i for every surviving term
-        r = c.pth_root()
+    out = []
+    # zero derivative puts every nonzero term at a degree divisible by p
+    for c in f.coeffs[::p]:
+        r = c if c.is_zero else c.pth_root()
         if f.mode == "level0" and r.level > 0:
-            raise NotPerfectMode(
-                f"coefficient {c} is not a p-th power in Z_{p}(X)"
-            )
-        out[i // p] = r
+            raise NotPerfectMode(f"coefficient {c} is not a p-th power in Z_{p}(X)")
+        out.append(r)
     return UniPoly(f.ctx, out, f.mode)
 
 
@@ -504,7 +505,6 @@ def separable_decomposition(f: UniPoly) -> SepDecomposition:
     p = f.ctx.p
     e = 0
     while _zero_derivative(f):
-        regrouped = [f.coeffs[i] for i in range(0, len(f.coeffs), p)]
-        f = UniPoly(f.ctx, regrouped, f.mode)
+        f = UniPoly(f.ctx, f.coeffs[::p], f.mode)
         e += 1
     return SepDecomposition(s=f, e=e)

@@ -227,8 +227,9 @@ def test_gcd_structured_random():
 
 def _gcd_pairs(rng, field, nvars):
     """Coprime pairs, planted common factors, a common content free of
-    the highest variable, one zero operand, monomial operands, and pairs
-    where one input lacks a variable the other uses."""
+    the highest variable, one zero operand, monomial operands, pairs
+    where one input lacks a variable the other uses, and a pair with
+    disjoint supports."""
 
     def poly(terms, deg, n=nvars):
         f = random_nonzero_multipoly(rng, field, n, max_terms=terms, max_deg=deg)
@@ -269,6 +270,10 @@ def _gcd_pairs(rng, field, nvars):
                 pairs.append((g * poly(3, 2), g * low(3, 2)))
             g = poly(2, 2)
             pairs.append((low(2, 1) * g * poly(2, 1), low(2, 2) * g))
+        # disjoint supports of two terms or more: x_1 against the others
+        x = [MultiPoly.variable(field, nvars, i) for i in range(nvars)]
+        c = rng.randrange(1, field.p)
+        pairs.append((x[0] ** rng.randint(1, 3) + c, sum(x[1:], x[-1] ** 3) ** rng.randint(1, 2)))
     return pairs
 
 

@@ -208,7 +208,10 @@ def test_minimality_after_operations():
     for _ in range(40):
         a = random_perfelem(rng, ctx, max_level=3, max_deg=4)
         b = random_nonzero_perfelem(rng, ctx, max_level=3, max_deg=4)
-        for r in (a + b, a - b, a * b, a / b, a.frobenius(), a.pth_root()):
+        for r in (
+            a + b, a - b, a * b, a / b, b.inv(),
+            a.frobenius(), a.frobenius_iter(2), a.pth_root(),
+        ):
             r.validate()
 
 

@@ -504,6 +504,8 @@ def _oracle_cases(rng, p, trial):
         (UniPoly.gcd, gcd, (zero, zero)),
         (is_separable, _oracle_is_separable, (g * h**2,)),
         (is_separable, _oracle_is_separable, (f,)),
+        (is_separable, _oracle_is_separable, (g**p,)),
+        (is_separable, _oracle_is_separable, (r,)),
         (squarefree_decomposition, sqf, (k * h**2,)),
         (squarefree_decomposition, sqf, (r,)),
         (squarefree_decomposition, sqf, (g**p * h,)),
