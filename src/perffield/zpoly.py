@@ -7,10 +7,11 @@ modulus must end in a nonzero coefficient. Every function returns a
 fresh list without trailing zeros and leaves its inputs alone, except
 `trim`, which trims in place.
 
-This is the one implementation of long division, powering and Euclid
-over Z_p[t] in the library: fqtower builds F_{p^n} and its Frobenius
-matrices on it, multipoly runs its univariate gcd on it, and _accel
-builds its reduction table with it.
+This is the one implementation of long division and powering over
+Z_p[t] in the library: fqtower builds F_{p^n} and its Frobenius matrices
+on it, and _accel builds its reduction table with it. Its Euclid serves
+fqtower's Rabin test; multipoly's gcd runs its own, written once for
+the point fields of Brown's algorithm (Z_p and F_{p^k}).
 """
 
 from __future__ import annotations

@@ -711,6 +711,20 @@ def test_monomial_denominators_take_the_monomial_gcd():
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "f68e38e511105ca3"
 
 
+def test_sqfree_with_a_ground_degree_past_p_is_fast():
+    # one gcd here has x2-degree 103 and every other degree at most 4: the
+    # pseudo-remainder sequence ran past 30 s on it, and Brown's gcd takes
+    # x2 as its main variable; the output is the product of the three
+    # factors (checked once by multiplying out over Z_101), and the digest
+    # is of that exact output
+    s = Session(101, 2, mode="level0")
+    line = "sqfree (t+76*x2^101)*(t^2+(5)/(9*x1))*(t+(18*x2^2+6*x1^2)/(48*x1^3))"
+    start = time.perf_counter()
+    out = run(s, line)
+    assert time.perf_counter() - start < 2.0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "f5986ce11fb3cb6f"
+
+
 def test_separability_with_mixed_levels_at_large_p_is_fast():
     # gcd makes both inputs monic before clearing denominators, so a
     # level-2 factor of every coefficient cancels instead of lifting the

@@ -1,6 +1,7 @@
 """Tests for sparse multivariate polynomials over Z_p."""
 
 import random
+import time
 
 import pytest
 
@@ -228,8 +229,10 @@ def test_gcd_structured_random():
 def _gcd_pairs(rng, field, nvars):
     """Coprime pairs, planted common factors, a common content free of
     the highest variable, one zero operand, monomial operands, pairs
-    where one input lacks a variable the other uses, and a pair with
-    disjoint supports."""
+    where one input lacks a variable the other uses, a pair with
+    disjoint supports, and cases for Brown's gcd: a leading coefficient
+    that vanishes at the first points, unlucky points, degrees past p at
+    p <= 3, and a main-variable degree of p and more."""
 
     def poly(terms, deg, n=nvars):
         f = random_nonzero_multipoly(rng, field, n, max_terms=terms, max_deg=deg)
@@ -274,6 +277,26 @@ def _gcd_pairs(rng, field, nvars):
         x = [MultiPoly.variable(field, nvars, i) for i in range(nvars)]
         c = rng.randrange(1, field.p)
         pairs.append((x[0] ** rng.randint(1, 3) + c, sum(x[1:], x[-1] ** 3) ** rng.randint(1, 2)))
+        # Brown's gcd: a leading coefficient in x1 that vanishes at the
+        # first points (0, 1, 2, 3 when Z_p has enough of them)
+        vanish = 1
+        for i in range(4):
+            vanish *= x[-1] - i
+        g = poly(3, 2)
+        pairs.append((g * (vanish * x[0] ** 6 + poly(3, 2)), g * (vanish * x[0] ** 5 + poly(3, 2))))
+        # unlucky points: x1 + x_n and x1 + x_n^2 agree at x_n in {0, 1},
+        # and x1 + x_n and x1 + x_n^p at every x_n in Z_p
+        g = poly(3, 2)
+        for e in (2, field.p):
+            pairs.append((g * (x[0] + x[-1]), g * (x[0] + x[-1] ** e)))
+        if field.p <= 3:
+            # every variable past degree p, so the points come from F_{p^k}
+            for _ in range(2):
+                g = poly(4, 2 * field.p + 2)
+                pairs.append((g * poly(3, field.p + 2), g * poly(3, field.p + 2)))
+    # a main-variable degree of p and more
+    g = poly(2, 1) + MultiPoly.variable(field, nvars, 0, field.p)
+    pairs.append((g * poly(2, 2), g * (poly(2, 1) + MultiPoly.variable(field, nvars, 0, field.p + 1))))
     return pairs
 
 
@@ -291,15 +314,16 @@ def test_gcd_cofactors_match_recursive_prs_oracle():
 
 
 def test_gcd_certifies_once_per_call(monkeypatch):
-    # content x1 + x2 + 1 in x3, and a primitive PRS of several steps: the
-    # recursion stays inside the gcd and the exact-division check runs once
-    entries, prems = [], []
-    top, prem = multipoly.gcd_cofactors, multipoly._prem
+    # content x1 + x2 + 1 in x3 and a common factor of degree 2 in x3: the
+    # recursion stays inside the gcd, and the only exact divisions are the
+    # one pair that certifies the gcd and gives the cofactors
+    entries, divisions = [], []
+    top, divexact = multipoly.gcd_cofactors, MultiPoly.divexact
     monkeypatch.setattr(
         multipoly, "gcd_cofactors", lambda a, b: entries.append(1) or top(a, b)
     )
     monkeypatch.setattr(
-        multipoly, "_prem", lambda F, G: prems.append(1) or prem(F, G)
+        MultiPoly, "divexact", lambda f, d: divisions.append((f, d)) or divexact(f, d)
     )
     x1, x2, x3 = (MultiPoly.variable(F5, 3, i) for i in range(3))
     c, g = x1 + x2 + 1, x3**2 + x1 * x3 + x2
@@ -307,7 +331,28 @@ def test_gcd_certifies_once_per_call(monkeypatch):
     b = c * g * (x3**2 + x2 * x3 + x1 + 1)
     assert multipoly.gcd_cofactors(a, b)[0] == c * g
     assert len(entries) == 1
-    assert len(prems) >= 2
+    assert divisions == [(a, c * g), (b, c * g)]
+
+
+def test_gcd_four_variables_dense_factors_is_fast():
+    # 8-term factors of degree 5 in 4 variables at p = 5: the pseudo-remainder
+    # sequence took seconds; the oracle confirmed g = c for this seed once
+    rng = random.Random(5)
+
+    def factor():
+        terms = {}
+        while len(terms) < 8:
+            mono = [0] * 4
+            for _ in range(rng.randint(1, 5)):
+                mono[rng.randrange(4)] += 1
+            terms[tuple(mono)] = rng.randrange(1, 5)
+        return MultiPoly(F5, 4, terms)
+
+    a, b, c = factor(), factor(), factor()
+    start = time.perf_counter()
+    g = poly_gcd(a * c, b * c)
+    assert time.perf_counter() - start < 0.5
+    assert g == c.monic()
 
 
 # Total degrees on either side of powers of two, where the digit width of

@@ -241,14 +241,12 @@ def test_henrici_results_are_valid_perfect_closure_elements():
     for p in (2, 3, 5, 7, 101):
         for nvars in (1, 2, 3):
             ctx = PerfContext(p, nvars)
-            # validate certifies lowest terms with poly_gcd, whose PRS is
-            # slow on coprime inputs in 3 variables (seconds for degree 6
-            # at p = 101), and a level multiplies every degree by p; so
-            # this pool has 2-term factors and only small primes get a level
-            top = 1 if p < 10 else 0
+            # validate certifies lowest terms with poly_gcd, and a level
+            # multiplies every degree by p, so at p = 101 a gcd of lifted
+            # 3-term factors has degrees past 100
             elems = [
-                PerfElem.canonical(ctx, rng.randint(0, top), x)
-                for x in _henrici_pool(rng, ctx.field, nvars, max_terms=2)
+                PerfElem.canonical(ctx, rng.randint(0, 1), x)
+                for x in _henrici_pool(rng, ctx.field, nvars)
             ]
             for a in elems:
                 (a**2).validate()
