@@ -52,6 +52,7 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
+from . import zpoly
 from .errors import BoundExceeded, ContextMismatch, DivisionByZero, NotAPthPower, NotDivisible
 from .fqtower import make_field
 from .primefield import PrimeField
@@ -552,8 +553,10 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic greatest common divisor under graded-lex.
 
     Inputs sharing two or more variables go through Brown's modular gcd
-    (`_brown`), whose candidates are certified by exact division, once
-    per call of `gcd_cofactors`; the recursion does not re-enter it.
+    (`_brown`): images at points of Z_p, or of the smallest F_{p^k} with
+    enough points, interpolated by Newton. Its candidates are certified
+    by exact division, once per call of `gcd_cofactors`; the recursion
+    does not re-enter it.
     """
     return gcd_cofactors(a, b)[0]
 
@@ -644,11 +647,12 @@ def _to_univar(f: MultiPoly, k: int) -> dict[int, MultiPoly]:
 
 # -- Brown's modular gcd -----------------------------------------------------
 #
-# Polynomials inside the recursion are flat maps {exponent tuple: element}
-# over a point field F (`_Zp` or `_Fq`), with variable 0 the main variable
-# and the last one evaluated first; univariate ones are dense lists, index
-# = degree, without trailing zeros. "Monic" here means in lex order, the
-# order in which Brown's algorithm compares images.
+# Inside the recursion a polynomial over a point field F (`_Zp` or `_Fq`)
+# is a map of rows (see `_rows`): dense lists in the last variable, which
+# is evaluated first, index = degree, without trailing zeros. Variable 0
+# is the main variable. Gcds come back as flat maps {exponent tuple:
+# element}, monic in lex order, the order in which Brown's algorithm
+# compares images.
 
 
 class _OutOfPoints(Exception):
@@ -699,10 +703,11 @@ def _brown(a: MultiPoly, b: MultiPoly, shared: list[int]) -> Iterator[MultiPoly]
     k = 1
     while p**k < need:
         k += 1
+    RA, RB = _rows(A.items()), _rows(B.items())
     while True:
         F = _point_field(p, k)
         try:
-            for h in _interpolate(A, B, F, 0, True) if len(order) > 1 else [_gcd_image(A, B, F, 0)]:
+            for h in [_gcd_image(RA, RB, F, 0)] if () in RA else _interpolate(RA, RB, F, 0, True):
                 if max(h.values()) >= p:
                     continue
                 terms = {}
@@ -717,9 +722,9 @@ def _brown(a: MultiPoly, b: MultiPoly, shared: list[int]) -> Iterator[MultiPoly]
             k += 1
 
 
-def _interpolate(A: dict, B: dict, F, extra: int, top: bool) -> Iterator[dict]:
-    """Brown's loop for A and B in n >= 2 variables over F; yields
-    candidates for their gcd, monic in lex.
+def _interpolate(RA: dict, RB: dict, F, extra: int, top: bool) -> Iterator[dict]:
+    """Brown's loop for A and B in n >= 2 variables over F, given as rows
+    (see `_rows`); yields candidates for their gcd, monic in lex.
 
     The contents in the last variable y come out by univariate gcds, and
     gamma = gcd of the leading coefficients (in F[y], under lex on the
@@ -742,7 +747,6 @@ def _interpolate(A: dict, B: dict, F, extra: int, top: bool) -> Iterator[dict]:
     a level below was unlucky. It goes on with more points, and the
     levels below with more points each.
     """
-    RA, RB = _rows(A), _rows(B)
     ca, cb = _content(RA.values(), F), _content(RB.values(), F)
     if len(ca) > 1:
         RA = {key: _quo(row, ca, F) for key, row in RA.items()}
@@ -760,8 +764,8 @@ def _interpolate(A: dict, B: dict, F, extra: int, top: bool) -> Iterator[dict]:
         if not value(la, alpha) or not value(lb, alpha):
             continue
         image = _gcd_image(
-            {key: v for key, row in RA.items() if (v := value(row, alpha))},
-            {key: v for key, row in RB.items() if (v := value(row, alpha))},
+            _rows((key, v) for key, row in RA.items() if (v := value(row, alpha))),
+            _rows((key, v) for key, row in RB.items() if (v := value(row, alpha))),
             F,
             extra,
         )
@@ -800,17 +804,18 @@ def _interpolate(A: dict, B: dict, F, extra: int, top: bool) -> Iterator[dict]:
     raise _OutOfPoints
 
 
-def _gcd_image(A: dict, B: dict, F, extra: int) -> dict:
-    """The gcd of two nonzero images one level down, monic in lex."""
-    if len(next(iter(A))) == 1:
-        g = _univar_gcd(_dense(A), _dense(B), F)
+def _gcd_image(RA: dict, RB: dict, F, extra: int) -> dict:
+    """The gcd of two nonzero polynomials given as rows, by Euclid in one
+    variable and by Brown's loop below the top in more; monic in lex."""
+    if () in RA:
+        g = _univar_gcd(RA[()], RB[()], F)
         return {(e,): v for e, v in enumerate(g) if v}
-    return next(_interpolate(A, B, F, extra, False))
+    return next(_interpolate(RA, RB, F, extra, False))
 
 
 def _finish(H: dict, c: list[int], F) -> dict:
     """c times the primitive part of H in its last variable, monic in lex."""
-    rows = {key: _trim(row) for key, row in H.items()}
+    rows = {key: zpoly.trim(row) for key, row in H.items()}
     cont = _content(rows.values(), F)
     out = {}
     for key, row in rows.items():
@@ -828,10 +833,11 @@ def _finish(H: dict, c: list[int], F) -> dict:
     return out
 
 
-def _rows(A: dict) -> dict:
-    """A as {exponents of all but the last variable: dense row in the last}."""
+def _rows(terms: Iterable[tuple[Mono, int]]) -> dict:
+    """Nonzero terms as {exponents of all but the last variable: dense
+    row in the last}; a univariate polynomial is {(): its row}."""
     rows: dict = {}
-    for m, v in A.items():
+    for m, v in terms:
         key, e = m[:-1], m[-1]
         row = rows.get(key)
         if row is None:
@@ -840,19 +846,6 @@ def _rows(A: dict) -> dict:
             row.extend([0] * (e + 1 - len(row)))
         row[e] = v
     return rows
-
-
-def _dense(A: dict) -> list[int]:
-    out = [0] * (max(A)[0] + 1)
-    for (e,), v in A.items():
-        out[e] = v
-    return out
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _content(rows: Iterable[list[int]], F) -> list[int]:
@@ -869,6 +862,8 @@ def _univar_gcd(f: list[int], g: list[int], F) -> list[int]:
     """The monic gcd of dense rows f and g over F, not both zero, by
     Euclid; the base case of Brown's recursion, and the gcd of inputs in
     one shared variable."""
+    if len(f) == 1 or len(g) == 1:
+        return [1]
     if len(f) < len(g):
         f, g = g, f
     f = list(f)
@@ -881,7 +876,7 @@ def _univar_gcd(f: list[int], g: list[int], F) -> list[int]:
                 s = len(f) - 1 - d
                 f[s:] = F.axpy(f[s:], top, g)
             f.pop()
-        f, g = g, _trim(f)
+        f, g = g, zpoly.trim(f)
     if f[-1] != 1:
         f = F.scale(F.inv(f[-1]), f)
     return f
