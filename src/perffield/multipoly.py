@@ -61,6 +61,8 @@ Mono = tuple[int, ...]
 T = TypeVar("T")
 # terms a power may produce in its numerator or its denominator
 MAX_POWER_TERMS = 1 << 15
+# elements of the largest F_{p^k}, k >= 2, whose tables Brown's gcd builds
+MAX_POINT_FIELD = 1 << 16
 
 
 def grlex_key(mono: Mono):
@@ -676,7 +678,9 @@ def _brown(a: MultiPoly, b: MultiPoly, shared: list[int]) -> Iterator[MultiPoly]
     evaluated in turn, the largest first. The points come from the point
     field of the smallest F_{p^k} with enough of them for every variable,
     and run out only when too many are unlucky; then the search restarts
-    one degree up. A monic gcd does not change under field extension, so
+    one degree up. Past MAX_POINT_FIELD elements the tables would cost
+    more memory than any gcd here is worth, and BoundExceeded says so
+    before they are built. A monic gcd does not change under field extension, so
     a candidate with a coefficient outside F_p cannot be the gcd and is
     passed over.
     """
@@ -705,6 +709,10 @@ def _brown(a: MultiPoly, b: MultiPoly, shared: list[int]) -> Iterator[MultiPoly]
         k += 1
     RA, RB = _rows(A.items()), _rows(B.items())
     while True:
+        if k > 1 and p**k > MAX_POINT_FIELD:
+            raise BoundExceeded(
+                f"the gcd needs more evaluation points than a field of at most {MAX_POINT_FIELD} elements has"
+            )
         F = _point_field(p, k)
         try:
             for h in [_gcd_image(RA, RB, F, 0)] if () in RA else _interpolate(RA, RB, F, 0, True):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from perffield import multipoly
-from perffield.errors import DivisionByZero, NotAPthPower, NotDivisible
+from perffield.errors import BoundExceeded, DivisionByZero, NotAPthPower, NotDivisible
 from perffield.fqtower import make_field
 from perffield.multipoly import MultiPoly, gcd_cofactors, poly_gcd
 from perffield.primefield import PrimeField
@@ -353,6 +353,16 @@ def test_gcd_four_variables_dense_factors_is_fast():
     g = poly_gcd(a * c, b * c)
     assert time.perf_counter() - start < 0.5
     assert g == c.monic()
+
+
+def test_gcd_refuses_a_point_field_past_its_bound():
+    # two variables of degree 20000 at p = 2 would need tables for more
+    # points than MAX_POINT_FIELD; the bound is checked before any is built
+    x1, x2 = (MultiPoly.variable(F2, 2, i) for i in range(2))
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded):
+        poly_gcd(x1**20000 + x2**20001 + x1, x1**20000 + x2**20001 + x2)
+    assert time.perf_counter() - start < 0.5
 
 
 # Total degrees on either side of powers of two, where the digit width of
