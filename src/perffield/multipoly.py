@@ -605,11 +605,12 @@ def _gcd_nonzero(
     sup_a, sup_b = a.support_vars(), b.support_vars()
     only = sup_a ^ sup_b
     if only:
-        # a variable that only a uses cannot occur in the gcd, so the gcd
-        # is that of b with each of a's coefficients in it, in turn
+        # a variable that only one input uses cannot occur in the gcd, so
+        # the gcd is that of the other input with each of this one's
+        # coefficients in it, in turn
         k = max(only)
-        g = a if k in sup_b else b
-        for c in sorted(_to_univar(b if g is a else a, k).values(), key=lambda c: len(c.terms)):
+        g, other = (a, b) if k in sup_b else (b, a)
+        for c in sorted(_to_univar(other, k).values(), key=lambda c: len(c.terms)):
             g = _gcd_nonzero(g, c)[0]
             if g.is_constant:
                 break
