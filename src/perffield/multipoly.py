@@ -31,38 +31,33 @@ GCD starts in `_gcd_nonzero`. When either input is a monomial, the gcd
 is the monomial of the least exponents. A variable that only one input
 uses cannot occur in the gcd, so the gcd is that of the other input with
 each of this one's coefficients in that variable, stopping at 1. Inputs
-in one shared variable go to Euclid, `_univar_gcd`. Inputs sharing two
-or more variables go to Brown's modular gcd, `_brown`: it evaluates all
-variables but the main one at points, takes univariate gcds of the
-images, and interpolates them back by Newton, so every value stays in a
-finite field and the cost follows the degrees and the number of points.
-The points come from Z_p when p is large enough, otherwise from the
-smallest F_{p^k} with enough of them, whose arithmetic runs on log and
-Zech tables of size O(q). Brown's candidates can be wrong (an early
-stop, or unlucky points); exact division certifies the one returned,
-once per `gcd_cofactors` call, and its quotients are the cofactors a/g
-and b/g. A candidate that fails the division makes Brown's loop take
-more points (Las Vegas).
+in one shared variable go to Euclid, `modgcd.univar_gcd`. Inputs
+sharing two or more variables go to Brown's modular gcd in `modgcd`: it
+evaluates all variables but the main one at points, takes univariate
+gcds of the images, and interpolates them back by Newton, so every value
+stays in a finite field and the cost follows the degrees and the number
+of points. The points come from Z_p when p is large enough, otherwise
+from the smallest F_{p^k} with enough of them, whose arithmetic runs on
+log and Zech tables of size O(q). Brown's candidates can be wrong (an
+early stop, or unlucky points); exact division certifies the one
+returned, once per `gcd_cofactors` call, and its quotients are the
+cofactors a/g and b/g. A candidate that fails the division makes Brown's
+loop take more points (Las Vegas).
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
-from math import comb, gcd
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from math import comb
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from . import zpoly
 from .errors import BoundExceeded, ContextMismatch, DivisionByZero, NotAPthPower, NotDivisible
-from .fqtower import make_field
 from .primefield import PrimeField
 
 Mono = tuple[int, ...]
 T = TypeVar("T")
 # terms a power may produce in its numerator or its denominator
 MAX_POWER_TERMS = 1 << 15
-# elements of the largest F_{p^k}, k >= 2, whose tables Brown's gcd builds
-MAX_POINT_FIELD = 1 << 16
 
 
 def grlex_key(mono: Mono):
@@ -555,10 +550,10 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic greatest common divisor under graded-lex.
 
     Inputs sharing two or more variables go through Brown's modular gcd
-    (`_brown`): images at points of Z_p, or of the smallest F_{p^k} with
-    enough points, interpolated by Newton. Its candidates are certified
-    by exact division, once per call of `gcd_cofactors`; the recursion
-    does not re-enter it.
+    (`modgcd.gcd_candidates`): images at points of Z_p, or of the
+    smallest F_{p^k} with enough points, interpolated by Newton. Its
+    candidates are certified by exact division, once per call of
+    `gcd_cofactors`; the recursion does not re-enter it.
     """
     return gcd_cofactors(a, b)[0]
 
@@ -616,12 +611,15 @@ def _gcd_nonzero(
                 break
         return g, None
     # from here on both inputs use the same variables
+    from . import modgcd  # see modgcd's docstring for why it loads here
+
     if len(sup_a) == 1:
         (k,) = sup_a
-        g = _univar_gcd(_dense_coeffs(a, k), _dense_coeffs(b, k), _point_field(field.p, 1))
+        g = modgcd.univar_gcd(_dense_coeffs(a, k), _dense_coeffs(b, k), field.p)
         terms = {tuple(e if j == k else 0 for j in range(nvars)): c for e, c in enumerate(g) if c}
         return MultiPoly._raw(field, nvars, terms), None
-    for g in _brown(a, b, sorted(sup_a)):
+    for terms in modgcd.gcd_candidates(a.terms, b.terms, field.p, sorted(sup_a)):
+        g = MultiPoly._raw(field, nvars, terms).monic()
         try:
             return g, (a.divexact(g), b.divexact(g))
         except NotDivisible:
@@ -646,405 +644,3 @@ def _to_univar(f: MultiPoly, k: int) -> dict[int, MultiPoly]:
     return {
         e: MultiPoly._raw(f.field, f.nvars, terms) for e, terms in coeffs.items()
     }
-
-
-# -- Brown's modular gcd -----------------------------------------------------
-#
-# Inside the recursion a polynomial over a point field F (`_Zp` or `_Fq`)
-# is a map of rows (see `_rows`): dense lists in the last variable, which
-# is evaluated first, index = degree, without trailing zeros. Variable 0
-# is the main variable. Gcds come back as flat maps {exponent tuple:
-# element}, monic in lex order, the order in which Brown's algorithm
-# compares images.
-
-
-class _OutOfPoints(Exception):
-    """A level ran out of evaluation points in its field."""
-
-
-def _brown(a: MultiPoly, b: MultiPoly, shared: list[int]) -> Iterator[MultiPoly]:
-    """Candidates for gcd(a, b), monic under graded-lex, by Brown's dense
-    modular algorithm (W. S. Brown, JACM 18, 1971; Geddes, Czapor and
-    Labahn, Algorithms for Computer Algebra, ch. 7).
-
-    a and b use exactly the variables `shared`. The gcd is x^low times
-    the gcd with the monomial contents x^low_a and x^low_b taken out.
-    Where every exponent of x_v left is a multiple of step_v, the gcd is
-    one in x_v^step_v: substituting x_v -> x_v^step_v is a flat extension
-    of the polynomial ring, and gcds commute with it. So lifted elements,
-    whose exponents are multiples of a power of p, cost what their
-    deflated form costs.
-
-    The main variable is the one of largest degree; the others are
-    evaluated in turn, the largest first. The points come from the point
-    field of the smallest F_{p^k} with enough of them for every variable,
-    and run out only when too many are unlucky; then the search restarts
-    one degree up. Past MAX_POINT_FIELD elements the tables would cost
-    more memory than any gcd here is worth, and BoundExceeded says so
-    before they are built. A monic gcd does not change under field extension, so
-    a candidate with a coefficient outside F_p cannot be the gcd and is
-    passed over.
-    """
-    field, nvars, p = a.field, a.nvars, a.field.p
-    low_a = [min(m[v] for m in a.terms) for v in range(nvars)]
-    low_b = [min(m[v] for m in b.terms) for v in range(nvars)]
-    step = {
-        v: gcd(*{m[v] - low_a[v] for m in a.terms}, *{m[v] - low_b[v] for m in b.terms})
-        for v in shared
-    }
-    degs = {
-        v: ((a.degree_in(v) - low_a[v]) // d, (b.degree_in(v) - low_b[v]) // d)
-        for v, d in step.items()
-        if d
-    }
-    order = sorted(degs, key=lambda v: (max(degs[v]), v))
-    order.insert(0, order.pop())
-    A = {tuple((m[v] - low_a[v]) // step[v] for v in order): c for m, c in a.terms.items()}
-    B = {tuple((m[v] - low_b[v]) // step[v] for v in order): c for m, c in b.terms.items()}
-    # a level in x_v skips at most deg a + deg b points where a leading
-    # coefficient vanishes, and interpolates through at most
-    # 2 min(deg a, deg b) + 1 (see _interpolate's bound)
-    need = max([da + db + 2 * min(da, db) + 2 for da, db in (degs[v] for v in order[1:])], default=0)
-    k = 1
-    while p**k < need:
-        k += 1
-    RA, RB = _rows(A.items()), _rows(B.items())
-    while True:
-        if k > 1 and p**k > MAX_POINT_FIELD:
-            raise BoundExceeded(
-                f"the gcd needs more evaluation points than a field of at most {MAX_POINT_FIELD} elements has"
-            )
-        F = _point_field(p, k)
-        try:
-            for h in [_gcd_image(RA, RB, F, 0)] if () in RA else _interpolate(RA, RB, F, 0, True):
-                if max(h.values()) >= p:
-                    continue
-                terms = {}
-                for m, c in h.items():
-                    mono = [min(x, y) for x, y in zip(low_a, low_b)]
-                    for v, e in zip(order, m):
-                        mono[v] += e * step[v]
-                    terms[tuple(mono)] = c
-                yield MultiPoly._raw(field, nvars, terms).monic()
-            return
-        except _OutOfPoints:
-            k += 1
-
-
-def _interpolate(RA: dict, RB: dict, F, extra: int, top: bool) -> Iterator[dict]:
-    """Brown's loop for A and B in n >= 2 variables over F, given as rows
-    (see `_rows`); yields candidates for their gcd, monic in lex.
-
-    The contents in the last variable y come out by univariate gcds, and
-    gamma = gcd of the leading coefficients (in F[y], under lex on the
-    other variables). At each point alpha where neither leading
-    coefficient vanishes, the gcd of the images comes from the level
-    below. An image whose leading monomial is above the least seen so far
-    is unlucky and dropped; a lower one restarts the interpolation. The
-    images, scaled by gamma(alpha), are interpolated by Newton into H,
-    whose primitive part in y times the content gcd is the candidate.
-    A constant image at a good point shows that the primitive parts are
-    coprime, and the content gcd is the answer.
-
-    H has degree at most `bound` in y. A level below the top yields once,
-    after bound + 1 + extra points of one leading monomial: its result is
-    the gcd, or has a leading monomial above the gcd's when every point
-    was unlucky, which the level above drops. So no candidate that
-    divides both inputs is a proper factor of their gcd. The top level
-    yields whenever one more point leaves a new H unchanged. Resumed, its
-    candidate failed the division: the stop was early, or every point of
-    a level below was unlucky. It goes on with more points, and the
-    levels below with more points each.
-    """
-    ca, cb = _content(RA.values(), F), _content(RB.values(), F)
-    if len(ca) > 1:
-        RA = {key: _quo(row, ca, F) for key, row in RA.items()}
-    if len(cb) > 1:
-        RB = {key: _quo(row, cb, F) for key, row in RB.items()}
-    c = _univar_gcd(ca, cb, F)
-    la, lb = RA[max(RA)], RB[max(RB)]
-    gamma = _univar_gcd(la, lb, F)
-    # deg_y H <= deg gamma + deg_y gcd <= deg gamma + min(deg_y A, deg_y B)
-    bound = min(max(map(len, RA.values())), max(map(len, RB.values()))) + len(gamma) - 2
-    value, mul, sub, axpy = F.value, F.mul, F.sub, F.axpy
-    least = None
-    fresh = False  # H changed since the last candidate
-    for alpha in F.points:
-        if not value(la, alpha) or not value(lb, alpha):
-            continue
-        image = _gcd_image(
-            _rows((key, v) for key, row in RA.items() if (v := value(row, alpha))),
-            _rows((key, v) for key, row in RB.items() if (v := value(row, alpha))),
-            F,
-            extra,
-        )
-        lead = max(image)
-        if not any(lead):
-            yield {lead + (e,): v for e, v in enumerate(c) if v}
-            return
-        if least is not None and lead > least:
-            continue
-        scale = value(gamma, alpha)
-        if least is None or lead < least:
-            least, npts, changed = lead, 1, True
-            H = {key: [mul(scale, v)] for key, v in image.items()}
-            Q = [F.neg(alpha), 1]
-        else:
-            # Newton: H += (scale * image - H(alpha)) / Q(alpha) * Q
-            w = F.inv(value(Q, alpha))
-            changed = False
-            for key in H.keys() | image.keys():
-                h = H.get(key, [])
-                u = sub(mul(scale, image.get(key, 0)), value(h, alpha))
-                if u:
-                    changed = True
-                    H[key] = axpy(h + [0] * (len(Q) - len(h)), F.neg(mul(u, w)), Q)
-            Q = axpy([0] + Q, alpha, Q + [0]) if alpha else [0] + Q
-            npts += 1
-        fresh = fresh or changed
-        if not top:
-            if npts > bound + extra:
-                yield _finish(H, c, F)
-                return
-        elif fresh and (npts > bound or not changed):
-            fresh = False
-            yield _finish(H, c, F)
-            extra = 2 * extra + 1
-    raise _OutOfPoints
-
-
-def _gcd_image(RA: dict, RB: dict, F, extra: int) -> dict:
-    """The gcd of two nonzero polynomials given as rows, by Euclid in one
-    variable and by Brown's loop below the top in more; monic in lex."""
-    if () in RA:
-        g = _univar_gcd(RA[()], RB[()], F)
-        return {(e,): v for e, v in enumerate(g) if v}
-    return next(_interpolate(RA, RB, F, extra, False))
-
-
-def _finish(H: dict, c: list[int], F) -> dict:
-    """c times the primitive part of H in its last variable, monic in lex."""
-    rows = {key: zpoly.trim(row) for key, row in H.items()}
-    cont = _content(rows.values(), F)
-    out = {}
-    for key, row in rows.items():
-        if len(cont) > 1:
-            row = _quo(row, cont, F)
-        if len(c) > 1:
-            row = _mul(row, c, F)
-        for e, v in enumerate(row):
-            if v:
-                out[key + (e,)] = v
-    lead = out[max(out)]
-    if lead != 1:
-        s = F.inv(lead)
-        out = {m: F.mul(s, v) for m, v in out.items()}
-    return out
-
-
-def _rows(terms: Iterable[tuple[Mono, int]]) -> dict:
-    """Nonzero terms as {exponents of all but the last variable: dense
-    row in the last}; a univariate polynomial is {(): its row}."""
-    rows: dict = {}
-    for m, v in terms:
-        key, e = m[:-1], m[-1]
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = []
-        if len(row) <= e:
-            row.extend([0] * (e + 1 - len(row)))
-        row[e] = v
-    return rows
-
-
-def _content(rows: Iterable[list[int]], F) -> list[int]:
-    """The monic gcd of nonzero rows, the shortest first, stopping at 1."""
-    g: list[int] = []
-    for row in sorted(rows, key=len):
-        g = _univar_gcd(g, row, F)
-        if len(g) == 1:
-            break
-    return g
-
-
-def _univar_gcd(f: list[int], g: list[int], F) -> list[int]:
-    """The monic gcd of dense rows f and g over F, not both zero, by
-    Euclid; the base case of Brown's recursion, and the gcd of inputs in
-    one shared variable."""
-    if len(f) == 1 or len(g) == 1:
-        return [1]
-    if len(f) < len(g):
-        f, g = g, f
-    f = list(f)
-    while g:
-        g = F.scale(F.inv(g[-1]), g)
-        d = len(g) - 1
-        while len(f) > d:
-            top = f[-1]
-            if top:
-                s = len(f) - 1 - d
-                f[s:] = F.axpy(f[s:], top, g)
-            f.pop()
-        f, g = g, zpoly.trim(f)
-    if f[-1] != 1:
-        f = F.scale(F.inv(f[-1]), f)
-    return f
-
-
-def _quo(a: list[int], d: list[int], F) -> list[int]:
-    """The exact quotient a / d for a monic d."""
-    a = list(a)
-    n = len(d) - 1
-    q = [0] * (len(a) - n)
-    for s in range(len(q) - 1, -1, -1):
-        top = a[s + n]
-        if top:
-            q[s] = top
-            a[s : s + n + 1] = F.axpy(a[s : s + n + 1], top, d)
-    return q
-
-
-def _mul(a: list[int], b: list[int], F) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(b):
-        if c:
-            out[i : i + len(a)] = F.axpy(out[i : i + len(a)], F.neg(c), a)
-    return out
-
-
-# -- point fields ---------------------------------------------------------------
-
-
-class _Zp:
-    """Z_p as a point field: residues and modular arithmetic."""
-
-    __slots__ = ("p", "q", "points")
-
-    def __init__(self, p: int):
-        self.p = self.q = p
-        self.points = range(p)
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.p)
-
-    def scale(self, c: int, v: list[int]) -> list[int]:
-        p = self.p
-        return [c * x % p for x in v]
-
-    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
-        """u - c*v, elementwise, for a nonzero c."""
-        p = self.p
-        return [(x - c * y) % p for x, y in zip(u, v)]
-
-    def value(self, row: list[int], x: int) -> int:
-        """The dense row evaluated at x, by Horner."""
-        p, acc = self.p, 0
-        for c in reversed(row):
-            acc = (acc * x + c) % p
-        return acc
-
-
-class _Fq:
-    """F_q, q = p^k with k >= 2, as a point field, through O(q) tables.
-
-    Elements are ints in fqtower's base-p encoding (digit i is the
-    coefficient of t^i modulo `make_field(p, k).modulus`), so F_p is the
-    ints below p. With L = q - 1 and g the first primitive element in
-    encoding order, `log[a]` is the exponent of g for a != 0 and 3L for
-    0, and `exp[i]` is g^(i mod L) below 2L and 0 from 2L to 6L; so
-    exp[log a + log b] = a*b with no test for zero. Addition goes through
-    Zech logarithms: a + w = exp[log a + zech[lw - log a + 3L]], where lw
-    is log w, possibly unreduced up to 2L - 2, or in [3L, 4L) for w = 0;
-    the table's three ranges cover a = 0, both nonzero, and w = 0.
-    `nlog[a]` is log(-a).
-    """
-
-    __slots__ = ("p", "q", "log", "nlog", "exp", "zech", "points")
-
-    def __init__(self, p: int, k: int):
-        field = make_field(p, k)
-        q = p**k
-        n = q - 1
-        one = field.one()
-        for e in range(p, q):
-            g = field.from_encoding(e)
-            powers = [1]
-            x = g
-            while x != one:
-                powers.append(x.encode())
-                x = x * g
-            if len(powers) == n:
-                break
-        log = [3 * n] * q
-        for i, a in enumerate(powers):
-            log[a] = i
-        half = n // 2 if p > 2 else 0
-        zech = [0] * (7 * n)
-        for d in range(2 * n - 1):
-            zech[d] = d - 3 * n
-        for d in range(2 * n + 1, 5 * n - 1):
-            a = powers[(d - 3 * n) % n]
-            a1 = a - a % p + (a + 1) % p
-            zech[d] = log[a1] if a1 else 2 * n
-        self.p, self.q = p, q
-        self.log = log
-        self.nlog = [3 * n] + [(i + half) % n for i in log[1:]]
-        self.exp = powers * 2 + [0] * (4 * n + 1)
-        self.zech = zech
-        # g, g^2, ... first: g^i lies in a proper subfield only for i a
-        # multiple of (q - 1)/(p^j - 1), and at points of F_p (or of any
-        # subfield) x^p and x, or x^(p^j) and x, agree, which makes them
-        # unlucky for the lifted inputs of the perfect closure
-        self.points = powers[1:] + [1, 0]
-
-    def mul(self, a: int, b: int) -> int:
-        log = self.log
-        return self.exp[log[a] + log[b]]
-
-    def neg(self, a: int) -> int:
-        return self.exp[self.nlog[a]]
-
-    def sub(self, a: int, b: int) -> int:
-        la = self.log[a]
-        return self.exp[la + self.zech[self.nlog[b] - la + 3 * (self.q - 1)]]
-
-    def inv(self, a: int) -> int:
-        return self.exp[self.q - 1 - self.log[a]]
-
-    def scale(self, c: int, v: list[int]) -> list[int]:
-        log, exp = self.log, self.exp
-        lc = log[c]
-        return [exp[lc + log[x]] for x in v]
-
-    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
-        """u - c*v, elementwise, for a nonzero c."""
-        log, exp, zech = self.log, self.exp, self.zech
-        off = 3 * (self.q - 1) + self.nlog[c]
-        return [exp[(lx := log[x]) + zech[off + log[y] - lx]] for x, y in zip(u, v)]
-
-    def value(self, row: list[int], x: int) -> int:
-        """The dense row evaluated at x, by Horner."""
-        if not x:
-            return row[0] if row else 0
-        log, exp, zech = self.log, self.exp, self.zech
-        off = 3 * (self.q - 1) + log[x]
-        acc = 0
-        for c in reversed(row):
-            lc = log[c]
-            acc = exp[lc + zech[off + log[acc] - lc]]
-        return acc
-
-
-@lru_cache(maxsize=64)
-def _point_field(p: int, k: int):
-    """The point field F_{p^k}, built once per (p, k)."""
-    return _Zp(p) if k == 1 else _Fq(p, k)

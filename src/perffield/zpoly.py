@@ -10,8 +10,8 @@ fresh list without trailing zeros and leaves its inputs alone, except
 This is the one implementation of long division and powering over
 Z_p[t] in the library: fqtower builds F_{p^n} and its Frobenius matrices
 on it, and _accel builds its reduction table with it. Its Euclid serves
-fqtower's Rabin test; multipoly's gcd runs its own, written once for
-the point fields of Brown's algorithm (Z_p and F_{p^k}).
+fqtower's Rabin test; modgcd runs its own, written once for the point
+fields of Brown's algorithm (Z_p and F_{p^k}).
 """
 
 from __future__ import annotations

@@ -161,8 +161,8 @@ def oracle_divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 # primitive part in the highest shared variable, every content gcd
 # through oracle_poly_gcd again, and pseudo-remainders taken on whole
 # MultiPolys. It checks its result by exact division at every level.
-# Kept as the oracle for multipoly's gcd, which recurses on univariate
-# views and certifies once at the top.
+# Kept as the oracle for multipoly's gcd, Brown's evaluation and
+# interpolation over finite fields, which certifies once at the top.
 
 
 def oracle_poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
