@@ -49,10 +49,11 @@ class _OutOfPoints(Exception):
 def gcd_candidates(
     a: Mapping[Mono, int], b: Mapping[Mono, int], p: int, shared: Sequence[int]
 ) -> Iterator[dict[Mono, int]]:
-    """Candidates for the gcd of a and b over Z_p, as term maps monic in
-    lex order, by Brown's dense modular algorithm (W. S. Brown, JACM 18,
-    1971; Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
-    ch. 7). The caller certifies each by exact division.
+    """Candidates for the gcd of a and b over Z_p, as term maps up to a
+    constant factor, by Brown's dense modular algorithm (W. S. Brown,
+    JACM 18, 1971; Geddes, Czapor and Labahn, Algorithms for Computer
+    Algebra, ch. 7). The caller makes each monic and certifies it by
+    exact division.
 
     a and b are term maps {exponent tuple: nonzero residue} of two terms
     or more, with exponent tuples of one length, and they use exactly the

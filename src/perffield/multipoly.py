@@ -587,7 +587,8 @@ def _gcd_nonzero(
 
     When either input is a monomial (a constant is the monomial with all
     exponents 0), the gcd is the monomial of the least exponents over
-    every term of both. A variable in one support only is removed through
+    every term of both. Equal inputs are their own gcd, made monic. A
+    variable in one support only is removed through
     the coefficients in it, which takes disjoint supports down to 1 by
     the monomial rule. Inputs in one shared variable go to Euclid. These
     answers are exact. Inputs sharing two or more variables go to Brown's
@@ -597,6 +598,11 @@ def _gcd_nonzero(
     field, nvars = a.field, a.nvars
     if len(a.terms) == 1 or len(b.terms) == 1:
         return MultiPoly._raw(field, nvars, {tuple(map(min, *a.terms, *b.terms)): 1}), None
+    if a.terms == b.terms:
+        # equal denominators of a sum, and the squarefree cascade's last
+        # steps: each cofactor is the leading coefficient
+        lc = MultiPoly.const(field, nvars, a.leading_coeff())
+        return a.monic(), (lc, lc)
     sup_a, sup_b = a.support_vars(), b.support_vars()
     only = sup_a ^ sup_b
     if only:

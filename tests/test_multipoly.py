@@ -230,9 +230,10 @@ def _gcd_pairs(rng, field, nvars):
     """Coprime pairs, planted common factors, a common content free of
     the highest variable, one zero operand, monomial operands, pairs
     where one input lacks a variable the other uses, a pair with
-    disjoint supports, and cases for Brown's gcd: a leading coefficient
-    that vanishes at the first points, unlucky points, degrees past p at
-    p <= 3, and a main-variable degree of p and more."""
+    disjoint supports, cases for Brown's gcd (a leading coefficient that
+    vanishes at the first points, unlucky points, degrees past p at
+    p <= 3, and a main-variable degree of p and more), and equal
+    inputs."""
 
     def poly(terms, deg, n=nvars):
         f = random_nonzero_multipoly(rng, field, n, max_terms=terms, max_deg=deg)
@@ -297,6 +298,9 @@ def _gcd_pairs(rng, field, nvars):
     # a main-variable degree of p and more
     g = poly(2, 1) + MultiPoly.variable(field, nvars, 0, field.p)
     pairs.append((g * poly(2, 2), g * (poly(2, 1) + MultiPoly.variable(field, nvars, 0, field.p + 1))))
+    # equal inputs
+    f = poly(4, 3)
+    pairs.append((f, f.mul_scalar(1)))
     return pairs
 
 
