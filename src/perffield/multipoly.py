@@ -28,21 +28,21 @@ get one spare top bit each, so one subtraction and one mask test decide
 whether the divisor's leading monomial divides the leader.
 
 GCD starts in `_gcd_nonzero`. When either input is a monomial, the gcd
-is the monomial of the least exponents. A variable that only one input
-uses cannot occur in the gcd, so the gcd is that of the other input with
-each of this one's coefficients in that variable, stopping at 1. Inputs
-in one shared variable go to Euclid, `modgcd.univar_gcd`. Inputs
-sharing two or more variables go to Brown's modular gcd in `modgcd`: it
-evaluates all variables but the main one at points, takes univariate
-gcds of the images, and interpolates them back by Newton, so every value
-stays in a finite field and the cost follows the degrees and the number
-of points. The points come from Z_p when p is large enough, otherwise
-from the smallest F_{p^k} with enough of them, whose arithmetic runs on
-log and Zech tables of size O(q). Brown's candidates can be wrong (an
-early stop, or unlucky points); exact division certifies the one
-returned, once per `gcd_cofactors` call, and its quotients are the
-cofactors a/g and b/g. A candidate that fails the division makes Brown's
-loop take more points (Las Vegas).
+is the monomial of the least exponents; equal inputs are their own gcd.
+A variable that only one input uses cannot occur in the gcd, so the gcd
+is that of the other input with each of this one's coefficients in that
+variable, stopping at 1. Inputs in one shared variable go to Euclid,
+`modgcd.univar_gcd`. Inputs sharing two or more variables go to Brown's
+modular gcd in `modgcd`: it evaluates all variables but the main one at
+points, takes univariate gcds of the images, and interpolates them back
+by Newton, so every value stays in a finite field and the cost follows
+the degrees and the number of points. The points come from Z_p when p is
+large enough, otherwise from the smallest F_{p^k} with enough of them,
+whose arithmetic runs on log and Zech tables of size O(q). Brown's
+candidates can be wrong (an early stop, or unlucky points); exact
+division certifies the one returned, once per `gcd_cofactors` call, and
+its quotients are the cofactors a/g and b/g. A candidate that fails the
+division makes Brown's loop take more points (Las Vegas).
 """
 
 from __future__ import annotations
@@ -588,12 +588,12 @@ def _gcd_nonzero(
     When either input is a monomial (a constant is the monomial with all
     exponents 0), the gcd is the monomial of the least exponents over
     every term of both. Equal inputs are their own gcd, made monic. A
-    variable in one support only is removed through
-    the coefficients in it, which takes disjoint supports down to 1 by
-    the monomial rule. Inputs in one shared variable go to Euclid. These
-    answers are exact. Inputs sharing two or more variables go to Brown's
-    algorithm, whose candidates can be wrong: the first that divides both
-    inputs is the gcd (Las Vegas), and the quotients come with it.
+    variable in one support only is removed through the coefficients in
+    it, which takes disjoint supports down to 1 by the monomial rule.
+    Inputs in one shared variable go to Euclid. These answers are exact.
+    Inputs sharing two or more variables go to Brown's algorithm, whose
+    candidates can be wrong: the first that divides both inputs is the
+    gcd (Las Vegas), and the quotients come with it.
     """
     field, nvars = a.field, a.nvars
     if len(a.terms) == 1 or len(b.terms) == 1:

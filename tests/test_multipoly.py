@@ -339,8 +339,8 @@ def test_gcd_certifies_once_per_call(monkeypatch):
 
 
 def test_gcd_four_variables_dense_factors_is_fast():
-    # 8-term factors of degree 5 in 4 variables at p = 5: the pseudo-remainder
-    # sequence took seconds; the oracle confirmed g = c for this seed once
+    # 8-term factors of degree 5 in 4 variables at p = 5: the PRS oracle
+    # takes tens of seconds on this pair, and confirmed g = c once
     rng = random.Random(5)
 
     def factor():
