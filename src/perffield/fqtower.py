@@ -7,7 +7,8 @@ is the first monic irreducible of degree n in coefficient enumeration
 order (constant term fastest-varying), confirmed by Rabin's criterion —
 so a given (p, n) always denotes the same concrete field. Residues are
 coefficient tuples, and all their arithmetic (products, powers,
-inverses, Rabin's test) is the dense Z_p[t] arithmetic of `zpoly`.
+inverses) is the dense Z_p[t] arithmetic of `zpoly`; Rabin's test takes
+its gcd from `modgcd.univar_gcd`.
 
 The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
 Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import zpoly
+from . import modgcd, zpoly
 from .errors import BoundExceeded, DivisionByZero, NoEmbedding
 from .primefield import is_prime
 
@@ -68,7 +69,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         return False
     for q in _prime_factors(n):
         h = zpoly.sub(zpoly.powmod(t, p ** (n // q), f, p), t, p)
-        if len(zpoly.gcd(f, h, p)) != 1:
+        if len(modgcd.univar_gcd(f, h, p)) != 1:
             return False
     return True
 
@@ -79,7 +80,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 class FqField:
     """The finite field with p^n elements, as Z_p[t] mod a fixed modulus."""
 
-    __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob")
+    __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob", "point_tables")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -88,6 +89,9 @@ class FqField:
         self.order = p**n
         self._frob = None
         self._inv_frob = None
+        # modgcd's log, antilog and Zech tables for the field when it
+        # serves as a point field, built there on first use
+        self.point_tables = None
 
     def power_map(self, e: int) -> tuple[tuple[int, ...], ...]:
         """Rows of the matrix of a -> a^e when that map is F_p-linear
@@ -112,6 +116,17 @@ class FqField:
         if self._inv_frob is None:
             self._inv_frob = self.power_map(self.p ** (self.n - 1))
         return self._inv_frob
+
+    def primitive_element(self) -> FqElem:
+        """The first element of multiplicative order p^n - 1 in encoding
+        order: g^((p^n - 1)/r) != 1 for every prime r dividing p^n - 1."""
+        one = self.one()
+        cofactors = [(self.order - 1) // r for r in _prime_factors(self.order - 1)]
+        for e in range(1, self.order):
+            g = self.from_encoding(e)
+            if all(g**m != one for m in cofactors):
+                return g
+        raise RuntimeError(f"no primitive element in F_{self.p}^{self.n}")
 
     def elem(self, coeffs) -> FqElem:
         p = self.p
@@ -314,6 +329,14 @@ def make_field(p: int, n: int) -> FqField:
         )
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return FqField(p, n, canonical_modulus(p, n))
+
+
+def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
+    """The modulus of F_{p^n} for a prime p: the first monic irreducible
+    of degree n over Z_p in coefficient enumeration order, constant term
+    fastest-varying. make_field bounds n and p^n; modgcd takes larger
+    fields' moduli from here."""
     for k in range(p**n):
         coeffs = []
         kk = k
@@ -322,7 +345,7 @@ def make_field(p: int, n: int) -> FqField:
             kk //= p
         coeffs.append(1)
         if _is_irreducible(coeffs, p):
-            return FqField(p, n, tuple(coeffs))
+            return tuple(coeffs)
     raise RuntimeError(f"no irreducible polynomial of degree {n} over Z_{p}")
 
 

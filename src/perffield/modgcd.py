@@ -1,11 +1,10 @@
 """Brown's modular gcd over Z_p, and the finite fields it takes points from.
 
 `gcd_candidates` is the gcd of multipoly's `_gcd_nonzero` for inputs
-sharing two or more variables; `univar_gcd` is its Euclid for inputs in
-one. Polynomials here are term maps {exponent tuple: residue}, not
-MultiPoly, so this module does not import multipoly, which imports it on
-its first gcd: where bytecode is not cached, importing the package (the
-CLI's cold start) then does not compile this module.
+sharing two or more variables; `univar_gcd` is the library's one Euclid
+over Z_p, for multipoly's inputs in one variable and fqtower's Rabin
+test. Polynomials here are term maps {exponent tuple: residue}, not
+MultiPoly, so this module does not import multipoly.
 
 Brown's algorithm evaluates all variables but the main one at points,
 one level per variable, takes univariate gcds of the images, and
@@ -14,30 +13,33 @@ the cost follows the degrees and the number of points, not the growth of
 polynomial coefficients along a remainder sequence. The points come
 from Z_p when p is large enough, and otherwise from the smallest
 F_{p^k} with enough of them, whose arithmetic runs on log, antilog and
-Zech tables of size O(q). Candidates can be wrong (an early stop, or
-unlucky points); the caller certifies one by exact division and asks for
-the next when it fails (Las Vegas).
+Zech tables of size O(q) up to MAX_POINT_FIELD elements, and on
+polynomial products modulo fqtower's canonical modulus past that.
+Candidates can be wrong (an early stop, or unlucky points); the caller
+certifies one by exact division and asks for the next when it fails
+(Las Vegas).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import chain, zip_longest
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import zpoly
-from .errors import BoundExceeded
-from .fqtower import make_field
 
 Mono = tuple[int, ...]
-# elements of the largest F_{p^k}, k >= 2, whose tables are built
-MAX_POINT_FIELD = 1 << 16
+# elements of the largest F_{p^k}, k >= 2, whose arithmetic runs on
+# tables; building them takes about 10 us per element, and larger fields
+# serve degrees in the hundreds, in practice lifted elements with sparse
+# rows, which `_FqPoly` evaluates in fewer products
+MAX_POINT_FIELD = 1 << 10
 
 
-# Inside the recursion a polynomial over a point field F (`_Zp` or `_Fq`)
-# is a map of rows (see `_rows`): dense lists in the last variable, which
-# is evaluated first, index = degree, without trailing zeros. Variable 0
-# is the main variable. Gcds come back as flat maps {exponent tuple:
+# Inside the recursion a polynomial over a point field F (`_Zp`, `_Fq`
+# or `_FqPoly`) is a map of rows (see `_rows`): dense lists in the last
+# variable, which is evaluated first, index = degree, without trailing
+# zeros. Variable 0 is the main variable. Gcds come back as flat maps {exponent tuple:
 # element}, monic in lex order, the order in which Brown's algorithm
 # compares images.
 
@@ -68,11 +70,9 @@ def gcd_candidates(
     evaluated in turn, the largest first. The points come from the point
     field of the smallest F_{p^k} with enough of them for every variable,
     and run out only when too many are unlucky; then the search restarts
-    one degree up. Past MAX_POINT_FIELD elements the tables would cost
-    more memory than any gcd here is worth, and BoundExceeded says so
-    before they are built. A monic gcd does not change under field
-    extension, so a candidate with a coefficient outside Z_p cannot be
-    the gcd and is passed over.
+    one degree up. A monic gcd does not change under field extension, so
+    a candidate with a coefficient outside Z_p cannot be the gcd and is
+    passed over.
     """
     low_a, low_b = list(map(min, *a)), list(map(min, *b))
     high_a, high_b = list(map(max, *a)), list(map(max, *b))
@@ -96,10 +96,6 @@ def gcd_candidates(
         k += 1
     RA, RB = _rows(A.items()), _rows(B.items())
     while True:
-        if k > 1 and p**k > MAX_POINT_FIELD:
-            raise BoundExceeded(
-                f"the gcd needs more evaluation points than a field of at most {MAX_POINT_FIELD} elements has"
-            )
         F = _point_field(p, k)
         try:
             for h in [_gcd_image(RA, RB, F, 0)] if () in RA else _interpolate(RA, RB, F, 0, True):
@@ -261,17 +257,9 @@ def _univar_gcd(f: list[int], g: list[int], F) -> list[int]:
         return [1]
     if len(f) < len(g):
         f, g = g, f
-    f = list(f)
     while g:
         g = F.scale(F.inv(g[-1]), g)
-        d = len(g) - 1
-        while len(f) > d:
-            top = f[-1]
-            if top:
-                s = len(f) - 1 - d
-                f[s:] = F.axpy(f[s:], top, g)
-            f.pop()
-        f, g = g, zpoly.trim(f)
+        f, g = g, F.rem(f, g)
     if f[-1] != 1:
         f = F.scale(F.inv(f[-1]), f)
     return f
@@ -280,7 +268,20 @@ def _univar_gcd(f: list[int], g: list[int], F) -> list[int]:
 def univar_gcd(f: list[int], g: list[int], p: int) -> list[int]:
     """The monic gcd over Z_p of dense coefficient lists without trailing
     zeros, not both zero: the Euclid of Brown's base case, over Z_p."""
-    return _univar_gcd(f, g, _point_field(p, 1))
+    return _univar_gcd(f, g, _Zp(p))
+
+
+def _rem(f: list[int], g: list[int], F) -> list[int]:
+    """f mod g for a monic g, by long division."""
+    f = list(f)
+    d = len(g) - 1
+    while len(f) > d:
+        top = f[-1]
+        if top:
+            s = len(f) - 1 - d
+            f[s:] = F.axpy(f[s:], top, g)
+        f.pop()
+    return zpoly.trim(f)
 
 
 def _quo(a: list[int], d: list[int], F) -> list[int]:
@@ -297,6 +298,8 @@ def _quo(a: list[int], d: list[int], F) -> list[int]:
 
 
 def _mul(a: list[int], b: list[int], F) -> list[int]:
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(b):
         if c:
@@ -344,13 +347,17 @@ class _Zp:
             acc = (acc * x + c) % p
         return acc
 
+    def rem(self, f: list[int], g: list[int]) -> list[int]:
+        return _rem(f, g, self)
+
 
 class _Fq:
-    """F_q, q = p^k with k >= 2, as a point field, through O(q) tables.
+    """F_q, q = p^k with 2 <= k and q <= MAX_POINT_FIELD, as a point
+    field, through O(q) tables.
 
     Elements are ints in fqtower's base-p encoding (digit i is the
-    coefficient of t^i modulo `make_field(p, k).modulus`), so F_p is the
-    ints below p. With L = q - 1 and g the first primitive element in
+    coefficient of t^i modulo the field's modulus), so F_p is the ints
+    below p. With L = q - 1 and g the first primitive element in
     encoding order, `log[a]` is the exponent of g for a != 0 and 3L for
     0, and `exp[i]` is g^(i mod L) below 2L and 0 from 2L to 6L; so
     exp[log a + log b] = a*b with no test for zero. Addition goes through
@@ -362,20 +369,14 @@ class _Fq:
 
     __slots__ = ("p", "q", "log", "nlog", "exp", "zech", "points")
 
-    def __init__(self, p: int, k: int):
-        field = make_field(p, k)
-        q = p**k
+    def __init__(self, field):
+        p, q = field.p, field.order
         n = q - 1
-        one = field.one()
-        for e in range(p, q):
-            g = field.from_encoding(e)
-            powers = [1]
-            x = g
-            while x != one:
-                powers.append(x.encode())
-                x = x * g
-            if len(powers) == n:
-                break
+        g = field.primitive_element()
+        powers, x = [1], g
+        for _ in range(n - 1):
+            powers.append(x.encode())
+            x = x * g
         log = [3 * n] * q
         for i, a in enumerate(powers):
             log[a] = i
@@ -435,8 +436,166 @@ class _Fq:
             acc = exp[lc + zech[off + log[acc] - lc]]
         return acc
 
+    def rem(self, f: list[int], g: list[int]) -> list[int]:
+        return _rem(f, g, self)
 
-@lru_cache(maxsize=64)
+
+class _FqPoly:
+    """F_q, q = p^k past MAX_POINT_FIELD elements, as a point field
+    without tables.
+
+    Elements are ints in the base-p encoding of `_Fq`, and a product is
+    the schoolbook product of their digit lists reduced modulo fqtower's
+    canonical modulus of degree k. A field this large serves degrees in
+    the hundreds and more, which in practice are those of lifted
+    elements (x^(p^2) at p = 101) with long, sparse rows; so `value` and `rem`
+    jump over runs of zero coefficients by powering, Horner's rule with
+    gaps, in F and in F[y]/(g). The points are the encodings from p up,
+    then F_p: at points of F_p, x^p and x agree.
+    """
+
+    __slots__ = ("p", "q", "k", "modulus")
+
+    def __init__(self, p: int, k: int):
+        from .fqtower import canonical_modulus
+
+        self.p, self.k, self.q = p, k, p**k
+        self.modulus = canonical_modulus(p, k)
+
+    @property
+    def points(self) -> Iterable[int]:
+        return chain(range(self.p, self.q), range(self.p))
+
+    def _digits(self, a: int) -> list[int]:
+        p, out = self.p, []
+        while a:
+            a, r = divmod(a, p)
+            out.append(r)
+        return out
+
+    def _encode(self, digits: Iterable[int]) -> int:
+        p, a = self.p, 0
+        for c in reversed(list(digits)):
+            a = a * p + c
+        return a
+
+    def mul(self, a: int, b: int) -> int:
+        p = self.p
+        if a < p and b < p:
+            return a * b % p
+        x, y = self._digits(a), self._digits(b)
+        if not x or not y:
+            return 0
+        prod = [0] * (len(x) + len(y) - 1)
+        for i, c in enumerate(x):
+            if c:
+                for j, e in enumerate(y):
+                    prod[i + j] += c * e
+        k, f = self.k, self.modulus
+        for i in range(len(prod) - 1, k - 1, -1):
+            c = prod[i] % p
+            if c:
+                for j in range(k):
+                    prod[i - k + j] -= c * f[j]
+        return self._encode(c % p for c in prod[:k])
+
+    def neg(self, a: int) -> int:
+        p = self.p
+        if a < p:
+            return -a % p
+        return self._encode(-c % p for c in self._digits(a))
+
+    def sub(self, a: int, b: int) -> int:
+        p = self.p
+        if a < p and b < p:
+            return (a - b) % p
+        if p == 2:
+            return a ^ b
+        pairs = zip_longest(self._digits(a), self._digits(b), fillvalue=0)
+        return self._encode((x - y) % p for x, y in pairs)
+
+    def inv(self, a: int) -> int:
+        p = self.p
+        if a < p:
+            return pow(a, -1, p)
+        return self._encode(zpoly.invmod(self._digits(a), self.modulus, p))
+
+    def pow(self, a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return out
+
+    def scale(self, c: int, v: list[int]) -> list[int]:
+        return [self.mul(c, x) for x in v]
+
+    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
+        """u - c*v, elementwise, for a nonzero c."""
+        return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
+
+    def value(self, row: list[int], x: int) -> int:
+        """The row evaluated at x, by Horner's rule over its nonzero
+        coefficients: acc * x^gap + c."""
+        acc, last = 0, 0
+        for e in reversed([e for e, c in enumerate(row) if c]):
+            if acc:
+                acc = self.mul(acc, self.pow(x, last - e))
+            acc, last = self.sub(acc, self.neg(row[e])), e
+        return self.mul(acc, self.pow(x, last)) if last else acc
+
+    def rem(self, f: list[int], g: list[int]) -> list[int]:
+        """f mod g for a monic g: by long division, or by Horner's rule
+        over the nonzero coefficients of f in F[y]/(g) where that takes
+        fewer products (about 4 d^2 log(deg f) per coefficient against
+        d per degree, for d = deg g)."""
+        d = len(g) - 1
+        nonzero = [e for e, c in enumerate(f) if c]
+        if 4 * d * len(nonzero) * len(f).bit_length() >= len(f):
+            return _rem(f, g, self)
+        acc, last = [], 0
+        for e in reversed(nonzero):
+            if acc:
+                acc = self._mulmod(acc, self._ypow(last - e, g), g)
+            acc, last = _rem(_add_const(acc, f[e], self), g, self), e
+        return self._mulmod(acc, self._ypow(last, g), g) if last else acc
+
+    def _mulmod(self, a: list[int], b: list[int], g: list[int]) -> list[int]:
+        return _rem(_mul(a, b, self), g, self)
+
+    def _ypow(self, e: int, g: list[int]) -> list[int]:
+        """y^e mod g, by squaring."""
+        out, y = [1], _rem([0, 1], g, self)
+        while e:
+            if e & 1:
+                out = self._mulmod(out, y, g)
+            e >>= 1
+            if e:
+                y = self._mulmod(y, y, g)
+        return out
+
+
+def _add_const(a: list[int], c: int, F) -> list[int]:
+    """The row a plus the constant c."""
+    if not a:
+        return [c]
+    return [F.sub(a[0], F.neg(c))] + a[1:]
+
+
 def _point_field(p: int, k: int):
-    """The point field F_{p^k}, built once per (p, k)."""
-    return _Zp(p) if k == 1 else _Fq(p, k)
+    """F_{p^k} as a point field. The tables of `_Fq` live on fqtower's
+    field object, so they are built once per field and go when
+    make_field's cache is cleared."""
+    if k == 1:
+        return _Zp(p)
+    if p**k > MAX_POINT_FIELD:
+        return _FqPoly(p, k)
+    from .fqtower import make_field
+
+    field = make_field(p, k)
+    if field.point_tables is None:
+        field.point_tables = _Fq(field)
+    return field.point_tables

@@ -28,21 +28,22 @@ get one spare top bit each, so one subtraction and one mask test decide
 whether the divisor's leading monomial divides the leader.
 
 GCD starts in `_gcd_nonzero`. When either input is a monomial, the gcd
-is the monomial of the least exponents; equal inputs are their own gcd.
-A variable that only one input uses cannot occur in the gcd, so the gcd
-is that of the other input with each of this one's coefficients in that
-variable, stopping at 1. Inputs in one shared variable go to Euclid,
-`modgcd.univar_gcd`. Inputs sharing two or more variables go to Brown's
-modular gcd in `modgcd`: it evaluates all variables but the main one at
-points, takes univariate gcds of the images, and interpolates them back
-by Newton, so every value stays in a finite field and the cost follows
-the degrees and the number of points. The points come from Z_p when p is
-large enough, otherwise from the smallest F_{p^k} with enough of them,
-whose arithmetic runs on log and Zech tables of size O(q). Brown's
-candidates can be wrong (an early stop, or unlucky points); exact
-division certifies the one returned, once per `gcd_cofactors` call, and
-its quotients are the cofactors a/g and b/g. A candidate that fails the
-division makes Brown's loop take more points (Las Vegas).
+is the monomial of the least exponents. A variable that only one input
+uses cannot occur in the gcd, so the gcd is that of the other input with
+each of this one's coefficients in that variable, stopping at 1. Inputs
+in one shared variable go to Euclid, `modgcd.univar_gcd`. Inputs sharing
+two or more variables go to Brown's modular gcd in `modgcd`: it
+evaluates all variables but the main one at points, takes univariate
+gcds of the images, and interpolates them back by Newton, so every value
+stays in a finite field and the cost follows the degrees and the number
+of points. The points come from Z_p when p is large enough, otherwise
+from the smallest F_{p^k} with enough of them, whose arithmetic runs on
+log and Zech tables of size O(q) up to `modgcd.MAX_POINT_FIELD` elements
+and on polynomial products past it. Brown's candidates can be wrong (an
+early stop, or unlucky points); exact division certifies the one
+returned, once per `gcd_cofactors` call, and its quotients are the
+cofactors a/g and b/g. A candidate that fails the division makes Brown's
+loop take more points (Las Vegas).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import heapq
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
+from . import modgcd
 from .errors import BoundExceeded, ContextMismatch, DivisionByZero, NotAPthPower, NotDivisible
 from .primefield import PrimeField
 
@@ -587,10 +589,9 @@ def _gcd_nonzero(
 
     When either input is a monomial (a constant is the monomial with all
     exponents 0), the gcd is the monomial of the least exponents over
-    every term of both. Equal inputs are their own gcd, made monic. A
-    variable in one support only is removed through the coefficients in
-    it, which takes disjoint supports down to 1 by the monomial rule.
-    Inputs in one shared variable go to Euclid. These answers are exact.
+    every term of both. A variable in one support only is removed
+    through the coefficients in it, which takes disjoint supports down to
+    1 by the monomial rule. Inputs in one shared variable go to Euclid. These answers are exact.
     Inputs sharing two or more variables go to Brown's algorithm, whose
     candidates can be wrong: the first that divides both inputs is the
     gcd (Las Vegas), and the quotients come with it.
@@ -598,11 +599,6 @@ def _gcd_nonzero(
     field, nvars = a.field, a.nvars
     if len(a.terms) == 1 or len(b.terms) == 1:
         return MultiPoly._raw(field, nvars, {tuple(map(min, *a.terms, *b.terms)): 1}), None
-    if a.terms == b.terms:
-        # equal denominators of a sum, and the squarefree cascade's last
-        # steps: each cofactor is the leading coefficient
-        lc = MultiPoly.const(field, nvars, a.leading_coeff())
-        return a.monic(), (lc, lc)
     sup_a, sup_b = a.support_vars(), b.support_vars()
     only = sup_a ^ sup_b
     if only:
@@ -617,8 +613,6 @@ def _gcd_nonzero(
                 break
         return g, None
     # from here on both inputs use the same variables
-    from . import modgcd  # see modgcd's docstring for why it loads here
-
     if len(sup_a) == 1:
         (k,) = sup_a
         g = modgcd.univar_gcd(_dense_coeffs(a, k), _dense_coeffs(b, k), field.p)

@@ -9,9 +9,9 @@ fresh list without trailing zeros and leaves its inputs alone, except
 
 This is the one implementation of long division and powering over
 Z_p[t] in the library: fqtower builds F_{p^n} and its Frobenius matrices
-on it, and _accel builds its reduction table with it. Its Euclid serves
-fqtower's Rabin test; modgcd runs its own, written once for the point
-fields of Brown's algorithm (Z_p and F_{p^k}).
+on it, and _accel builds its reduction table with it. The gcd over Z_p[t]
+is `modgcd.univar_gcd`, the Euclid that Brown's algorithm runs over its
+point fields.
 """
 
 from __future__ import annotations
@@ -92,17 +92,6 @@ def powmod(a: Poly, e: int, f: Poly, p: int) -> list[int]:
         if e:
             b = rem(mul(b, b, p), f, p)
     return result
-
-
-def gcd(a: Poly, b: Poly, p: int) -> list[int]:
-    """The monic gcd of a and b ([] when both are zero), by Euclid."""
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        a, b = b, rem(a, b, p)
-    if not a:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return [(c * inv) % p for c in a]
 
 
 def invmod(a: Poly, f: Poly, p: int) -> list[int]:

@@ -725,6 +725,25 @@ def test_sqfree_with_a_ground_degree_past_p_is_fast():
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "f5986ce11fb3cb6f"
 
 
+@pytest.mark.parametrize(
+    "p, level",
+    [(101, 2), (2, 16)],
+)
+def test_lifted_coprime_fraction_past_the_table_fields(p, level):
+    # lifting to the common level makes the fraction (x1 + x2^N) /
+    # (x1^N + x2) with N = p^level, coprime, and its gcd takes points
+    # from a field past MAX_POINT_FIELD: x^N and x agree on every field
+    # of at most N elements; the fraction is reported as it stands
+    s = Session(p, 2)
+    n = p**level
+    start = time.perf_counter()
+    out = run(s, f"eval (root(x1,{level})+x2)/(x1+root(x2,{level}))")
+    assert time.perf_counter() - start < 0.5
+    assert out == (
+        f"(root(x2,{level})^{n} + root(x1,{level})) / (root(x1,{level})^{n} + root(x2,{level}))"
+    )
+
+
 def test_separability_with_mixed_levels_at_large_p_is_fast():
     # gcd makes both inputs monic before clearing denominators, so a
     # level-2 factor of every coefficient cancels instead of lifting the

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from perffield import multipoly
-from perffield.errors import BoundExceeded, DivisionByZero, NotAPthPower, NotDivisible
+from perffield import modgcd, multipoly
+from perffield.errors import DivisionByZero, NotAPthPower, NotDivisible
 from perffield.fqtower import make_field
 from perffield.multipoly import MultiPoly, gcd_cofactors, poly_gcd
 from perffield.primefield import PrimeField
@@ -301,6 +301,16 @@ def _gcd_pairs(rng, field, nvars):
     # equal inputs
     f = poly(4, 3)
     pairs.append((f, f.mul_scalar(1)))
+    if nvars > 1:
+        # x1 + x_n^N and x1^N + x_n, N a power of p, are coprime but agree
+        # at every point of F_{p^k} with p^k <= N: the points come from a
+        # field past MAX_POINT_FIELD, which has no tables
+        x = [MultiPoly.variable(field, nvars, i) for i in range(nvars)]
+        n = field.p
+        while n <= modgcd.MAX_POINT_FIELD:
+            n *= field.p
+        g = x[0] * x[-1] + x[-1] ** 2 + rng.randrange(1, field.p)
+        pairs.append((g * (x[0] + x[-1] ** n), g * (x[0] ** n + x[-1])))
     return pairs
 
 
@@ -359,14 +369,15 @@ def test_gcd_four_variables_dense_factors_is_fast():
     assert g == c.monic()
 
 
-def test_gcd_refuses_a_point_field_past_its_bound():
-    # two variables of degree 20000 at p = 2 would need tables for more
-    # points than MAX_POINT_FIELD; the bound is checked before any is built
+def test_gcd_past_the_table_fields_is_fast():
+    # two variables of degree 20000 at p = 2 take their points from
+    # F_{2^17}, past MAX_POINT_FIELD; a common factor would divide the
+    # difference x1 + x2, which does not divide either input
     x1, x2 = (MultiPoly.variable(F2, 2, i) for i in range(2))
     start = time.perf_counter()
-    with pytest.raises(BoundExceeded):
-        poly_gcd(x1**20000 + x2**20001 + x1, x1**20000 + x2**20001 + x2)
+    g = poly_gcd(x1**20000 + x2**20001 + x1, x1**20000 + x2**20001 + x2)
     assert time.perf_counter() - start < 0.5
+    assert g == MultiPoly.const(F2, 2, 1)
 
 
 # Total degrees on either side of powers of two, where the digit width of

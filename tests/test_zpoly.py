@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from perffield import zpoly
+from perffield import modgcd, zpoly
 from perffield.fqtower import make_field
 
 PRIMES = (2, 3, 5, 7, 101)
@@ -44,10 +44,10 @@ def test_gcd_divides_both(p):
         c = random_poly(rng, p, 6)
         a = zpoly.mul(random_poly(rng, p, 14), c, p)
         b = zpoly.mul(random_poly(rng, p, 14), c, p)
-        g = zpoly.gcd(a, b, p)
         if not a and not b:
-            assert g == []
             continue
+        # the Euclid over Z_p[t] is modgcd's
+        g = modgcd.univar_gcd(a, b, p)
         assert g[-1] == 1
         assert zpoly.rem(a, g, p) == []
         assert zpoly.rem(b, g, p) == []
