@@ -30,10 +30,11 @@ from . import zpoly
 
 Mono = tuple[int, ...]
 # elements of the largest F_{p^k}, k >= 2, whose arithmetic runs on
-# tables; building them takes about 10 us per element, and larger fields
-# serve degrees in the hundreds, in practice lifted elements with sparse
-# rows, which `_FqPoly` evaluates in fewer products
-MAX_POINT_FIELD = 1 << 10
+# tables; building them takes 2 to 7 us per element (22 ms for F_{101^2},
+# 117 ms for F_{2^14}), and larger fields serve degrees in the thousands,
+# in practice lifted elements with sparse rows, which `_FqPoly`
+# evaluates in fewer products
+MAX_POINT_FIELD = 1 << 14
 
 
 # Inside the recursion a polynomial over a point field F (`_Zp`, `_Fq`
@@ -58,13 +59,13 @@ def gcd_candidates(
     exact division.
 
     a and b are term maps {exponent tuple: nonzero residue} of two terms
-    or more, with exponent tuples of one length, and they use exactly the
-    variables `shared`. The gcd is x^low times the gcd with the monomial
-    contents x^low_a and x^low_b taken out. Where every exponent of x_v
-    left is a multiple of step_v, the gcd is one in x_v^step_v:
-    substituting x_v -> x_v^step_v is a flat extension of the polynomial
-    ring, and gcds commute with it. So lifted elements, whose exponents
-    are multiples of a power of p, cost what their deflated form costs.
+    or more, with exponent tuples of one length; they use exactly the
+    variables `shared`, and no variable divides either. Where every
+    exponent of x_v is a multiple of step_v, the gcd is one in
+    x_v^step_v: substituting x_v -> x_v^step_v is a flat extension of the
+    polynomial ring, and gcds commute with it. So lifted elements, whose
+    exponents are multiples of a power of p, cost what their deflated
+    form costs.
 
     The main variable is the one of largest degree; the others are
     evaluated in turn, the largest first. The points come from the point
@@ -74,19 +75,12 @@ def gcd_candidates(
     a candidate with a coefficient outside Z_p cannot be the gcd and is
     passed over.
     """
-    low_a, low_b = list(map(min, *a)), list(map(min, *b))
-    high_a, high_b = list(map(max, *a)), list(map(max, *b))
-    low = list(map(min, low_a, low_b))
-    step = {v: gcd(*{m[v] - low_a[v] for m in a}, *{m[v] - low_b[v] for m in b}) for v in shared}
-    degs = {
-        v: ((high_a[v] - low_a[v]) // d, (high_b[v] - low_b[v]) // d)
-        for v, d in step.items()
-        if d
-    }
+    step = {v: gcd(*{m[v] for m in a}, *{m[v] for m in b}) for v in shared}
+    degs = {v: (max(m[v] for m in a) // d, max(m[v] for m in b) // d) for v, d in step.items()}
     order = sorted(degs, key=lambda v: (max(degs[v]), v))
     order.insert(0, order.pop())
-    A = {tuple((m[v] - low_a[v]) // step[v] for v in order): c for m, c in a.items()}
-    B = {tuple((m[v] - low_b[v]) // step[v] for v in order): c for m, c in b.items()}
+    A = {tuple(m[v] // step[v] for v in order): c for m, c in a.items()}
+    B = {tuple(m[v] // step[v] for v in order): c for m, c in b.items()}
     # a level in x_v skips at most deg a + deg b points where a leading
     # coefficient vanishes, and interpolates through at most
     # 2 min(deg a, deg b) + 1 (see _interpolate's bound)
@@ -95,6 +89,7 @@ def gcd_candidates(
     while p**k < need:
         k += 1
     RA, RB = _rows(A.items()), _rows(B.items())
+    nvars = len(next(iter(a)))
     while True:
         F = _point_field(p, k)
         try:
@@ -103,9 +98,9 @@ def gcd_candidates(
                     continue
                 terms = {}
                 for m, c in h.items():
-                    mono = list(low)
+                    mono = [0] * nvars
                     for v, e in zip(order, m):
-                        mono[v] += e * step[v]
+                        mono[v] = e * step[v]
                     terms[tuple(mono)] = c
                 yield terms
             return

@@ -28,22 +28,22 @@ get one spare top bit each, so one subtraction and one mask test decide
 whether the divisor's leading monomial divides the leader.
 
 GCD starts in `_gcd_nonzero`. When either input is a monomial, the gcd
-is the monomial of the least exponents. A variable that only one input
-uses cannot occur in the gcd, so the gcd is that of the other input with
-each of this one's coefficients in that variable, stopping at 1. Inputs
-in one shared variable go to Euclid, `modgcd.univar_gcd`. Inputs sharing
-two or more variables go to Brown's modular gcd in `modgcd`: it
-evaluates all variables but the main one at points, takes univariate
-gcds of the images, and interpolates them back by Newton, so every value
-stays in a finite field and the cost follows the degrees and the number
-of points. The points come from Z_p when p is large enough, otherwise
-from the smallest F_{p^k} with enough of them, whose arithmetic runs on
-log and Zech tables of size O(q) up to `modgcd.MAX_POINT_FIELD` elements
-and on polynomial products past it. Brown's candidates can be wrong (an
-early stop, or unlucky points); exact division certifies the one
-returned, once per `gcd_cofactors` call, and its quotients are the
-cofactors a/g and b/g. A candidate that fails the division makes Brown's
-loop take more points (Las Vegas).
+is the monomial of the least exponents, and monomial contents come out
+next. A variable that only one input uses cannot occur in the gcd, so
+the gcd is that of the other input with each of this one's coefficients
+in that variable, stopping at 1. Inputs in one shared variable go to
+Euclid, `modgcd.univar_gcd`. Inputs sharing two or more variables go to
+Brown's modular gcd in `modgcd`: it evaluates all variables but the main
+one at points, takes univariate gcds of the images, and interpolates
+them back by Newton, so every value stays in a finite field and the cost
+follows the degrees and the number of points. The points come from Z_p
+when p is large enough, otherwise from the smallest F_{p^k} with enough
+of them, whose arithmetic runs on log and Zech tables of size O(q) up to
+`modgcd.MAX_POINT_FIELD` elements and on polynomial products past it.
+Brown's candidates can be wrong (an early stop, or unlucky points);
+exact division certifies the one returned, once per `gcd_cofactors`
+call, and its quotients are the cofactors a/g and b/g. A candidate that
+fails the division makes Brown's loop take more points (Las Vegas).
 """
 
 from __future__ import annotations
@@ -589,16 +589,30 @@ def _gcd_nonzero(
 
     When either input is a monomial (a constant is the monomial with all
     exponents 0), the gcd is the monomial of the least exponents over
-    every term of both. A variable in one support only is removed
-    through the coefficients in it, which takes disjoint supports down to
-    1 by the monomial rule. Inputs in one shared variable go to Euclid. These answers are exact.
-    Inputs sharing two or more variables go to Brown's algorithm, whose
-    candidates can be wrong: the first that divides both inputs is the
-    gcd (Las Vegas), and the quotients come with it.
+    every term of both. Monomial contents come out next, so the supports
+    below are those of what is left. A variable in one support only is
+    removed through the coefficients in it, which takes disjoint
+    supports down to 1 by the monomial rule. Inputs in one shared
+    variable go to Euclid. These answers are exact. Inputs sharing two
+    or more variables go to Brown's algorithm, whose candidates can be
+    wrong: the first that divides both inputs is the gcd (Las Vegas), and
+    the quotients come with it.
     """
     field, nvars = a.field, a.nvars
     if len(a.terms) == 1 or len(b.terms) == 1:
         return MultiPoly._raw(field, nvars, {tuple(map(min, *a.terms, *b.terms)): 1}), None
+    low_a, low_b = tuple(map(min, *a.terms)), tuple(map(min, *b.terms))
+    if any(low_a) or any(low_b):
+        # gcd(x^u a', x^w b') = x^min(u, w) gcd(a', b') when no variable
+        # divides a' or b'
+        low = tuple(map(min, low_a, low_b))
+        g, cofactors = _gcd_nonzero(_shift(a, low_a), _shift(b, low_b))
+        if cofactors:
+            # a/g = x^(u - min(u, w)) a'/g', and b/g likewise
+            cofactors = tuple(
+                _shift(c, [i - j for i, j in zip(low, e)]) for c, e in zip(cofactors, (low_a, low_b))
+            )
+        return _shift(g, [-i for i in low]), cofactors
     sup_a, sup_b = a.support_vars(), b.support_vars()
     only = sup_a ^ sup_b
     if only:
@@ -625,6 +639,12 @@ def _gcd_nonzero(
         except NotDivisible:
             continue
     raise RuntimeError("internal error: no gcd candidate divides both inputs")
+
+
+def _shift(f: MultiPoly, e: Sequence[int]) -> MultiPoly:
+    """f / x^e for a monomial x^e dividing f; x^-e f when e <= 0."""
+    terms = {tuple(i - j for i, j in zip(m, e)): c for m, c in f.terms.items()}
+    return MultiPoly._raw(f.field, f.nvars, terms)
 
 
 def _dense_coeffs(f: MultiPoly, k: int) -> list[int]:

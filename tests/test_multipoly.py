@@ -303,11 +303,11 @@ def _gcd_pairs(rng, field, nvars):
     pairs.append((f, f.mul_scalar(1)))
     if nvars > 1:
         # x1 + x_n^N and x1^N + x_n, N a power of p, are coprime but agree
-        # at every point of F_{p^k} with p^k <= N: the points come from a
-        # field past MAX_POINT_FIELD, which has no tables
+        # at every point of F_{p^k} with p^k <= N: with N p past
+        # MAX_POINT_FIELD, the points come from a field without tables
         x = [MultiPoly.variable(field, nvars, i) for i in range(nvars)]
-        n = field.p
-        while n <= modgcd.MAX_POINT_FIELD:
+        n = 1
+        while n * field.p <= modgcd.MAX_POINT_FIELD:
             n *= field.p
         g = x[0] * x[-1] + x[-1] ** 2 + rng.randrange(1, field.p)
         pairs.append((g * (x[0] + x[-1] ** n), g * (x[0] ** n + x[-1])))
