@@ -22,7 +22,7 @@ certifies one by exact division and asks for the next when it fails
 
 from __future__ import annotations
 
-from itertools import chain, zip_longest
+from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,6 +35,10 @@ Mono = tuple[int, ...]
 # in practice lifted elements with sparse rows, which `_FqPoly`
 # evaluates in fewer products
 MAX_POINT_FIELD = 1 << 14
+# steps of Euclid (deg a * deg b) in the main variable past which another
+# main variable may cost less; on seeded mixed-level CLI lines at p in
+# {11, 101}, 10^8 to 3 * 10^8 answered the most, 10^7 and 10^9 fewer
+EUCLID_STEPS = 10**8
 
 
 # Inside the recursion a polynomial over a point field F (`_Zp`, `_Fq`
@@ -67,8 +71,9 @@ def gcd_candidates(
     exponents are multiples of a power of p, cost what their deflated
     form costs.
 
-    The main variable is the one of largest degree; the others are
-    evaluated in turn, the largest first. The points come from the point
+    The main variable is the one of largest degree, unless Euclid on its
+    images would be too long (see `_order`); the others are evaluated in
+    turn, the largest first. The points come from the point
     field of the smallest F_{p^k} with enough of them for every variable,
     and run out only when too many are unlucky; then the search restarts
     one degree up. A monic gcd does not change under field extension, so
@@ -77,8 +82,7 @@ def gcd_candidates(
     """
     step = {v: gcd(*{m[v] for m in a}, *{m[v] for m in b}) for v in shared}
     degs = {v: (max(m[v] for m in a) // d, max(m[v] for m in b) // d) for v, d in step.items()}
-    order = sorted(degs, key=lambda v: (max(degs[v]), v))
-    order.insert(0, order.pop())
+    order = _order(degs, len(a) + len(b))
     A = {tuple(m[v] // step[v] for v in order): c for m, c in a.items()}
     B = {tuple(m[v] // step[v] for v in order): c for m, c in b.items()}
     # a level in x_v skips at most deg a + deg b points where a leading
@@ -106,6 +110,34 @@ def gcd_candidates(
             return
         except _OutOfPoints:
             k += 1
+
+
+def _order(degs: Mapping[int, tuple[int, int]], size: int) -> list[int]:
+    """The variables, main first and then in reverse order of evaluation,
+    from their (deg a, deg b) and the number of terms of a and b.
+
+    The main variable is the one of largest degree, which takes the
+    fewest points. Euclid on its images takes about deg a * deg b steps,
+    and lifted elements of the perfect closure can reach degrees of 10^4
+    to 10^6 in one variable and stay sparse in it. Past EUCLID_STEPS
+    steps the main variable is the one of least estimated cost instead:
+    the points of a full interpolation in every other variable times the
+    steps of one image, Euclid's and the evaluation of every term.
+    """
+    order = sorted(degs, key=lambda v: (max(degs[v]), v))
+    da, db = degs[order[-1]]
+    if da * db > EUCLID_STEPS:
+
+        def cost(m: int) -> int:
+            points = 1
+            for v in order:
+                if v != m:
+                    points *= min(degs[v]) + 2
+            return points * (degs[m][0] * degs[m][1] + size)
+
+        order.append(order.pop(order.index(min(reversed(order), key=cost))))
+    order.insert(0, order.pop())
+    return order
 
 
 def _interpolate(RA: dict, RB: dict, F, extra: int, top: bool) -> Iterator[dict]:
@@ -439,8 +471,8 @@ class _FqPoly:
     """F_q, q = p^k past MAX_POINT_FIELD elements, as a point field
     without tables.
 
-    Elements are ints in the base-p encoding of `_Fq`, and a product is
-    the schoolbook product of their digit lists reduced modulo fqtower's
+    Elements are ints in the base-p encoding of `_Fq`, and their
+    arithmetic is zpoly's on their digit lists, modulo fqtower's
     canonical modulus of degree k. A field this large serves degrees in
     the hundreds and more, which in practice are those of lifted
     elements (x^(p^2) at p = 101) with long, sparse rows; so `value` and `rem`
@@ -449,12 +481,12 @@ class _FqPoly:
     then F_p: at points of F_p, x^p and x agree.
     """
 
-    __slots__ = ("p", "q", "k", "modulus")
+    __slots__ = ("p", "q", "modulus")
 
     def __init__(self, p: int, k: int):
         from .fqtower import canonical_modulus
 
-        self.p, self.k, self.q = p, k, p**k
+        self.p, self.q = p, p**k
         self.modulus = canonical_modulus(p, k)
 
     @property
@@ -468,9 +500,9 @@ class _FqPoly:
             out.append(r)
         return out
 
-    def _encode(self, digits: Iterable[int]) -> int:
+    def _encode(self, digits: list[int]) -> int:
         p, a = self.p, 0
-        for c in reversed(list(digits)):
+        for c in reversed(digits):
             a = a * p + c
         return a
 
@@ -478,36 +510,20 @@ class _FqPoly:
         p = self.p
         if a < p and b < p:
             return a * b % p
-        x, y = self._digits(a), self._digits(b)
-        if not x or not y:
-            return 0
-        prod = [0] * (len(x) + len(y) - 1)
-        for i, c in enumerate(x):
-            if c:
-                for j, e in enumerate(y):
-                    prod[i + j] += c * e
-        k, f = self.k, self.modulus
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(k):
-                    prod[i - k + j] -= c * f[j]
-        return self._encode(c % p for c in prod[:k])
+        prod = zpoly.mul(self._digits(a), self._digits(b), p)
+        return self._encode(zpoly.rem(prod, self.modulus, p))
 
     def neg(self, a: int) -> int:
         p = self.p
         if a < p:
             return -a % p
-        return self._encode(-c % p for c in self._digits(a))
+        return self._encode(zpoly.sub([], self._digits(a), p))
 
     def sub(self, a: int, b: int) -> int:
         p = self.p
         if a < p and b < p:
             return (a - b) % p
-        if p == 2:
-            return a ^ b
-        pairs = zip_longest(self._digits(a), self._digits(b), fillvalue=0)
-        return self._encode((x - y) % p for x, y in pairs)
+        return self._encode(zpoly.sub(self._digits(a), self._digits(b), p))
 
     def inv(self, a: int) -> int:
         p = self.p
@@ -516,14 +532,7 @@ class _FqPoly:
         return self._encode(zpoly.invmod(self._digits(a), self.modulus, p))
 
     def pow(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return out
+        return self._encode(zpoly.powmod(self._digits(a), e, self.modulus, self.p))
 
     def scale(self, c: int, v: list[int]) -> list[int]:
         return [self.mul(c, x) for x in v]

@@ -7,11 +7,11 @@ modulus must end in a nonzero coefficient. Every function returns a
 fresh list without trailing zeros and leaves its inputs alone, except
 `trim`, which trims in place.
 
-This is the one implementation of long division and powering over
-Z_p[t] in the library: fqtower builds F_{p^n} and its Frobenius matrices
-on it, and _accel builds its reduction table with it. The gcd over Z_p[t]
-is `modgcd.univar_gcd`, the Euclid that Brown's algorithm runs over its
-point fields.
+fqtower builds F_{p^n} and its Frobenius matrices on it, modgcd's
+point fields past their table bound take their products, powers and
+inverses from it, and _accel builds its reduction table with it. The gcd
+over Z_p[t] is `modgcd.univar_gcd`, the Euclid that Brown's algorithm
+runs over every point field, Z_p among them.
 """
 
 from __future__ import annotations

@@ -744,6 +744,39 @@ def test_lifted_coprime_fraction_past_the_table_fields(p, level):
     )
 
 
+@pytest.mark.parametrize(
+    "line, digest",
+    [
+        (
+            "issep (t+(51*root(x1,2) + 59*x1^3)/(5*x1^3*x2^2 + 33*x2))"
+            "*(t+(39*x1^2 + 13*root(x1,1)^3)/(41*root(x1,2)))",
+            "b5bea41b6c623f7c",
+        ),
+        (
+            "sqfree (t+(54*root(x2,2)^2 + 10*x1^2*root(x2,1))/(96*root(x1,1)^3*x2))"
+            "*(t)*(t^2+(23*root(x2,1))/(40*root(x1,2)^3*x2^3))",
+            "9617d6e029606043",
+        ),
+        (
+            "eval (68*root(x1,2)*x2^3 + 3*x1^2*root(x2,1)^2 + 84*root(x1,2)^3*x2^2)"
+            "/(86*root(x2,2) + 97*x1^3)",
+            "847b6cb13bfc9279",
+        ),
+    ],
+)
+def test_mixed_level_gcds_with_a_main_degree_past_10_4(line, digest):
+    # lifting to level 2 at p = 101 gives these gcds degrees of 2 * 10^4
+    # to 5 * 10^4 in one variable, with few terms, and small degrees in
+    # the others: Euclid on images in that variable would take minutes, so
+    # Brown's gcd takes another main variable (modgcd._order); the digests
+    # are of the exact outputs, which the primitive PRS gave too
+    s = Session(101, 2)
+    start = time.perf_counter()
+    out = run(s, line)
+    assert time.perf_counter() - start < 1.0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_separability_with_mixed_levels_at_large_p_is_fast():
     # gcd makes both inputs monic before clearing denominators, so a
     # level-2 factor of every coefficient cancels instead of lifting the

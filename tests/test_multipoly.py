@@ -369,6 +369,21 @@ def test_gcd_four_variables_dense_factors_is_fast():
     assert g == c.monic()
 
 
+def test_gcd_with_a_sparse_main_degree_past_10_4_is_fast():
+    # x1-degrees of 2 * 10^4 in few terms: Euclid on images in x1 would
+    # take seconds per point, so x2 becomes the main variable, and x1 is
+    # evaluated at points of F_{101^3}
+    F101 = PrimeField(101)
+    x1, x2 = (MultiPoly.variable(F101, 2, i) for i in range(2))
+    g = x2**2 + x1 + 1
+    a, b = g * (x2 + x1**20011 + 3), g * (x2**2 + x1 * 5 + x1**15013)
+    start = time.perf_counter()
+    got = gcd_cofactors(a, b)
+    assert time.perf_counter() - start < 0.5
+    assert got[0] == g
+    assert (got[1] * g, got[2] * g) == (a, b)
+
+
 def test_gcd_past_the_table_fields_is_fast():
     # two variables of degree 20000 at p = 2 take their points from
     # F_{2^17}, past MAX_POINT_FIELD; a common factor would divide the
