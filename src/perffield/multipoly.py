@@ -589,10 +589,11 @@ def _gcd_nonzero(
 
     When either input is a monomial (a constant is the monomial with all
     exponents 0), the gcd is the monomial of the least exponents over
-    every term of both. Monomial contents come out next, so the supports
-    below are those of what is left. A variable in one support only is
-    removed through the coefficients in it, which takes disjoint
-    supports down to 1 by the monomial rule. Inputs in one shared
+    every term of both. Equal inputs are their own gcd, made monic.
+    Monomial contents come out next, so the supports below are those of
+    what is left. A variable in one support only is removed through the
+    coefficients in it, which takes disjoint supports down to 1 by the
+    monomial rule. Inputs in one shared
     variable go to Euclid. These answers are exact. Inputs sharing two
     or more variables go to Brown's algorithm, whose candidates can be
     wrong: the first that divides both inputs is the gcd (Las Vegas), and
@@ -601,6 +602,11 @@ def _gcd_nonzero(
     field, nvars = a.field, a.nvars
     if len(a.terms) == 1 or len(b.terms) == 1:
         return MultiPoly._raw(field, nvars, {tuple(map(min, *a.terms, *b.terms)): 1}), None
+    if a.terms == b.terms:
+        # equal denominators of a sum, and gcds inside the one-sided
+        # step; each cofactor is the leading coefficient
+        lc = MultiPoly.const(field, nvars, a.leading_coeff())
+        return a.monic(), (lc, lc)
     low_a, low_b = tuple(map(min, *a.terms)), tuple(map(min, *b.terms))
     if any(low_a) or any(low_b):
         # gcd(x^u a', x^w b') = x^min(u, w) gcd(a', b') when no variable
