@@ -28,8 +28,8 @@ get one spare top bit each, so one subtraction and one mask test decide
 whether the divisor's leading monomial divides the leader.
 
 GCD starts in `_gcd_nonzero`. When either input is a monomial, the gcd
-is the monomial of the least exponents, and monomial contents come out
-next. A variable that only one input uses cannot occur in the gcd, so
+is the monomial of the least exponents; equal inputs are their own gcd;
+and monomial contents come out next. A variable that only one input uses cannot occur in the gcd, so
 the gcd is that of the other input with each of this one's coefficients
 in that variable, stopping at 1. Inputs in one shared variable go to
 Euclid, `modgcd.univar_gcd`. Inputs sharing two or more variables go to
