@@ -1,9 +1,9 @@
 """Brown's modular gcd over Z_p, and the finite fields it takes points from.
 
-`gcd_candidates` is the gcd of multipoly's `_gcd_nonzero` for inputs
-sharing two or more variables; `univar_gcd` is the library's one Euclid
-over Z_p, for multipoly's inputs in one variable and fqtower's Rabin
-test. Polynomials here are term maps {exponent tuple: residue}, not
+`gcd_candidates` is the gcd of multipoly's `_gcd_nonzero` for every
+input its exact rules leave, in one variable or more; `univar_gcd`, the
+Euclid of its base case over Z_p, serves fqtower's Rabin test.
+Polynomials here are term maps {exponent tuple: residue}, not
 MultiPoly, so this module does not import multipoly.
 
 Brown's algorithm evaluates all variables but the main one at points,
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from . import zpoly
 
@@ -54,7 +54,7 @@ class _OutOfPoints(Exception):
 
 
 def gcd_candidates(
-    a: Mapping[Mono, int], b: Mapping[Mono, int], p: int, shared: Sequence[int]
+    a: Mapping[Mono, int], b: Mapping[Mono, int], p: int
 ) -> Iterator[dict[Mono, int]]:
     """Candidates for the gcd of a and b over Z_p, as term maps up to a
     constant factor, by Brown's dense modular algorithm (W. S. Brown,
@@ -63,13 +63,17 @@ def gcd_candidates(
     exact division.
 
     a and b are term maps {exponent tuple: nonzero residue} of two terms
-    or more, with exponent tuples of one length; they use exactly the
-    variables `shared`, and no variable divides either. Where every
+    or more, with exponent tuples of one length, and no variable divides
+    either. The variables are those that either uses, read from the
+    terms. One that only one input uses has degree 0 in the other:
+    evaluated, its level has bound 0 and takes one point, and as the
+    main variable it makes the first good image constant. With one
+    variable in all, the gcd is the Euclid of the base case. Where every
     exponent of x_v is a multiple of step_v, the gcd is one in
-    x_v^step_v: substituting x_v -> x_v^step_v is a flat extension of the
-    polynomial ring, and gcds commute with it. So lifted elements, whose
-    exponents are multiples of a power of p, cost what their deflated
-    form costs.
+    x_v^step_v: substituting x_v -> x_v^step_v is a flat extension of
+    the polynomial ring, and gcds commute with it. So lifted elements,
+    whose exponents are multiples of a power of p, cost what their
+    deflated form costs.
 
     The main variable is the one of largest degree, unless Euclid on its
     images would be too long (see `_order`); the others are evaluated in
@@ -80,7 +84,10 @@ def gcd_candidates(
     a candidate with a coefficient outside Z_p cannot be the gcd and is
     passed over.
     """
-    step = {v: gcd(*{m[v] for m in a}, *{m[v] for m in b}) for v in shared}
+    nvars = len(next(iter(a)))
+    # a variable that neither input uses has step 0 and is left out
+    steps = (gcd(*{m[v] for m in a}, *{m[v] for m in b}) for v in range(nvars))
+    step = {v: d for v, d in enumerate(steps) if d}
     degs = {v: (max(m[v] for m in a) // d, max(m[v] for m in b) // d) for v, d in step.items()}
     order = _order(degs, len(a) + len(b))
     A = {tuple(m[v] // step[v] for v in order): c for m, c in a.items()}
@@ -93,7 +100,6 @@ def gcd_candidates(
     while p**k < need:
         k += 1
     RA, RB = _rows(A.items()), _rows(B.items())
-    nvars = len(next(iter(a)))
     while True:
         F = _point_field(p, k)
         try:
@@ -279,14 +285,14 @@ def _content(rows: Iterable[list[int]], F) -> list[int]:
 def _univar_gcd(f: list[int], g: list[int], F) -> list[int]:
     """The monic gcd of dense rows f and g over F, not both zero, by
     Euclid; the base case of Brown's recursion, and the gcd of inputs in
-    one shared variable."""
+    one variable."""
     if len(f) == 1 or len(g) == 1:
         return [1]
     if len(f) < len(g):
         f, g = g, f
     while g:
         g = F.scale(F.inv(g[-1]), g)
-        f, g = g, F.rem(f, g)
+        f, g = g, _rem(f, g, F)
     if f[-1] != 1:
         f = F.scale(F.inv(f[-1]), f)
     return f
@@ -299,6 +305,27 @@ def univar_gcd(f: list[int], g: list[int], p: int) -> list[int]:
 
 
 def _rem(f: list[int], g: list[int], F) -> list[int]:
+    """f mod g for a monic g: by long division, or by Horner's rule over
+    the nonzero coefficients of f in F[y]/(g) where that takes fewer
+    products (about 4 d^2 log(deg f) per coefficient against d per
+    degree, for d = deg g). Lifted elements (x^(p^2) at p = 101) give
+    long, sparse rows, and Euclid's first remainder of one against a
+    short row then jumps over its runs of zero coefficients."""
+    n, d = len(f), len(g) - 1
+    bits = n.bit_length()
+    if n > 4 * d * bits:
+        nonzero = [e for e, c in enumerate(f) if c]
+        if 4 * d * len(nonzero) * bits < n:
+            acc, last = [], 0
+            for e in reversed(nonzero):
+                if acc:
+                    acc = _mulmod(acc, _ypow(last - e, g, F), g, F)
+                acc, last = _long_rem(_add_const(acc, f[e], F), g, F), e
+            return _mulmod(acc, _ypow(last, g, F), g, F) if last else acc
+    return _long_rem(f, g, F)
+
+
+def _long_rem(f: list[int], g: list[int], F) -> list[int]:
     """f mod g for a monic g, by long division."""
     f = list(f)
     d = len(g) - 1
@@ -373,9 +400,6 @@ class _Zp:
         for c in reversed(row):
             acc = (acc * x + c) % p
         return acc
-
-    def rem(self, f: list[int], g: list[int]) -> list[int]:
-        return _rem(f, g, self)
 
 
 class _Fq:
@@ -463,9 +487,6 @@ class _Fq:
             acc = exp[lc + zech[off + log[acc] - lc]]
         return acc
 
-    def rem(self, f: list[int], g: list[int]) -> list[int]:
-        return _rem(f, g, self)
-
 
 class _FqPoly:
     """F_q, q = p^k past MAX_POINT_FIELD elements, as a point field
@@ -475,10 +496,11 @@ class _FqPoly:
     arithmetic is zpoly's on their digit lists, modulo fqtower's
     canonical modulus of degree k. A field this large serves degrees in
     the hundreds and more, which in practice are those of lifted
-    elements (x^(p^2) at p = 101) with long, sparse rows; so `value` and `rem`
-    jump over runs of zero coefficients by powering, Horner's rule with
-    gaps, in F and in F[y]/(g). The points are the encodings from p up,
-    then F_p: at points of F_p, x^p and x agree.
+    elements (x^(p^2) at p = 101) with long, sparse rows; so `value`
+    jumps over runs of zero coefficients by powering, Horner's rule with
+    gaps, as `_rem` does in F[y]/(g) for every point field. The points
+    are the encodings from p up, then F_p: at points of F_p, x^p and x
+    agree.
     """
 
     __slots__ = ("p", "q", "modulus")
@@ -551,35 +573,21 @@ class _FqPoly:
             acc, last = self.sub(acc, self.neg(row[e])), e
         return self.mul(acc, self.pow(x, last)) if last else acc
 
-    def rem(self, f: list[int], g: list[int]) -> list[int]:
-        """f mod g for a monic g: by long division, or by Horner's rule
-        over the nonzero coefficients of f in F[y]/(g) where that takes
-        fewer products (about 4 d^2 log(deg f) per coefficient against
-        d per degree, for d = deg g)."""
-        d = len(g) - 1
-        nonzero = [e for e, c in enumerate(f) if c]
-        if 4 * d * len(nonzero) * len(f).bit_length() >= len(f):
-            return _rem(f, g, self)
-        acc, last = [], 0
-        for e in reversed(nonzero):
-            if acc:
-                acc = self._mulmod(acc, self._ypow(last - e, g), g)
-            acc, last = _rem(_add_const(acc, f[e], self), g, self), e
-        return self._mulmod(acc, self._ypow(last, g), g) if last else acc
 
-    def _mulmod(self, a: list[int], b: list[int], g: list[int]) -> list[int]:
-        return _rem(_mul(a, b, self), g, self)
+def _mulmod(a: list[int], b: list[int], g: list[int], F) -> list[int]:
+    return _long_rem(_mul(a, b, F), g, F)
 
-    def _ypow(self, e: int, g: list[int]) -> list[int]:
-        """y^e mod g, by squaring."""
-        out, y = [1], _rem([0, 1], g, self)
-        while e:
-            if e & 1:
-                out = self._mulmod(out, y, g)
-            e >>= 1
-            if e:
-                y = self._mulmod(y, y, g)
-        return out
+
+def _ypow(e: int, g: list[int], F) -> list[int]:
+    """y^e mod g, by squaring."""
+    out, y = [1], _long_rem([0, 1], g, F)
+    while e:
+        if e & 1:
+            out = _mulmod(out, y, g, F)
+        e >>= 1
+        if e:
+            y = _mulmod(y, y, g, F)
+    return out
 
 
 def _add_const(a: list[int], c: int, F) -> list[int]:

@@ -27,18 +27,19 @@ new remainder monomial lies below the leader it came from. Its digits
 get one spare top bit each, so one subtraction and one mask test decide
 whether the divisor's leading monomial divides the leader.
 
-GCD starts in `_gcd_nonzero`. When either input is a monomial, the gcd
-is the monomial of the least exponents; equal inputs are their own gcd;
-and monomial contents come out next. A variable that only one input uses cannot occur in the gcd, so
-the gcd is that of the other input with each of this one's coefficients
-in that variable, stopping at 1. Inputs in one shared variable go to
-Euclid, `modgcd.univar_gcd`. Inputs sharing two or more variables go to
-Brown's modular gcd in `modgcd`: it evaluates all variables but the main
-one at points, takes univariate gcds of the images, and interpolates
-them back by Newton, so every value stays in a finite field and the cost
-follows the degrees and the number of points. The points come from Z_p
-when p is large enough, otherwise from the smallest F_{p^k} with enough
-of them, whose arithmetic runs on log and Zech tables of size O(q) up to
+GCD starts in `_gcd_nonzero`, three exact rules and one Las Vegas
+path, each returning the gcd with its cofactors. When either input is
+a monomial, the gcd is the monomial of the least exponents; equal inputs
+are their own gcd; and monomial contents come out next. Everything else
+goes to Brown's modular gcd in `modgcd`, over the variables either input
+uses: it evaluates all variables but the main one at points, takes
+univariate gcds of the images, and interpolates them back by Newton, so
+every value stays in a finite field and the cost follows the degrees and
+the number of points. A variable that only one input uses has degree 0
+in the other, so its level takes one point; inputs in one variable reach
+Brown's Euclid base case. The points come from Z_p when p is large
+enough, otherwise from the smallest F_{p^k} with enough of them, whose
+arithmetic runs on log and Zech tables of size O(q) up to
 `modgcd.MAX_POINT_FIELD` elements and on polynomial products past it.
 Brown's candidates can be wrong (an early stop, or unlucky points);
 exact division certifies the one returned, once per `gcd_cofactors`
@@ -551,11 +552,11 @@ def _strip_trailing_zeros(mono: Mono) -> Mono:
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic greatest common divisor under graded-lex.
 
-    Inputs sharing two or more variables go through Brown's modular gcd
-    (`modgcd.gcd_candidates`): images at points of Z_p, or of the
-    smallest F_{p^k} with enough points, interpolated by Newton. Its
-    candidates are certified by exact division, once per call of
-    `gcd_cofactors`; the recursion does not re-enter it.
+    Past the monomial and equal-input rules, the gcd is Brown's modular
+    gcd (`modgcd.gcd_candidates`) over the variables either input uses:
+    images at points of Z_p, or of the smallest F_{p^k} with enough
+    points, interpolated by Newton. Its candidates are certified by
+    exact division, once per call of `gcd_cofactors`.
     """
     return gcd_cofactors(a, b)[0]
 
@@ -565,8 +566,10 @@ def gcd_cofactors(
 ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(g, a/g, b/g) with g = poly_gcd(a, b).
 
-    The cofactors are the quotients of the exact division that certifies
-    g, so they cost nothing beyond the gcd itself.
+    Each rule of `_gcd_nonzero` returns the cofactors with g: the shifts
+    of the monomial rules, the leading coefficient for equal inputs, and
+    the quotients of the exact division that certifies Brown's
+    candidate, so they cost nothing beyond the gcd itself.
     """
     a, b = a._reconcile(b)
     if a.is_zero and b.is_zero:
@@ -577,71 +580,47 @@ def gcd_cofactors(
     if b.is_zero:
         g = a.monic()
         return g, MultiPoly.const(a.field, a.nvars, a.leading_coeff()), b
-    g, cofactors = _gcd_nonzero(a, b)
-    return (g, *cofactors) if cofactors else (g, a.divexact(g), b.divexact(g))
+    return _gcd_nonzero(a, b)
 
 
 def _gcd_nonzero(
     a: MultiPoly, b: MultiPoly
-) -> tuple[MultiPoly, tuple[MultiPoly, MultiPoly] | None]:
-    """The monic gcd g of two nonzero polynomials, with (a/g, b/g) when
-    finding g took that division, else None.
+) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(g, a/g, b/g) for the monic gcd g of two nonzero polynomials.
 
-    When either input is a monomial (a constant is the monomial with all
-    exponents 0), the gcd is the monomial of the least exponents over
-    every term of both. Equal inputs are their own gcd, made monic.
-    Monomial contents come out next, so the supports below are those of
-    what is left. A variable in one support only is removed through the
-    coefficients in it, which takes disjoint supports down to 1 by the
-    monomial rule. Inputs in one shared
-    variable go to Euclid. These answers are exact. Inputs sharing two
-    or more variables go to Brown's algorithm, whose candidates can be
-    wrong: the first that divides both inputs is the gcd (Las Vegas), and
-    the quotients come with it.
+    Three exact rules come first. When either input is a monomial (a
+    constant is the monomial with all exponents 0), the gcd is the
+    monomial of the least exponents over every term of both. Equal
+    inputs are their own gcd, made monic. Monomial contents come out
+    next. What is left goes to Brown's algorithm over the variables
+    either input uses, whose candidates can be wrong: the first that
+    divides both inputs is the gcd (Las Vegas), and the quotients are
+    the cofactors.
     """
     field, nvars = a.field, a.nvars
     if len(a.terms) == 1 or len(b.terms) == 1:
-        return MultiPoly._raw(field, nvars, {tuple(map(min, *a.terms, *b.terms)): 1}), None
+        low = tuple(map(min, *a.terms, *b.terms))
+        return MultiPoly._raw(field, nvars, {low: 1}), _shift(a, low), _shift(b, low)
     if a.terms == b.terms:
-        # equal denominators of a sum, and gcds inside the one-sided
-        # step; each cofactor is the leading coefficient
+        # equal denominators of a sum; each cofactor is the leading
+        # coefficient
         lc = MultiPoly.const(field, nvars, a.leading_coeff())
-        return a.monic(), (lc, lc)
+        return a.monic(), lc, lc
     low_a, low_b = tuple(map(min, *a.terms)), tuple(map(min, *b.terms))
     if any(low_a) or any(low_b):
         # gcd(x^u a', x^w b') = x^min(u, w) gcd(a', b') when no variable
-        # divides a' or b'
+        # divides a' or b', and a/g = x^(u - min(u, w)) a'/g', b/g likewise
         low = tuple(map(min, low_a, low_b))
-        g, cofactors = _gcd_nonzero(_shift(a, low_a), _shift(b, low_b))
-        if cofactors:
-            # a/g = x^(u - min(u, w)) a'/g', and b/g likewise
-            cofactors = tuple(
-                _shift(c, [i - j for i, j in zip(low, e)]) for c, e in zip(cofactors, (low_a, low_b))
-            )
-        return _shift(g, [-i for i in low]), cofactors
-    sup_a, sup_b = a.support_vars(), b.support_vars()
-    only = sup_a ^ sup_b
-    if only:
-        # a variable that only one input uses cannot occur in the gcd, so
-        # the gcd is that of the other input with each of this one's
-        # coefficients in it, in turn
-        k = max(only)
-        g, other = (a, b) if k in sup_b else (b, a)
-        for c in sorted(_to_univar(other, k).values(), key=lambda c: len(c.terms)):
-            g = _gcd_nonzero(g, c)[0]
-            if g.is_constant:
-                break
-        return g, None
-    # from here on both inputs use the same variables
-    if len(sup_a) == 1:
-        (k,) = sup_a
-        g = modgcd.univar_gcd(_dense_coeffs(a, k), _dense_coeffs(b, k), field.p)
-        terms = {tuple(e if j == k else 0 for j in range(nvars)): c for e, c in enumerate(g) if c}
-        return MultiPoly._raw(field, nvars, terms), None
-    for terms in modgcd.gcd_candidates(a.terms, b.terms, field.p, sorted(sup_a)):
+        g, ag, bg = _gcd_nonzero(_shift(a, low_a), _shift(b, low_b))
+        return (
+            _shift(g, [-i for i in low]),
+            _shift(ag, [i - j for i, j in zip(low, low_a)]),
+            _shift(bg, [i - j for i, j in zip(low, low_b)]),
+        )
+    for terms in modgcd.gcd_candidates(a.terms, b.terms, field.p):
         g = MultiPoly._raw(field, nvars, terms).monic()
         try:
-            return g, (a.divexact(g), b.divexact(g))
+            return g, a.divexact(g), b.divexact(g)
         except NotDivisible:
             continue
     raise RuntimeError("internal error: no gcd candidate divides both inputs")
@@ -649,24 +628,7 @@ def _gcd_nonzero(
 
 def _shift(f: MultiPoly, e: Sequence[int]) -> MultiPoly:
     """f / x^e for a monomial x^e dividing f; x^-e f when e <= 0."""
+    if not any(e):
+        return f
     terms = {tuple(i - j for i, j in zip(m, e)): c for m, c in f.terms.items()}
     return MultiPoly._raw(f.field, f.nvars, terms)
-
-
-def _dense_coeffs(f: MultiPoly, k: int) -> list[int]:
-    out = [0] * (f.degree_in(k) + 1)
-    for m, c in f.terms.items():
-        out[m[k]] = c
-    return out
-
-
-def _to_univar(f: MultiPoly, k: int) -> dict[int, MultiPoly]:
-    """View f as univariate in x_k with coefficients free of x_k."""
-    coeffs: dict[int, dict[Mono, int]] = {}
-    for m, c in f.terms.items():
-        e = m[k]
-        cleared = m[:k] + (0,) + m[k + 1 :]
-        coeffs.setdefault(e, {})[cleared] = c
-    return {
-        e: MultiPoly._raw(f.field, f.nvars, terms) for e, terms in coeffs.items()
-    }

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from perffield import modgcd, multipoly
+from perffield import modgcd, multipoly, zpoly
 from perffield.errors import DivisionByZero, NotAPthPower, NotDivisible
 from perffield.fqtower import make_field
 from perffield.multipoly import MultiPoly, gcd_cofactors, poly_gcd
@@ -232,7 +232,8 @@ def _gcd_pairs(rng, field, nvars):
     where one input lacks a variable the other uses, a pair with
     disjoint supports, cases for Brown's gcd (a leading coefficient that
     vanishes at the first points, unlucky points, degrees past p at
-    p <= 3, and a main-variable degree of p and more), and equal
+    p <= 3, and a main-variable degree of p and more), equal inputs,
+    a main variable that only one input uses, and lifted univariate
     inputs."""
 
     def poly(terms, deg, n=nvars):
@@ -311,6 +312,19 @@ def _gcd_pairs(rng, field, nvars):
             n *= field.p
         g = x[0] * x[-1] + x[-1] ** 2 + rng.randrange(1, field.p)
         pairs.append((g * (x[0] + x[-1] ** n), g * (x[0] ** n + x[-1])))
+        # x1 only in one input, and of the largest degree, so it is
+        # Brown's main variable
+        g = x[-1] ** 2 + x[1] + rng.randrange(1, field.p)
+        a = x[0] ** 6 + x[0] * without_first(2, 2) + without_first(2, 2)
+        pairs.append((g * a, g * (x[-1] ** 3 + without_first(2, 2))))
+    elif field.p <= 7:
+        # lifted: g(x^N) u(x^N) and g(x^N) v(x^N) with N = p^2
+        x = MultiPoly.variable(field, 1, 0)
+        g, u, v = (
+            (x**d + poly(2, d - 1)).frobenius_substitute().frobenius_substitute()
+            for d in (2, 3, 2)
+        )
+        pairs.append((g * u, g * v))
     return pairs
 
 
@@ -348,6 +362,24 @@ def test_gcd_certifies_once_per_call(monkeypatch):
     assert divisions == [(a, c * g), (b, c * g)]
 
 
+def test_gcd_against_a_monomial_divides_nothing(monkeypatch):
+    # the monomial rule's cofactors are the inputs shifted by the gcd's
+    # exponents, and a zero shift returns the input itself
+    divisions = []
+    divexact = MultiPoly.divexact
+    monkeypatch.setattr(
+        MultiPoly, "divexact", lambda f, d: divisions.append((f, d)) or divexact(f, d)
+    )
+    x1, x2 = (MultiPoly.variable(F5, 2, i) for i in range(2))
+    f = x1**3 * x2 + 2 * x1**2 * x2**2 + x1
+    assert gcd_cofactors(f, 3 * x1**2 * x2**4) == (
+        x1, x1**2 * x2 + 2 * x1 * x2**2 + 1, 3 * x1 * x2**4
+    )
+    g, fg, cg = gcd_cofactors(f, MultiPoly.const(F5, 2, 4))
+    assert (g, cg) == (1, 4) and fg is f
+    assert divisions == []
+
+
 def test_gcd_four_variables_dense_factors_is_fast():
     # 8-term factors of degree 5 in 4 variables at p = 5: the PRS oracle
     # takes tens of seconds on this pair, and confirmed g = c once
@@ -382,6 +414,24 @@ def test_gcd_with_a_sparse_main_degree_past_10_4_is_fast():
     assert time.perf_counter() - start < 0.5
     assert got[0] == g
     assert (got[1] * g, got[2] * g) == (a, b)
+
+
+def test_gcd_of_a_long_sparse_input_against_a_short_one_is_fast():
+    # no exponent step deflates x^1000003 + x + 1, so Brown's Euclid sees
+    # a row of 10^6 coefficients; its remainder by a cubic runs by Horner's
+    # rule over the three nonzero ones, where long division takes 3 * 10^6
+    # steps
+    F101 = PrimeField(101)
+    x = MultiPoly.variable(F101, 1, 0)
+    c, u, v = x**2 + 3, x**1000003 + x + 1, x**3 + 2 * x + 5
+    start = time.perf_counter()
+    g, ag, bg = gcd_cofactors(c * u, c * v)
+    assert time.perf_counter() - start < 0.5
+    # gcd(u, v) = gcd(v, u mod v), with x^1000003 mod v by squaring
+    r = zpoly.powmod([0, 1], 1000003, [5, 2, 0, 1], 101)
+    r = MultiPoly(F101, 1, {(e,): k for e, k in enumerate(r)}) + x + 1
+    assert g == (c * oracle_poly_gcd(v, r)).monic()
+    assert (g * ag, g * bg) == (c * u, c * v)
 
 
 def test_gcd_past_the_table_fields_is_fast():
