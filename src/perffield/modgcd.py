@@ -2,9 +2,10 @@
 
 `gcd_candidates` is the gcd of multipoly's `_gcd_nonzero` for every
 input its exact rules leave, in one variable or more; `univar_gcd`, the
-Euclid of its base case over Z_p, serves fqtower's Rabin test.
-Polynomials here are term maps {exponent tuple: residue}, not
-MultiPoly, so this module does not import multipoly.
+Euclid of its base case over Z_p, serves fqtower's Rabin test. When one
+input uses a single variable, that Euclid alone gives the gcd.
+Polynomials here are term maps {exponent tuple: residue}, not MultiPoly,
+so this module does not import multipoly.
 
 Brown's algorithm evaluates all variables but the main one at points,
 one level per variable, takes univariate gcds of the images, and
@@ -65,15 +66,15 @@ def gcd_candidates(
     a and b are term maps {exponent tuple: nonzero residue} of two terms
     or more, with exponent tuples of one length, and no variable divides
     either. The variables are those that either uses, read from the
-    terms. One that only one input uses has degree 0 in the other:
-    evaluated, its level has bound 0 and takes one point, and as the
-    main variable it makes the first good image constant. With one
-    variable in all, the gcd is the Euclid of the base case. Where every
-    exponent of x_v is a multiple of step_v, the gcd is one in
-    x_v^step_v: substituting x_v -> x_v^step_v is a flat extension of
-    the polynomial ring, and gcds commute with it. So lifted elements,
-    whose exponents are multiples of a power of p, cost what their
-    deflated form costs.
+    terms. When one input uses a single variable, Euclid alone gives
+    the gcd (`_gcd_in_one_variable`). Otherwise a variable that only one
+    input uses has degree 0 in the other: evaluated, its level has bound
+    0 and takes one point, and as the main variable it makes the first
+    good image constant. Where every exponent of x_v is a multiple of
+    step_v, the gcd is one in x_v^step_v: substituting x_v -> x_v^step_v
+    is a flat extension of the polynomial ring, and gcds commute with
+    it. So lifted elements, whose exponents are multiples of a power of
+    p, cost what their deflated form costs.
 
     The main variable is the one of largest degree, unless Euclid on its
     images would be too long (see `_order`); the others are evaluated in
@@ -89,6 +90,11 @@ def gcd_candidates(
     steps = (gcd(*{m[v] for m in a}, *{m[v] for m in b}) for v in range(nvars))
     step = {v: d for v, d in enumerate(steps) if d}
     degs = {v: (max(m[v] for m in a) // d, max(m[v] for m in b) // d) for v, d in step.items()}
+    for f, g, side in ((a, b, 1), (b, a, 0)):
+        used = [v for v in step if degs[v][side]]
+        if len(used) == 1:
+            yield _gcd_in_one_variable(f, g, used[0], step[used[0]], p)
+            return
     order = _order(degs, len(a) + len(b))
     A = {tuple(m[v] // step[v] for v in order): c for m, c in a.items()}
     B = {tuple(m[v] // step[v] for v in order): c for m, c in b.items()}
@@ -103,7 +109,7 @@ def gcd_candidates(
     while True:
         F = _point_field(p, k)
         try:
-            for h in [_gcd_image(RA, RB, F, 0)] if () in RA else _interpolate(RA, RB, F, 0, True):
+            for h in _interpolate(RA, RB, F, 0, True):
                 if max(h.values()) >= p:
                     continue
                 terms = {}
@@ -116,6 +122,28 @@ def gcd_candidates(
             return
         except _OutOfPoints:
             k += 1
+
+
+def _gcd_in_one_variable(
+    f: Mapping[Mono, int], g: Mapping[Mono, int], v: int, d: int, p: int
+) -> dict[Mono, int]:
+    """The monic gcd over Z_p of f and g, where g uses x_v alone and d
+    divides every exponent of x_v: it lies in Z_p[x_v^d], so it is the
+    gcd of g with every coefficient of f in the other variables. That is
+    Euclid, Brown's base case, on the fewest terms first, stopping at 1;
+    x_v does not divide g, so a monomial coefficient gives 1 at once.
+    With f in x_v alone too, f is its own one coefficient."""
+    coeffs: dict[Mono, list] = {}
+    for m, c in f.items():
+        coeffs.setdefault(m[:v] + m[v + 1 :], []).append(((m[v] // d,), c))
+    Zp = _Zp(p)
+    h = _rows(((m[v] // d,), c) for m, c in g.items())[()]
+    for terms in sorted(coeffs.values(), key=len):
+        h = [1] if len(terms) == 1 else _univar_gcd(h, _rows(terms)[()], Zp)
+        if len(h) == 1:
+            break
+    zero = (0,) * len(next(iter(g)))
+    return {zero[:v] + (e * d,) + zero[v + 1 :]: c for e, c in enumerate(h) if c}
 
 
 def _order(degs: Mapping[int, tuple[int, int]], size: int) -> list[int]:

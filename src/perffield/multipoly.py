@@ -27,24 +27,25 @@ new remainder monomial lies below the leader it came from. Its digits
 get one spare top bit each, so one subtraction and one mask test decide
 whether the divisor's leading monomial divides the leader.
 
-GCD starts in `_gcd_nonzero`, three exact rules and one Las Vegas
-path, each returning the gcd with its cofactors. When either input is
-a monomial, the gcd is the monomial of the least exponents; equal inputs
+GCD starts in `_gcd_nonzero`, three exact rules and one Las Vegas path,
+each returning the gcd with its cofactors. When either input is a
+monomial, the gcd is the monomial of the least exponents; equal inputs
 are their own gcd; and monomial contents come out next. Everything else
 goes to Brown's modular gcd in `modgcd`, over the variables either input
 uses: it evaluates all variables but the main one at points, takes
 univariate gcds of the images, and interpolates them back by Newton, so
 every value stays in a finite field and the cost follows the degrees and
-the number of points. A variable that only one input uses has degree 0
-in the other, so its level takes one point; inputs in one variable reach
-Brown's Euclid base case. The points come from Z_p when p is large
-enough, otherwise from the smallest F_{p^k} with enough of them, whose
-arithmetic runs on log and Zech tables of size O(q) up to
-`modgcd.MAX_POINT_FIELD` elements and on polynomial products past it.
-Brown's candidates can be wrong (an early stop, or unlucky points);
-exact division certifies the one returned, once per `gcd_cofactors`
-call, and its quotients are the cofactors a/g and b/g. A candidate that
-fails the division makes Brown's loop take more points (Las Vegas).
+the number of points. When one input uses a single variable, the gcd
+lies in it: Brown's Euclid base case takes it from that input and the
+other's coefficients in the other variables, stopping at 1. The points
+come from Z_p when p is large enough, otherwise from the smallest
+F_{p^k} with enough of them, whose arithmetic runs on log and Zech
+tables of size O(q) up to `modgcd.MAX_POINT_FIELD` elements and on
+polynomial products past it. Brown's candidates can be wrong (an early
+stop, or unlucky points); exact division certifies the one returned,
+once per `gcd_cofactors` call, and its quotients are the cofactors a/g
+and b/g. A candidate that fails the division makes Brown's loop take
+more points (Las Vegas).
 """
 
 from __future__ import annotations

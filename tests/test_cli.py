@@ -790,3 +790,22 @@ def test_separability_with_mixed_levels_at_large_p_is_fast():
         start = time.perf_counter()
         assert run(s, line) == "false"
         assert time.perf_counter() - start < 2.0, line
+
+
+def test_gcd_of_an_input_in_one_variable_is_fast():
+    # lifting to level 2 gives a denominator in x2 alone of degree about
+    # 3 * 10^4 and numerators of degree about 2 * 10^6 that also use x1;
+    # the gcd lies in x2 alone, and a monomial coefficient in x1 of the
+    # other input gives 1 without interpolating in a degree of 10^6 (which
+    # took seconds); the digest is of the exact output, which the
+    # primitive PRS gave too
+    s = Session(101, 2)
+    line = (
+        "sepdec (t^101+(60+42*x2^101*root(x2,2)^101+40*x2^3*root(x1,1)^101))^2"
+        "*(t+(84*root(x2,2)*x2^3+87*x1*x1^2+84*root(x1,1)))^2"
+        "*(t+(33*x1^101*root(x2,2)+39*x1+100*root(x2,2)^2*x2^3)/(84+100*x2^3))^2"
+    )
+    start = time.perf_counter()
+    out = run(s, line)
+    assert time.perf_counter() - start < 1.0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "362dd89be452e1e1"

@@ -232,8 +232,7 @@ def _gcd_pairs(rng, field, nvars):
     where one input lacks a variable the other uses, a pair with
     disjoint supports, cases for Brown's gcd (a leading coefficient that
     vanishes at the first points, unlucky points, degrees past p at
-    p <= 3, and a main-variable degree of p and more), equal inputs,
-    a main variable that only one input uses, and lifted univariate
+    p <= 3, and a main-variable degree of p and more), and equal
     inputs."""
 
     def poly(terms, deg, n=nvars):
@@ -312,20 +311,35 @@ def _gcd_pairs(rng, field, nvars):
             n *= field.p
         g = x[0] * x[-1] + x[-1] ** 2 + rng.randrange(1, field.p)
         pairs.append((g * (x[0] + x[-1] ** n), g * (x[0] ** n + x[-1])))
-        # x1 only in one input, and of the largest degree, so it is
-        # Brown's main variable
-        g = x[-1] ** 2 + x[1] + rng.randrange(1, field.p)
-        a = x[0] ** 6 + x[0] * without_first(2, 2) + without_first(2, 2)
-        pairs.append((g * a, g * (x[-1] ** 3 + without_first(2, 2))))
-    elif field.p <= 7:
-        # lifted: g(x^N) u(x^N) and g(x^N) v(x^N) with N = p^2
-        x = MultiPoly.variable(field, 1, 0)
-        g, u, v = (
-            (x**d + poly(2, d - 1)).frobenius_substitute().frobenius_substitute()
-            for d in (2, 3, 2)
-        )
-        pairs.append((g * u, g * v))
     return pairs
+
+
+def _more_gcd_pairs(rng, field, nvars):
+    """Pairs for a gcd path that takes no PRS step: x1 in one input only,
+    and of the largest degree (in two variables the other input then
+    uses x2 alone, so the gcd is Euclid's on it and on the coefficients
+    in x1; in more, x1 is Brown's main variable), and lifted univariate
+    inputs. Drawn from a generator of their own, after `_gcd_pairs`, so
+    that its pairs stay as they were."""
+
+    def poly(terms, deg, n):
+        f = random_nonzero_multipoly(rng, field, n, max_terms=terms, max_deg=deg)
+        return MultiPoly(field, nvars, {(0,) * (nvars - n) + m: c for m, c in f.terms.items()})
+
+    if nvars > 1:
+        x = [MultiPoly.variable(field, nvars, i) for i in range(nvars)]
+        g = x[-1] ** 2 + x[1] + rng.randrange(1, field.p)
+        a = x[0] ** 6 + x[0] * poly(2, 2, nvars - 1) + poly(2, 2, nvars - 1)
+        return [(g * a, g * (x[-1] ** 3 + poly(2, 2, nvars - 1)))]
+    if field.p > 7:
+        return []
+    # lifted: g(x^N) u(x^N) and g(x^N) v(x^N) with N = p^2
+    x = MultiPoly.variable(field, 1, 0)
+    g, u, v = (
+        (x**d + poly(2, d - 1, 1)).frobenius_substitute().frobenius_substitute()
+        for d in (2, 3, 2)
+    )
+    return [(g * u, g * v)]
 
 
 def test_gcd_cofactors_match_recursive_prs_oracle():
@@ -333,7 +347,9 @@ def test_gcd_cofactors_match_recursive_prs_oracle():
     for p in (2, 3, 5, 7, 101):
         field = PrimeField(p)
         for nvars in range(1, 5):
-            for a, b in _gcd_pairs(rng, field, nvars):
+            pairs = _gcd_pairs(rng, field, nvars)
+            pairs += _more_gcd_pairs(random.Random(10 * p + nvars), field, nvars)
+            for a, b in pairs:
                 g, ag, bg = gcd_cofactors(a, b)
                 want = oracle_poly_gcd(a, b)
                 assert g.terms == want.terms, (p, a, b)
