@@ -7,8 +7,11 @@ is the first monic irreducible of degree n in coefficient enumeration
 order (constant term fastest-varying), confirmed by Rabin's criterion —
 so a given (p, n) always denotes the same concrete field. Residues are
 coefficient tuples, and all their arithmetic (products, powers,
-inverses) is the dense Z_p[t] arithmetic of `zpoly`; Rabin's test takes
-its gcd from `modgcd.univar_gcd`.
+inverses) is the dense Z_p[t] arithmetic of `zpoly`, whose extended
+Euclid gives Rabin's test its gcd. An element's encoding is the int whose
+base-p digits are its coefficients (`_decode`, `_encode`). `point_field`
+gives F_{p^k}, past make_field's bounds too, as a field of encodings for
+the evaluation points of Brown's modular gcd.
 
 The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
 Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
@@ -30,14 +33,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from typing import Iterable
 
-from . import modgcd, zpoly
+from . import zpoly
 from .errors import BoundExceeded, DivisionByZero, NoEmbedding
 from .primefield import is_prime
 
 MAX_DEGREE = 16
 MAX_ORDER = 2**20
 MAX_EXHAUSTIVE = 2**16
+# elements of the largest F_{p^k}, k >= 2, whose point-field arithmetic
+# runs on tables; building them takes 2 to 7 us per element (22 ms for
+# F_{101^2}, 117 ms for F_{2^14}), and larger fields serve degrees in the
+# thousands, in practice lifted elements with sparse rows, which
+# `_FqPoly` evaluates in fewer products
+MAX_POINT_FIELD = 1 << 14
 
 # rows per chunk in the embedding root search, which bounds its memory
 # when the subfield searched is large (m = n)
@@ -69,9 +80,29 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         return False
     for q in _prime_factors(n):
         h = zpoly.sub(zpoly.powmod(t, p ** (n // q), f, p), t, p)
-        if len(modgcd.univar_gcd(f, h, p)) != 1:
+        try:
+            zpoly.invmod(h, f, p)  # raises ValueError unless gcd(h, f) = 1
+        except ValueError:
             return False
     return True
+
+
+def _decode(k: int, p: int) -> list[int]:
+    """The base-p digits of k >= 0, least significant first, without
+    trailing zeros: the coefficients of the residue that k encodes."""
+    out = []
+    while k:
+        k, r = divmod(k, p)
+        out.append(r)
+    return out
+
+
+def _encode(coeffs, p: int) -> int:
+    """The int whose base-p digits, least significant first, are coeffs."""
+    k = 0
+    for c in reversed(coeffs):
+        k = k * p + c
+    return k
 
 
 # -- field and elements ---------------------------------------------------------
@@ -89,8 +120,8 @@ class FqField:
         self.order = p**n
         self._frob = None
         self._inv_frob = None
-        # modgcd's log, antilog and Zech tables for the field when it
-        # serves as a point field, built there on first use
+        # the `_Fq` tables of the field as a point field, built by
+        # point_field on first use
         self.point_tables = None
 
     def power_map(self, e: int) -> tuple[tuple[int, ...], ...]:
@@ -154,11 +185,8 @@ class FqField:
             raise ValueError(f"an encoding must be an integer, got {k!r}")
         if not 0 <= k < self.order:
             raise ValueError(f"encoding {k} out of range for a field of order {self.order}")
-        cs = []
-        for _ in range(self.n):
-            cs.append(k % self.p)
-            k //= self.p
-        return FqElem(self, tuple(cs))
+        cs = _decode(k, self.p)
+        return FqElem(self, tuple(cs + [0] * (self.n - len(cs))))
 
     def elements(self):
         """All field elements in encoding order."""
@@ -283,10 +311,7 @@ class FqElem:
         return FqElem(self.field, tuple(o % p for o in out))
 
     def encode(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.field.p + c
-        return k
+        return _encode(self.coeffs, self.field.p)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -335,18 +360,229 @@ def make_field(p: int, n: int) -> FqField:
 def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     """The modulus of F_{p^n} for a prime p: the first monic irreducible
     of degree n over Z_p in coefficient enumeration order, constant term
-    fastest-varying. make_field bounds n and p^n; modgcd takes larger
-    fields' moduli from here."""
-    for k in range(p**n):
-        coeffs = []
-        kk = k
-        for _ in range(n):
-            coeffs.append(kk % p)
-            kk //= p
-        coeffs.append(1)
+    fastest-varying: the encodings from p^n up. make_field bounds n and
+    p^n; point fields past those bounds take their moduli from here."""
+    for k in range(p**n, 2 * p**n):
+        coeffs = _decode(k, p)
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise RuntimeError(f"no irreducible polynomial of degree {n} over Z_{p}")
+
+
+# -- point fields -------------------------------------------------------------------
+
+
+def point_field(p: int, k: int):
+    """F_{p^k} as a point field for Brown's modular gcd: an object whose
+    elements are ints in the base-p encoding (digit i is the coefficient
+    of t^i modulo the canonical modulus), so F_p is the encodings below
+    p, with `mul`, `neg`, `sub`, `inv` on elements, `scale`, `axpy` and
+    `value` on lists of them, and `points`, every element once, in the
+    order the gcd tries them.
+
+    Z_p for k = 1; up to MAX_POINT_FIELD elements, log, antilog and Zech
+    tables (`_Fq`), kept on make_field's field object, so they are built
+    once per field and go when make_field's cache is cleared; past that,
+    zpoly's products modulo the canonical modulus (`_FqPoly`)."""
+    if k == 1:
+        return _Zp(p)
+    if p**k > MAX_POINT_FIELD:
+        return _FqPoly(p, k)
+    field = make_field(p, k)
+    if field.point_tables is None:
+        field.point_tables = _Fq(field)
+    return field.point_tables
+
+
+class _Zp:
+    """Z_p as a point field: residues and modular arithmetic."""
+
+    __slots__ = ("p", "q", "points")
+
+    def __init__(self, p: int):
+        self.p = self.q = p
+        self.points = range(p)
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+    def scale(self, c: int, v: list[int]) -> list[int]:
+        p = self.p
+        return [c * x % p for x in v]
+
+    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
+        """u - c*v, elementwise, for a nonzero c."""
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(u, v)]
+
+    def value(self, row: list[int], x: int) -> int:
+        """The dense row evaluated at x, by Horner."""
+        p, acc = self.p, 0
+        for c in reversed(row):
+            acc = (acc * x + c) % p
+        return acc
+
+
+class _Fq:
+    """F_q, q = p^k with 2 <= k and q <= MAX_POINT_FIELD, as a point
+    field, through O(q) tables.
+
+    With L = q - 1 and g the first primitive element in encoding order,
+    `log[a]` is the exponent of g for a != 0 and 3L for 0, and `exp[i]`
+    is g^(i mod L) below 2L and 0 from 2L to 6L; so exp[log a + log b] =
+    a*b with no test for zero. Addition goes through Zech logarithms:
+    a + w = exp[log a + zech[lw - log a + 3L]], where lw is log w,
+    possibly unreduced up to 2L - 2, or in [3L, 4L) for w = 0; the
+    table's three ranges cover a = 0, both nonzero, and w = 0.
+    `nlog[a]` is log(-a).
+    """
+
+    __slots__ = ("p", "q", "log", "nlog", "exp", "zech", "points")
+
+    def __init__(self, field: FqField):
+        p, q = field.p, field.order
+        n = q - 1
+        g = field.primitive_element()
+        powers, x = [1], g
+        for _ in range(n - 1):
+            powers.append(x.encode())
+            x = x * g
+        log = [3 * n] * q
+        for i, a in enumerate(powers):
+            log[a] = i
+        half = n // 2 if p > 2 else 0
+        zech = [0] * (7 * n)
+        for d in range(2 * n - 1):
+            zech[d] = d - 3 * n
+        for d in range(2 * n + 1, 5 * n - 1):
+            a = powers[(d - 3 * n) % n]
+            a1 = a - a % p + (a + 1) % p
+            zech[d] = log[a1] if a1 else 2 * n
+        self.p, self.q = p, q
+        self.log = log
+        self.nlog = [3 * n] + [(i + half) % n for i in log[1:]]
+        self.exp = powers * 2 + [0] * (4 * n + 1)
+        self.zech = zech
+        # g, g^2, ... first: g^i lies in a proper subfield only for i a
+        # multiple of (q - 1)/(p^j - 1), and at points of F_p (or of any
+        # subfield) x^p and x, or x^(p^j) and x, agree, which makes them
+        # unlucky for the lifted inputs of the perfect closure
+        self.points = powers[1:] + [1, 0]
+
+    def mul(self, a: int, b: int) -> int:
+        log = self.log
+        return self.exp[log[a] + log[b]]
+
+    def neg(self, a: int) -> int:
+        return self.exp[self.nlog[a]]
+
+    def sub(self, a: int, b: int) -> int:
+        la = self.log[a]
+        return self.exp[la + self.zech[self.nlog[b] - la + 3 * (self.q - 1)]]
+
+    def inv(self, a: int) -> int:
+        return self.exp[self.q - 1 - self.log[a]]
+
+    def scale(self, c: int, v: list[int]) -> list[int]:
+        log, exp = self.log, self.exp
+        lc = log[c]
+        return [exp[lc + log[x]] for x in v]
+
+    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
+        """u - c*v, elementwise, for a nonzero c."""
+        log, exp, zech = self.log, self.exp, self.zech
+        off = 3 * (self.q - 1) + self.nlog[c]
+        return [exp[(lx := log[x]) + zech[off + log[y] - lx]] for x, y in zip(u, v)]
+
+    def value(self, row: list[int], x: int) -> int:
+        """The dense row evaluated at x, by Horner."""
+        if not x:
+            return row[0] if row else 0
+        log, exp, zech = self.log, self.exp, self.zech
+        off = 3 * (self.q - 1) + log[x]
+        acc = 0
+        for c in reversed(row):
+            lc = log[c]
+            acc = exp[lc + zech[off + log[acc] - lc]]
+        return acc
+
+
+class _FqPoly:
+    """F_q, q = p^k past MAX_POINT_FIELD elements, as a point field
+    without tables: zpoly's arithmetic on the decoded residues, modulo
+    the canonical modulus of degree k.
+
+    A field this large serves degrees in the hundreds and more, which in
+    practice are those of lifted elements (x^(p^2) at p = 101) with long,
+    sparse rows; so `value` jumps over runs of zero coefficients by
+    powering, Horner's rule with gaps. The points are the encodings from
+    p up, then F_p: at points of F_p, x^p and x agree.
+    """
+
+    __slots__ = ("p", "q", "modulus")
+
+    def __init__(self, p: int, k: int):
+        self.p, self.q = p, p**k
+        self.modulus = canonical_modulus(p, k)
+
+    @property
+    def points(self) -> Iterable[int]:
+        return chain(range(self.p, self.q), range(self.p))
+
+    def mul(self, a: int, b: int) -> int:
+        p = self.p
+        if a < p and b < p:
+            return a * b % p
+        prod = zpoly.mul(_decode(a, p), _decode(b, p), p)
+        return _encode(zpoly.rem(prod, self.modulus, p), p)
+
+    def neg(self, a: int) -> int:
+        p = self.p
+        if a < p:
+            return -a % p
+        return _encode(zpoly.sub([], _decode(a, p), p), p)
+
+    def sub(self, a: int, b: int) -> int:
+        p = self.p
+        if a < p and b < p:
+            return (a - b) % p
+        return _encode(zpoly.sub(_decode(a, p), _decode(b, p), p), p)
+
+    def inv(self, a: int) -> int:
+        p = self.p
+        if a < p:
+            return pow(a, -1, p)
+        return _encode(zpoly.invmod(_decode(a, p), self.modulus, p), p)
+
+    def pow(self, a: int, e: int) -> int:
+        p = self.p
+        return _encode(zpoly.powmod(_decode(a, p), e, self.modulus, p), p)
+
+    def scale(self, c: int, v: list[int]) -> list[int]:
+        return [self.mul(c, x) for x in v]
+
+    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
+        """u - c*v, elementwise, for a nonzero c."""
+        return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
+
+    def value(self, row: list[int], x: int) -> int:
+        """The row evaluated at x, by Horner's rule over its nonzero
+        coefficients: acc * x^gap + c."""
+        acc, last = 0, 0
+        for e in reversed([e for e, c in enumerate(row) if c]):
+            if acc:
+                acc = self.mul(acc, self.pow(x, last - e))
+            acc, last = self.sub(acc, self.neg(row[e])), e
+        return self.mul(acc, self.pow(x, last)) if last else acc
 
 
 # -- exhaustive perfectness check ---------------------------------------------------

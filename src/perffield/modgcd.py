@@ -1,11 +1,10 @@
-"""Brown's modular gcd over Z_p, and the finite fields it takes points from.
+"""Brown's modular gcd over Z_p.
 
 `gcd_candidates` is the gcd of multipoly's `_gcd_nonzero` for every
-input its exact rules leave, in one variable or more; `univar_gcd`, the
-Euclid of its base case over Z_p, serves fqtower's Rabin test. When one
-input uses a single variable, that Euclid alone gives the gcd.
-Polynomials here are term maps {exponent tuple: residue}, not MultiPoly,
-so this module does not import multipoly.
+input its exact rules leave, in one variable or more. When one input
+uses a single variable, the Euclid of Brown's base case alone gives the
+gcd. Polynomials here are term maps {exponent tuple: residue}, not
+MultiPoly, so this module does not import multipoly.
 
 Brown's algorithm evaluates all variables but the main one at points,
 one level per variable, takes univariate gcds of the images, and
@@ -13,41 +12,35 @@ interpolates them back by Newton. Every value stays in a finite field, so
 the cost follows the degrees and the number of points, not the growth of
 polynomial coefficients along a remainder sequence. The points come
 from Z_p when p is large enough, and otherwise from the smallest
-F_{p^k} with enough of them, whose arithmetic runs on log, antilog and
-Zech tables of size O(q) up to MAX_POINT_FIELD elements, and on
-polynomial products modulo fqtower's canonical modulus past that.
-Candidates can be wrong (an early stop, or unlucky points); the caller
-certifies one by exact division and asks for the next when it fails
-(Las Vegas).
+F_{p^k} with enough of them (`fqtower.point_field`). Candidates can be
+wrong (an early stop, or unlucky points); the caller certifies one by
+exact division and asks for the next when it fails (Las Vegas).
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
 from . import zpoly
+from .errors import BoundExceeded
+from .fqtower import point_field
 
 Mono = tuple[int, ...]
-# elements of the largest F_{p^k}, k >= 2, whose arithmetic runs on
-# tables; building them takes 2 to 7 us per element (22 ms for F_{101^2},
-# 117 ms for F_{2^14}), and larger fields serve degrees in the thousands,
-# in practice lifted elements with sparse rows, which `_FqPoly`
-# evaluates in fewer products
-MAX_POINT_FIELD = 1 << 14
 # steps of Euclid (deg a * deg b) in the main variable past which another
 # main variable may cost less; on seeded mixed-level CLI lines at p in
 # {11, 101}, 10^8 to 3 * 10^8 answered the most, 10^7 and 10^9 fewer
 EUCLID_STEPS = 10**8
+# entries of the longest dense row, in any variable, that a gcd may build
+MAX_ROW = 1 << 24
 
 
-# Inside the recursion a polynomial over a point field F (`_Zp`, `_Fq`
-# or `_FqPoly`) is a map of rows (see `_rows`): dense lists in the last
-# variable, which is evaluated first, index = degree, without trailing
-# zeros. Variable 0 is the main variable. Gcds come back as flat maps {exponent tuple:
-# element}, monic in lex order, the order in which Brown's algorithm
-# compares images.
+# Inside the recursion a polynomial over a point field F (see
+# `fqtower.point_field`) is a map of rows (see `_rows`): dense lists in
+# the last variable, which is evaluated first, index = degree, without
+# trailing zeros. Variable 0 is the main variable. Gcds come back as flat
+# maps {exponent tuple: element}, monic in lex order, the order in which
+# Brown's algorithm compares images.
 
 
 class _OutOfPoints(Exception):
@@ -74,22 +67,25 @@ def gcd_candidates(
     step_v, the gcd is one in x_v^step_v: substituting x_v -> x_v^step_v
     is a flat extension of the polynomial ring, and gcds commute with
     it. So lifted elements, whose exponents are multiples of a power of
-    p, cost what their deflated form costs.
+    p, cost what their deflated form costs. A deflated degree of
+    MAX_ROW or more raises BoundExceeded before any row is built.
 
     The main variable is the one of largest degree, unless Euclid on its
     images would be too long (see `_order`); the others are evaluated in
-    turn, the largest first. The points come from the point
-    field of the smallest F_{p^k} with enough of them for every variable,
-    and run out only when too many are unlucky; then the search restarts
-    one degree up. A monic gcd does not change under field extension, so
-    a candidate with a coefficient outside Z_p cannot be the gcd and is
-    passed over.
+    turn, the largest first. The points come from the point field of the
+    smallest F_{p^k} with enough of them for every variable, and run out
+    only when too many are unlucky; then the search restarts one degree
+    up. A monic gcd does not change under field extension, so a candidate
+    with a coefficient outside Z_p, an encoding of p or more, cannot be
+    the gcd and is passed over.
     """
     nvars = len(next(iter(a)))
     # a variable that neither input uses has step 0 and is left out
     steps = (gcd(*{m[v] for m in a}, *{m[v] for m in b}) for v in range(nvars))
     step = {v: d for v, d in enumerate(steps) if d}
     degs = {v: (max(m[v] for m in a) // d, max(m[v] for m in b) // d) for v, d in step.items()}
+    if any(d >= MAX_ROW for pair in degs.values() for d in pair):
+        raise BoundExceeded(f"the gcd needs a dense row of more than {MAX_ROW} entries")
     for f, g, side in ((a, b, 1), (b, a, 0)):
         used = [v for v in step if degs[v][side]]
         if len(used) == 1:
@@ -107,7 +103,7 @@ def gcd_candidates(
         k += 1
     RA, RB = _rows(A.items()), _rows(B.items())
     while True:
-        F = _point_field(p, k)
+        F = point_field(p, k)
         try:
             for h in _interpolate(RA, RB, F, 0, True):
                 if max(h.values()) >= p:
@@ -136,7 +132,7 @@ def _gcd_in_one_variable(
     coeffs: dict[Mono, list] = {}
     for m, c in f.items():
         coeffs.setdefault(m[:v] + m[v + 1 :], []).append(((m[v] // d,), c))
-    Zp = _Zp(p)
+    Zp = point_field(p, 1)
     h = _rows(((m[v] // d,), c) for m, c in g.items())[()]
     for terms in sorted(coeffs.values(), key=len):
         h = [1] if len(terms) == 1 else _univar_gcd(h, _rows(terms)[()], Zp)
@@ -326,12 +322,6 @@ def _univar_gcd(f: list[int], g: list[int], F) -> list[int]:
     return f
 
 
-def univar_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    """The monic gcd over Z_p of dense coefficient lists without trailing
-    zeros, not both zero: the Euclid of Brown's base case, over Z_p."""
-    return _univar_gcd(f, g, _Zp(p))
-
-
 def _rem(f: list[int], g: list[int], F) -> list[int]:
     """f mod g for a monic g: by long division, or by Horner's rule over
     the nonzero coefficients of f in F[y]/(g) where that takes fewer
@@ -389,219 +379,6 @@ def _mul(a: list[int], b: list[int], F) -> list[int]:
     return out
 
 
-# -- point fields ---------------------------------------------------------------
-
-
-class _Zp:
-    """Z_p as a point field: residues and modular arithmetic."""
-
-    __slots__ = ("p", "q", "points")
-
-    def __init__(self, p: int):
-        self.p = self.q = p
-        self.points = range(p)
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.p)
-
-    def scale(self, c: int, v: list[int]) -> list[int]:
-        p = self.p
-        return [c * x % p for x in v]
-
-    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
-        """u - c*v, elementwise, for a nonzero c."""
-        p = self.p
-        return [(x - c * y) % p for x, y in zip(u, v)]
-
-    def value(self, row: list[int], x: int) -> int:
-        """The dense row evaluated at x, by Horner."""
-        p, acc = self.p, 0
-        for c in reversed(row):
-            acc = (acc * x + c) % p
-        return acc
-
-
-class _Fq:
-    """F_q, q = p^k with 2 <= k and q <= MAX_POINT_FIELD, as a point
-    field, through O(q) tables.
-
-    Elements are ints in fqtower's base-p encoding (digit i is the
-    coefficient of t^i modulo the field's modulus), so F_p is the ints
-    below p. With L = q - 1 and g the first primitive element in
-    encoding order, `log[a]` is the exponent of g for a != 0 and 3L for
-    0, and `exp[i]` is g^(i mod L) below 2L and 0 from 2L to 6L; so
-    exp[log a + log b] = a*b with no test for zero. Addition goes through
-    Zech logarithms: a + w = exp[log a + zech[lw - log a + 3L]], where lw
-    is log w, possibly unreduced up to 2L - 2, or in [3L, 4L) for w = 0;
-    the table's three ranges cover a = 0, both nonzero, and w = 0.
-    `nlog[a]` is log(-a).
-    """
-
-    __slots__ = ("p", "q", "log", "nlog", "exp", "zech", "points")
-
-    def __init__(self, field):
-        p, q = field.p, field.order
-        n = q - 1
-        g = field.primitive_element()
-        powers, x = [1], g
-        for _ in range(n - 1):
-            powers.append(x.encode())
-            x = x * g
-        log = [3 * n] * q
-        for i, a in enumerate(powers):
-            log[a] = i
-        half = n // 2 if p > 2 else 0
-        zech = [0] * (7 * n)
-        for d in range(2 * n - 1):
-            zech[d] = d - 3 * n
-        for d in range(2 * n + 1, 5 * n - 1):
-            a = powers[(d - 3 * n) % n]
-            a1 = a - a % p + (a + 1) % p
-            zech[d] = log[a1] if a1 else 2 * n
-        self.p, self.q = p, q
-        self.log = log
-        self.nlog = [3 * n] + [(i + half) % n for i in log[1:]]
-        self.exp = powers * 2 + [0] * (4 * n + 1)
-        self.zech = zech
-        # g, g^2, ... first: g^i lies in a proper subfield only for i a
-        # multiple of (q - 1)/(p^j - 1), and at points of F_p (or of any
-        # subfield) x^p and x, or x^(p^j) and x, agree, which makes them
-        # unlucky for the lifted inputs of the perfect closure
-        self.points = powers[1:] + [1, 0]
-
-    def mul(self, a: int, b: int) -> int:
-        log = self.log
-        return self.exp[log[a] + log[b]]
-
-    def neg(self, a: int) -> int:
-        return self.exp[self.nlog[a]]
-
-    def sub(self, a: int, b: int) -> int:
-        la = self.log[a]
-        return self.exp[la + self.zech[self.nlog[b] - la + 3 * (self.q - 1)]]
-
-    def inv(self, a: int) -> int:
-        return self.exp[self.q - 1 - self.log[a]]
-
-    def scale(self, c: int, v: list[int]) -> list[int]:
-        log, exp = self.log, self.exp
-        lc = log[c]
-        return [exp[lc + log[x]] for x in v]
-
-    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
-        """u - c*v, elementwise, for a nonzero c."""
-        log, exp, zech = self.log, self.exp, self.zech
-        off = 3 * (self.q - 1) + self.nlog[c]
-        return [exp[(lx := log[x]) + zech[off + log[y] - lx]] for x, y in zip(u, v)]
-
-    def value(self, row: list[int], x: int) -> int:
-        """The dense row evaluated at x, by Horner."""
-        if not x:
-            return row[0] if row else 0
-        log, exp, zech = self.log, self.exp, self.zech
-        off = 3 * (self.q - 1) + log[x]
-        acc = 0
-        for c in reversed(row):
-            lc = log[c]
-            acc = exp[lc + zech[off + log[acc] - lc]]
-        return acc
-
-
-class _FqPoly:
-    """F_q, q = p^k past MAX_POINT_FIELD elements, as a point field
-    without tables.
-
-    Elements are ints in the base-p encoding of `_Fq`, and their
-    arithmetic is zpoly's on their digit lists, modulo fqtower's
-    canonical modulus of degree k. A field this large serves degrees in
-    the hundreds and more, which in practice are those of lifted
-    elements (x^(p^2) at p = 101) with long, sparse rows; so `value`
-    jumps over runs of zero coefficients by powering, Horner's rule with
-    gaps, as `_rem` does in F[y]/(g) for every point field. The points
-    are the encodings from p up, then F_p: at points of F_p, x^p and x
-    agree.
-    """
-
-    __slots__ = ("p", "q", "modulus")
-
-    def __init__(self, p: int, k: int):
-        from .fqtower import canonical_modulus
-
-        self.p, self.q = p, p**k
-        self.modulus = canonical_modulus(p, k)
-
-    @property
-    def points(self) -> Iterable[int]:
-        return chain(range(self.p, self.q), range(self.p))
-
-    def _digits(self, a: int) -> list[int]:
-        p, out = self.p, []
-        while a:
-            a, r = divmod(a, p)
-            out.append(r)
-        return out
-
-    def _encode(self, digits: list[int]) -> int:
-        p, a = self.p, 0
-        for c in reversed(digits):
-            a = a * p + c
-        return a
-
-    def mul(self, a: int, b: int) -> int:
-        p = self.p
-        if a < p and b < p:
-            return a * b % p
-        prod = zpoly.mul(self._digits(a), self._digits(b), p)
-        return self._encode(zpoly.rem(prod, self.modulus, p))
-
-    def neg(self, a: int) -> int:
-        p = self.p
-        if a < p:
-            return -a % p
-        return self._encode(zpoly.sub([], self._digits(a), p))
-
-    def sub(self, a: int, b: int) -> int:
-        p = self.p
-        if a < p and b < p:
-            return (a - b) % p
-        return self._encode(zpoly.sub(self._digits(a), self._digits(b), p))
-
-    def inv(self, a: int) -> int:
-        p = self.p
-        if a < p:
-            return pow(a, -1, p)
-        return self._encode(zpoly.invmod(self._digits(a), self.modulus, p))
-
-    def pow(self, a: int, e: int) -> int:
-        return self._encode(zpoly.powmod(self._digits(a), e, self.modulus, self.p))
-
-    def scale(self, c: int, v: list[int]) -> list[int]:
-        return [self.mul(c, x) for x in v]
-
-    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
-        """u - c*v, elementwise, for a nonzero c."""
-        return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
-
-    def value(self, row: list[int], x: int) -> int:
-        """The row evaluated at x, by Horner's rule over its nonzero
-        coefficients: acc * x^gap + c."""
-        acc, last = 0, 0
-        for e in reversed([e for e, c in enumerate(row) if c]):
-            if acc:
-                acc = self.mul(acc, self.pow(x, last - e))
-            acc, last = self.sub(acc, self.neg(row[e])), e
-        return self.mul(acc, self.pow(x, last)) if last else acc
-
-
 def _mulmod(a: list[int], b: list[int], g: list[int], F) -> list[int]:
     return _long_rem(_mul(a, b, F), g, F)
 
@@ -623,19 +400,3 @@ def _add_const(a: list[int], c: int, F) -> list[int]:
     if not a:
         return [c]
     return [F.sub(a[0], F.neg(c))] + a[1:]
-
-
-def _point_field(p: int, k: int):
-    """F_{p^k} as a point field. The tables of `_Fq` live on fqtower's
-    field object, so they are built once per field and go when
-    make_field's cache is cleared."""
-    if k == 1:
-        return _Zp(p)
-    if p**k > MAX_POINT_FIELD:
-        return _FqPoly(p, k)
-    from .fqtower import make_field
-
-    field = make_field(p, k)
-    if field.point_tables is None:
-        field.point_tables = _Fq(field)
-    return field.point_tables

@@ -39,13 +39,13 @@ the number of points. When one input uses a single variable, the gcd
 lies in it: Brown's Euclid base case takes it from that input and the
 other's coefficients in the other variables, stopping at 1. The points
 come from Z_p when p is large enough, otherwise from the smallest
-F_{p^k} with enough of them, whose arithmetic runs on log and Zech
-tables of size O(q) up to `modgcd.MAX_POINT_FIELD` elements and on
-polynomial products past it. Brown's candidates can be wrong (an early
-stop, or unlucky points); exact division certifies the one returned,
-once per `gcd_cofactors` call, and its quotients are the cofactors a/g
-and b/g. A candidate that fails the division makes Brown's loop take
-more points (Las Vegas).
+F_{p^k} with enough of them (`fqtower.point_field`), whose arithmetic
+runs on log and Zech tables of size O(q) up to
+`fqtower.MAX_POINT_FIELD` elements and on polynomial products past it.
+Brown's candidates can be wrong (an early stop, or unlucky points);
+exact division certifies the one returned, once per `gcd_cofactors`
+call, and its quotients are the cofactors a/g and b/g. A candidate that
+fails the division makes Brown's loop take more points (Las Vegas).
 """
 
 from __future__ import annotations

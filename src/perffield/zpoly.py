@@ -7,11 +7,12 @@ modulus must end in a nonzero coefficient. Every function returns a
 fresh list without trailing zeros and leaves its inputs alone, except
 `trim`, which trims in place.
 
-fqtower builds F_{p^n} and its Frobenius matrices on it, modgcd's
-point fields past their table bound take their products, powers and
-inverses from it, and _accel builds its reduction table with it. The gcd
-over Z_p[t] is `modgcd.univar_gcd`, the Euclid that Brown's algorithm
-runs over every point field, Z_p among them.
+fqtower builds F_{p^n} and its Frobenius matrices on it, its point
+fields past their table bound take their products, powers and inverses
+from it, and _accel builds its reduction table with it. The extended
+Euclid of `invmod` also serves fqtower's Rabin test, which needs only
+whether a gcd is 1; the monic gcd over Z_p[t] is the Euclid that
+Brown's algorithm runs over every point field, Z_p among them.
 """
 
 from __future__ import annotations

@@ -315,6 +315,43 @@ def oracle_check_perfect(field: FqField) -> PerfectReport:
     return PerfectReport(p, field.n, field.order, True, k, None)
 
 
+# Irreducibility by trial division, the oracle for fqtower's canonical
+# modulus and its Rabin test: plain loops over coefficient lists, on
+# neither zpoly nor modgcd.
+
+
+def oracle_monic_polys(p: int, d: int):
+    """The monic polynomials of degree d over Z_p as coefficient lists,
+    constant first, in enumeration order: constant term fastest-varying."""
+    for k in range(p**d):
+        coeffs = []
+        for _ in range(d):
+            k, c = divmod(k, p)
+            coeffs.append(c)
+        yield coeffs + [1]
+
+
+def _oracle_divides(g: list[int], f: list[int], p: int) -> bool:
+    """Whether the monic g divides f over Z_p, by long division."""
+    r = list(f)
+    while len(r) >= len(g):
+        c, s = r[-1], len(r) - len(g)
+        for i, gi in enumerate(g):
+            r[s + i] = (r[s + i] - c * gi) % p
+        r.pop()
+    return not any(r)
+
+
+def oracle_small_factor(f: list[int], p: int) -> list[int] | None:
+    """The first monic factor of f of degree 1 to deg f / 2 in
+    enumeration order, or None when f (monic) is irreducible."""
+    for d in range(1, (len(f) - 1) // 2 + 1):
+        for g in oracle_monic_polys(p, d):
+            if _oracle_divides(g, f, p):
+                return g
+    return None
+
+
 # The Euclidean gcd over the closure and the Musser cascade built on it,
 # on UniPoly's per-coefficient long division: the oracle for septools,
 # whose gcd, separability test and cascade run on numerators.

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -809,3 +810,33 @@ def test_gcd_of_an_input_in_one_variable_is_fast():
     out = run(s, line)
     assert time.perf_counter() - start < 1.0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "362dd89be452e1e1"
+
+
+def test_gcd_past_the_row_bound_is_refused_before_it_allocates():
+    # lifting to level 2 at p = 101 gives a gcd input of degree past
+    # MAX_ROW in x1: its dense rows would take gigabytes, so the gcd is
+    # refused with BoundExceeded before any row is built; the child runs
+    # under a 2 GB address-space cap, under which building the rows
+    # raises MemoryError
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    line = (
+        "eval (32+6*x1)/(79*x1^101*root(x1,1)^2+98*x1^3+73*x1^2*x1)"
+        "*root(95+83*x1^101*root(x1,2),2)+(90)"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "perffield.cli", "--p", "101", "--vars", "1"],
+        input=line + "\n",
+        capture_output=True,
+        text=True,
+        env=os.environ.copy(),
+        timeout=120,
+        preexec_fn=cap,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert re.match(r"error\[5\.\.90\]: BoundExceeded: ", proc.stderr), proc.stderr

@@ -7,15 +7,18 @@ import pytest
 from perffield import fqtower
 from perffield.errors import BoundExceeded, DivisionByZero, NoEmbedding
 from perffield.fqtower import (
+    MAX_POINT_FIELD,
     FqField,
+    canonical_modulus,
     check_perfect,
     embed,
     find_embedding_root,
     make_field,
+    point_field,
 )
 from perffield.primefield import is_prime
 
-from helpers import oracle_check_perfect
+from helpers import oracle_check_perfect, oracle_monic_polys, oracle_small_factor
 
 
 def test_prime_field_modulus():
@@ -41,6 +44,31 @@ def test_f16_modulus():
     F16 = make_field(2, 4)
     assert F16.modulus == (1, 1, 0, 0, 1)
     assert F16.modulus_str() == "t^4 + t + 1"
+
+
+def _small_prime_powers(bound):
+    for p in range(2, bound + 1):
+        if is_prime(p):
+            n = 1
+            while p**n <= bound:
+                yield p, n
+                n += 1
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        pytest.param(list(_small_prime_powers(2**12)), id="p^n<=2^12"),
+        # the moduli of point fields past MAX_POINT_FIELD
+        pytest.param([(2, 15), (2, 17), (3, 10), (101, 3)], id="table-free"),
+    ],
+)
+def test_canonical_modulus_is_the_first_irreducible(pairs):
+    # Rabin's test reads gcd(h, f) = 1 from zpoly.invmod; trial division
+    # finds the same first irreducible polynomial in enumeration order
+    for p, n in pairs:
+        expect = next(f for f in oracle_monic_polys(p, n) if oracle_small_factor(f, p) is None)
+        assert canonical_modulus(p, n) == tuple(expect), (p, n)
 
 
 def test_modulus_deterministic():
@@ -392,3 +420,50 @@ def test_random_arithmetic_against_integers():
             x, y = rng.randrange(p), rng.randrange(p)
             assert (fq.const(x) + fq.const(y)).encode() == (x + y) % p
             assert (fq.const(x) * fq.const(y)).encode() == (x * y) % p
+
+
+@pytest.mark.parametrize("p, k", [(101, 1), (3, 4), (2, 15), (101, 3)])
+def test_point_field_matches_fqelem_arithmetic(p, k):
+    # Z_101, a table field (F_81) and two fields past MAX_POINT_FIELD
+    # (F_{101^3} is past make_field's bound too)
+    assert 3**4 <= MAX_POINT_FIELD < 2**15
+    F = point_field(p, k)
+    fq = make_field(p, k) if p**k <= fqtower.MAX_ORDER else FqField(p, k, canonical_modulus(p, k))
+    assert F.q == fq.order
+    el = fq.from_encoding
+    rng = random.Random(4000 + p**k)
+    for _ in range(200):
+        a, b = rng.randrange(fq.order), rng.randrange(fq.order)
+        assert F.mul(a, b) == (el(a) * el(b)).encode()
+        assert F.sub(a, b) == (el(a) - el(b)).encode()
+        assert F.neg(a) == (-el(a)).encode()
+        if a:
+            assert F.inv(a) == el(a).inv().encode()
+    for _ in range(20):
+        c = rng.randrange(1, fq.order)
+        u = [rng.randrange(fq.order) for _ in range(8)]
+        v = [rng.randrange(fq.order) for _ in range(8)]
+        assert F.scale(c, v) == [(el(c) * el(y)).encode() for y in v]
+        assert F.axpy(u, c, v) == [(el(x) - el(c) * el(y)).encode() for x, y in zip(u, v)]
+        # a sparse row, as lifted elements give, and a dense one
+        row = [rng.randrange(fq.order) if rng.random() < 0.3 else 0 for _ in range(40)]
+        for r in (row, u + [1]):
+            x = rng.randrange(fq.order)
+            acc = fq.zero()
+            for coeff in reversed(r):
+                acc = acc * el(x) + el(coeff)
+            assert F.value(r, x) == acc.encode()
+    # F_p is the encodings below p
+    assert all(F.mul(a, b) == a * b % p for a in range(p) for b in range(p))
+    assert all(F.sub(a, b) == (a - b) % p for a in range(p) for b in range(p))
+
+
+def test_point_field_tables_list_every_element_once_and_follow_make_field():
+    F = point_field(3, 4)
+    assert sorted(F.points) == list(range(81))
+    assert point_field(3, 4) is F
+    make_field.cache_clear()
+    G = point_field(3, 4)
+    assert G is not F
+    assert G is make_field(3, 4).point_tables
+    assert (G.log, G.exp, G.zech, G.points) == (F.log, F.exp, F.zech, F.points)

@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from perffield import modgcd, multipoly, zpoly
+from perffield import multipoly, zpoly
 from perffield.errors import DivisionByZero, NotAPthPower, NotDivisible
-from perffield.fqtower import make_field
+from perffield.fqtower import MAX_POINT_FIELD, make_field
 from perffield.multipoly import MultiPoly, gcd_cofactors, poly_gcd
 from perffield.primefield import PrimeField
 
@@ -307,7 +307,7 @@ def _gcd_pairs(rng, field, nvars):
         # MAX_POINT_FIELD, the points come from a field without tables
         x = [MultiPoly.variable(field, nvars, i) for i in range(nvars)]
         n = 1
-        while n * field.p <= modgcd.MAX_POINT_FIELD:
+        while n * field.p <= MAX_POINT_FIELD:
             n *= field.p
         g = x[0] * x[-1] + x[-1] ** 2 + rng.randrange(1, field.p)
         pairs.append((g * (x[0] + x[-1] ** n), g * (x[0] ** n + x[-1])))

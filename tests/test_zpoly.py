@@ -5,7 +5,7 @@ import random
 import pytest
 
 from perffield import modgcd, zpoly
-from perffield.fqtower import make_field
+from perffield.fqtower import make_field, point_field
 
 PRIMES = (2, 3, 5, 7, 101)
 
@@ -46,8 +46,8 @@ def test_gcd_divides_both(p):
         b = zpoly.mul(random_poly(rng, p, 14), c, p)
         if not a and not b:
             continue
-        # the Euclid over Z_p[t] is modgcd's
-        g = modgcd.univar_gcd(a, b, p)
+        # the Euclid over Z_p[t] is Brown's base case over the point field Z_p
+        g = modgcd._univar_gcd(a, b, point_field(p, 1))
         assert g[-1] == 1
         assert zpoly.rem(a, g, p) == []
         assert zpoly.rem(b, g, p) == []
