@@ -363,6 +363,21 @@ def _make_field(p: int, n: int) -> fqtower.FqField:
         raise UsageError(str(err)) from err
 
 
+def _fq_element(field: fqtower.FqField, enc: int) -> fqtower.FqElem:
+    """The element of `field` with integer encoding `enc`, range-checked."""
+    if not 0 <= enc < field.order:
+        raise UsageError(f"element encoding must lie in [0, {field.order}), got {enc}")
+    return field.from_encoding(enc)
+
+
+def _fq_reply(session: Session, command: str, out: fqtower.FqElem) -> str:
+    """The "<element> (encoding k)" reply of fq frob, invfrob and embed."""
+    enc = out.encode()
+    return _reply(
+        session, f"{out} (encoding {enc})", command=command, result=str(out), encoding=enc
+    )
+
+
 def _cmd_fq(session: Session, rest: str, base: int) -> str:
     parts = rest.split()
     if not parts:
@@ -383,20 +398,9 @@ def _cmd_fq(session: Session, rest: str, base: int) -> str:
         )
     if sub in ("frob", "invfrob"):
         p, n, enc = _ints(args, 3, f"usage: fq {sub} <p> <n> <element-encoding>")
-        field = _make_field(p, n)
-        if not 0 <= enc < field.order:
-            raise UsageError(
-                f"element encoding must lie in [0, {field.order}), got {enc}"
-            )
-        a = field.from_encoding(enc)
+        a = _fq_element(_make_field(p, n), enc)
         out = a.frobenius() if sub == "frob" else a.inv_frobenius()
-        return _reply(
-            session,
-            f"{out} (encoding {out.encode()})",
-            command=f"fq {sub}",
-            result=str(out),
-            encoding=out.encode(),
-        )
+        return _fq_reply(session, f"fq {sub}", out)
     if sub == "perfect-check":
         p, n = _ints(args, 2, "usage: fq perfect-check <p> <n>")
         report = fqtower.check_perfect(_make_field(p, n))
@@ -412,18 +416,8 @@ def _cmd_fq(session: Session, rest: str, base: int) -> str:
         p, m, n, enc = _ints(args, 4, "usage: fq embed <p> <m> <n> <element-encoding>")
         source = _make_field(p, m)
         target = _make_field(p, n)
-        if not 0 <= enc < source.order:
-            raise UsageError(
-                f"element encoding must lie in [0, {source.order}), got {enc}"
-            )
-        out = fqtower.embed(source.from_encoding(enc), target)
-        return _reply(
-            session,
-            f"{out} (encoding {out.encode()})",
-            command="fq embed",
-            result=str(out),
-            encoding=out.encode(),
-        )
+        out = fqtower.embed(_fq_element(source, enc), target)
+        return _fq_reply(session, "fq embed", out)
     raise UsageError(f"unknown fq subcommand '{sub}'")
 
 

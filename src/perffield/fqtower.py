@@ -624,13 +624,13 @@ def check_perfect(field: FqField) -> PerfectReport:
     elements below p^(i+1) are the p multiples of Q[i] added to the
     images of the elements below p^i, reduced mod p.
     """
-    import numpy as np
-
     if field.order > MAX_EXHAUSTIVE:
         raise BoundExceeded(
             f"exhaustive check limited to order <= {MAX_EXHAUSTIVE}, "
             f"field has {field.order}"
         )
+    import numpy as np
+
     p, n = field.p, field.n
     # images[:, k] holds the coordinates of the image of the element encoded k
     images = np.zeros((n, 1), dtype=np.int64)
@@ -703,11 +703,11 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     of p^m elements. Only that subfield is searched, and the root with
     the smallest encoding is returned.
     """
+    _check_embeddable(source, target)
     import numpy as np
 
     from . import _accel
 
-    _check_embeddable(source, target)
     p, n = target.p, target.n
     # x is fixed by x -> x^(p^m) iff x (F - I) = 0, i.e. (F - I)^T x = 0
     F = target.power_map(p**source.n)

@@ -350,24 +350,25 @@ class MultiPoly:
         """Evaluate at a point with coordinates in one finite field F_{p^m}.
 
         The coordinates must support ring arithmetic and integer scaling
-        (fqtower.FqElem does). `field` is only needed to type the result
-        when the polynomial uses no variables.
+        (fqtower.FqElem does). `field` defaults to the first coordinate's;
+        one of characteristic other than p raises ContextMismatch. RatFunc
+        and PerfElem evaluate through here and resolve no field of their own.
         """
         if field is None:
             if not point:
                 raise ValueError("field required to evaluate with an empty point")
             field = point[0].field
+        if field.p != self.field.p:
+            raise ContextMismatch(f"point field has p={field.p}, not p={self.field.p}")
         if len(point) < self.nvars:
-            raise ValueError(
-                f"need {self.nvars} coordinates, got {len(point)}"
-            )
+            raise ValueError(f"need {self.nvars} coordinates, got {len(point)}")
         acc = field.zero()
         for mono, c in self.terms.items():
-            term = field.one()
+            term = c
             for i, e in enumerate(mono):
                 if e:
                     term = term * point[i] ** e
-            acc = acc + c * term
+            acc = acc + term
         return acc
 
     # -- division --------------------------------------------------------

@@ -351,13 +351,9 @@ class PerfElem:
 
         The level-n variable x_i^(1/p^n) goes to the unique p^n-th root
         of the i-th coordinate, obtained by iterating the coordinate
-        field's inverse Frobenius. Raises PoleAtPoint if the denominator
-        vanishes there.
+        field's inverse Frobenius; MultiPoly.eval resolves that field.
+        Raises PoleAtPoint if the denominator vanishes there.
         """
-        if field is None:
-            if not point:
-                raise ValueError("field required to evaluate with an empty point")
-            field = point[0].field
         roots = list(point)
         for _ in range(self.level):
             roots = [c.inv_frobenius() for c in roots]

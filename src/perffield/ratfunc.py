@@ -264,11 +264,7 @@ class RatFunc:
     # -- evaluation ---------------------------------------------------------------
 
     def eval(self, point: Sequence, field=None):
-        """Evaluate at a point; raises PoleAtPoint when the denominator dies."""
-        if field is None:
-            if not point:
-                raise ValueError("field required to evaluate with an empty point")
-            field = point[0].field
+        """Evaluate as MultiPoly.eval does; PoleAtPoint when the denominator dies."""
         d = self.den.eval(point, field)
         if not d:
             raise PoleAtPoint("denominator vanishes at the evaluation point")

@@ -155,6 +155,30 @@ def test_fq_usage_errors():
         run(s, "fq teleport 2 2")
 
 
+def test_fq_element_commands_in_json_mode():
+    s = Session(2, 1)
+    s.json_mode = True
+    for line, command, result, encoding in (
+        ("fq frob 2 2 2", "fq frob", "t + 1", 3),
+        ("fq invfrob 2 2 3", "fq invfrob", "t", 2),
+        ("fq embed 2 2 4 2", "fq embed", "t^2 + t", 6),
+    ):
+        assert run(s, line) == json.dumps(
+            {"schema": 1, "ok": True, "command": command, "result": result, "encoding": encoding}
+        )
+    # the encoding is read in the source field, after both fields are made
+    for line, message in (
+        ("fq embed 2 2 4 4", "element encoding must lie in [0, 4), got 4"),
+        ("fq embed 2 2 3 4", "element encoding must lie in [0, 4), got 4"),
+        ("fq embed 2 2 0 4", "extension degree must be a positive integer, got 0"),
+    ):
+        with pytest.raises(UsageError) as exc:
+            run(s, line)
+        assert json.loads(render_error(exc.value, True)) == {
+            "schema": 1, "ok": False, "error": {"kind": "UsageError", "message": message}
+        }
+
+
 def test_power_bounded_before_work():
     # nested powers multiply exponents: five 900-digit factors would need
     # an exponent of 4500 digits, past what even prints
@@ -670,6 +694,32 @@ def test_cli_import_leaves_numpy_unloaded():
         timeout=120,
     )
     assert (proc.returncode, proc.stdout) == (0, "False True\n"), proc.stderr
+
+
+def test_refused_fq_bounds_leave_numpy_unloaded():
+    # the order bound and the embeddability check come before numpy
+    code = (
+        "import sys\n"
+        "from perffield import fqtower\n"
+        "from perffield.errors import BoundExceeded, NoEmbedding\n"
+        "for refused, error in (\n"
+        "    (lambda: fqtower.check_perfect(fqtower.make_field(3, 11)), BoundExceeded),\n"
+        "    (lambda: fqtower.find_embedding_root(\n"
+        "        fqtower.make_field(2, 3), fqtower.make_field(2, 4)), NoEmbedding),\n"
+        "):\n"
+        "    try:\n"
+        "        refused()\n"
+        "    except error:\n"
+        "        print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=os.environ.copy(),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\nFalse\n"), proc.stderr
 
 
 def test_fraction_heavy_lines_keep_their_speed():

@@ -286,6 +286,26 @@ def test_eval_consistency_with_roots():
                 hits += 1
 
 
+def test_eval_refuses_a_point_of_another_characteristic():
+    # 2*x1 over Z_3 at a point of F_{2^4}: reading 2 as 0 there would
+    # answer 0, so every evaluator refuses the point instead
+    ctx = PerfContext(3, 1)
+    pt = (make_field(2, 4).gen(),)
+    a = 2 * ctx.variable(0)
+    for value in (a.body.num, a.body, a, a.pth_root()):
+        with pytest.raises(ContextMismatch):
+            value.eval(pt)
+
+
+def test_eval_of_an_empty_point_needs_a_field():
+    ctx = PerfContext(3, 0)
+    one = ctx.one()
+    for value in (one.body.num, one.body, one):
+        with pytest.raises(ValueError, match="^field required to evaluate with an empty point$"):
+            value.eval(())
+        assert value.eval((), make_field(3, 2)) == 1
+
+
 def test_str_and_json():
     ctx = PerfContext(2, 2)
     a = ctx.variable(0).pth_root() + ctx.variable(1)
