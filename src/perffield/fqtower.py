@@ -16,13 +16,13 @@ the evaluation points of Brown's modular gcd.
 The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
 Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
 (row i = t^(i p^(n-1)) mod f), built on first use. The exhaustive sweep
-builds the images of all p^n elements by linearity, one encoding digit
-(one row of Q) at a time; the embedding root search looks only in the
-subfield ker(Q^m - I) where every root lies; the scalar `frobenius`
-and `inv_frobenius` are one vector-matrix product each. Scalar powering
-(`FqElem.__pow__`, square-and-multiply on residues) never goes through
-these matrices, and the tests check the matrices against it element by
-element.
+fills one int32 table with the images of all p^n elements by linearity,
+in place, one encoding digit (one row of Q) at a time; the embedding
+root search looks only in the subfield ker(Q^m - I) where every root
+lies; the scalar `frobenius` and `inv_frobenius` are one vector-matrix
+product each. Scalar powering (`FqElem.__pow__`, square-and-multiply on
+residues) never goes through these matrices, and the tests check the
+matrices against it element by element.
 
 numpy is imported inside the two sweeps, `check_perfect` and
 `find_embedding_root`, and nowhere else, so importing the library or
@@ -620,9 +620,12 @@ def check_perfect(field: FqField) -> PerfectReport:
     return the order of that permutation (the degree n, when all is well).
 
     The image of sum c_i t^i is sum c_i Q[i], so the table of all p^n
-    images is built one encoding digit at a time: the images of the
-    elements below p^(i+1) are the p multiples of Q[i] added to the
-    images of the elements below p^i, reduced mod p.
+    images is filled in place one encoding digit at a time: the images
+    of the elements below p^(i+1) are the p multiples of Q[i] added to
+    the images of the elements below p^i, reduced mod p. The table is
+    int32 and exact: the multiples d*Q[i] reach p^2 and are reduced in
+    int64, after which both terms of a sum are below p, so one
+    subtraction of p reduces it, and an encoding is below p^n <= 2^16.
     """
     if field.order > MAX_EXHAUSTIVE:
         raise BoundExceeded(
@@ -633,14 +636,20 @@ def check_perfect(field: FqField) -> PerfectReport:
 
     p, n = field.p, field.n
     # images[:, k] holds the coordinates of the image of the element encoded k
-    images = np.zeros((n, 1), dtype=np.int64)
-    digits = np.arange(p, dtype=np.int64)
-    for row in np.array(field.frobenius_matrix(), dtype=np.int64):
-        images = (np.outer(row, digits) % p)[:, :, None] + images[:, None, :]
-        np.remainder(images, p, out=images)
-        images = images.reshape(n, -1)
+    images = np.zeros((n, field.order), dtype=np.int32)
+    digits = np.arange(1, p, dtype=np.int64)
+    for i, row in enumerate(np.array(field.frobenius_matrix(), dtype=np.int64)):
+        # block[:, d, j] is the element d*p^i + j, for j below p^i
+        block = images[:, : p ** (i + 1)].reshape(n, p, p**i)
+        high = block[:, 1:]
+        mult = (np.outer(row, digits) % p).astype(np.int32)
+        np.add(mult[:, :, None], block[:, :1], out=high)
+        np.subtract(high, p, out=high, where=high >= p)
     # enc[k] is the encoding of the image of the element encoded k
-    enc = p ** np.arange(n, dtype=np.int64) @ images
+    enc = images[-1].copy()
+    for coords in reversed(images[:-1]):
+        enc *= p
+        enc += coords
     if np.bincount(enc, minlength=field.order).max() != 1:
         # locate one collision pair for the report
         seen: dict[int, int] = {}

@@ -350,16 +350,10 @@ class MultiPoly:
         """Evaluate at a point with coordinates in one finite field F_{p^m}.
 
         The coordinates must support ring arithmetic and integer scaling
-        (fqtower.FqElem does). `field` defaults to the first coordinate's;
-        one of characteristic other than p raises ContextMismatch. RatFunc
-        and PerfElem evaluate through here and resolve no field of their own.
+        (fqtower.FqElem does); `resolve_point_field` resolves and checks their
+        field. RatFunc and PerfElem evaluate through here.
         """
-        if field is None:
-            if not point:
-                raise ValueError("field required to evaluate with an empty point")
-            field = point[0].field
-        if field.p != self.field.p:
-            raise ContextMismatch(f"point field has p={field.p}, not p={self.field.p}")
+        field = resolve_point_field(point, field, self.field.p)
         if len(point) < self.nvars:
             raise ValueError(f"need {self.nvars} coordinates, got {len(point)}")
         acc = field.zero()
@@ -485,6 +479,26 @@ def digit_power(x: T, e: int, p: int, one: T, frob: Callable[[T], T]) -> T:
         if e:
             x = frob(x)
     return one if result is None else result
+
+
+def resolve_point_field(point: Sequence, field, p: int):
+    """The field of an evaluation point's coordinates over Z_p.
+
+    `field` defaults to the first coordinate's. A field of characteristic
+    other than p, or a coordinate of another field, raises
+    ContextMismatch; int coordinates are residues of any field.
+    """
+    if field is None:
+        if not point:
+            raise ValueError("field required to evaluate with an empty point")
+        field = point[0].field
+    if field.p != p:
+        raise ContextMismatch(f"point field has p={field.p}, not p={p}")
+    # `is` first: a coordinate of the resolved field itself skips FqField.__eq__
+    for c in point:
+        if not (isinstance(c, int) or c.field is field or c.field == field):
+            raise ContextMismatch(f"point coordinate lies in {c.field!r}, not in {field!r}")
+    return field
 
 
 def check_power_terms(polys: Iterable[MultiPoly], e: int, p: int) -> None:

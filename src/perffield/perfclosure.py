@@ -31,7 +31,7 @@ from .errors import (
     LevelOverflow,
     LevelTooLow,
 )
-from .multipoly import check_power_terms, poly_gcd
+from .multipoly import check_power_terms, poly_gcd, resolve_point_field
 from .primefield import PrimeField
 from .ratfunc import RatFunc
 
@@ -351,9 +351,11 @@ class PerfElem:
 
         The level-n variable x_i^(1/p^n) goes to the unique p^n-th root
         of the i-th coordinate, obtained by iterating the coordinate
-        field's inverse Frobenius; MultiPoly.eval resolves that field.
+        field's inverse Frobenius. That field is resolved and checked
+        first, so a foreign point is refused before any root is taken.
         Raises PoleAtPoint if the denominator vanishes there.
         """
+        field = resolve_point_field(point, field, self.ctx.p)
         roots = list(point)
         for _ in range(self.level):
             roots = [c.inv_frobenius() for c in roots]

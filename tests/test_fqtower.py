@@ -254,6 +254,9 @@ def test_check_perfect_matches_matmul_sweep_on_every_small_field():
         if p**n <= 2**12
     ]
     assert len(fields) > 500
+    # and fields at the top of the exhaustive bound, where the int32 image
+    # table is largest, and the largest p it admits
+    fields += [(2, 16), (2, 15), (3, 10), (5, 6), (7, 5), (13, 4), (31, 3), (251, 2), (65521, 1)]
     for p, n in fields:
         field = make_field(p, n)
         assert check_perfect(field) == oracle_check_perfect(field), (p, n)

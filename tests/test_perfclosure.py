@@ -13,7 +13,7 @@ from perffield.errors import (
     LevelTooLow,
     PoleAtPoint,
 )
-from perffield.fqtower import make_field
+from perffield.fqtower import FqField, make_field
 from perffield.multipoly import MultiPoly
 from perffield.perfclosure import PerfContext, PerfElem
 from perffield.ratfunc import RatFunc
@@ -295,6 +295,29 @@ def test_eval_refuses_a_point_of_another_characteristic():
     for value in (a.body.num, a.body, a, a.pth_root()):
         with pytest.raises(ContextMismatch):
             value.eval(pt)
+
+
+def test_eval_refuses_a_point_with_coordinates_in_two_fields():
+    # x1*x2 over Z_3 at (t in F_9, t in F_27): the characteristic agrees,
+    # but the product of the coordinates is in neither field
+    ctx = PerfContext(3, 2)
+    pt = (make_field(3, 2).gen(), make_field(3, 3).gen())
+    a = ctx.variable(0) * ctx.variable(1)
+    for value in (a.body.num, a.body, a, a.pth_root()):
+        with pytest.raises(ContextMismatch):
+            value.eval(pt)
+
+
+def test_eval_refuses_a_foreign_point_before_taking_roots():
+    # the point's field is checked before the level-2 roots of its
+    # coordinates, so F_16's inverse Frobenius matrix is never built
+    ctx = PerfContext(3, 1)
+    f16 = FqField(2, 4, make_field(2, 4).modulus)
+    a = ctx.variable(0).pth_root().pth_root()
+    assert a.level == 2
+    with pytest.raises(ContextMismatch):
+        a.eval((f16.gen(),))
+    assert f16._inv_frob is None
 
 
 def test_eval_of_an_empty_point_needs_a_field():
