@@ -48,8 +48,9 @@ class Session:
         max_level: int = DEFAULT_MAX_LEVEL,
         json_mode: bool = False,
     ):
-        if mode not in ("perfect", "level0"):
-            raise UsageError(f"mode must be 'perfect' or 'level0', got {mode!r}")
+        if mode not in septools.MODES:
+            modes = " or ".join(map(repr, septools.MODES))
+            raise UsageError(f"mode must be {modes}, got {mode!r}")
         self.ctx = PerfContext(p, nvars, max_level)
         self.mode = mode
         self.json_mode = json_mode
@@ -422,8 +423,8 @@ def _cmd_fq(session: Session, rest: str, base: int) -> str:
 
 
 def _cmd_mode(session: Session, rest: str, base: int) -> str:
-    if rest not in ("perfect", "level0"):
-        raise UsageError("usage: mode perfect|level0")
+    if rest not in septools.MODES:
+        raise UsageError(f"usage: mode {'|'.join(septools.MODES)}")
     session.mode = rest
     return _reply(session, f"mode = {rest}", command="mode", value=rest)
 
@@ -528,7 +529,7 @@ def main(argv=None) -> int:
     ap.add_argument("--p", type=int, default=2, help="prime characteristic (default 2)")
     ap.add_argument("--vars", type=int, default=1, help="number of ground variables")
     ap.add_argument(
-        "--mode", choices=("perfect", "level0"), default="perfect",
+        "--mode", choices=septools.MODES, default="perfect",
         help="perfect closure, or its level-0 subfield Z_p(X)",
     )
     ap.add_argument("--script", metavar="FILE", help="run commands from FILE and exit")

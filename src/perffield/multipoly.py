@@ -349,13 +349,14 @@ class MultiPoly:
     def eval(self, point: Sequence, field=None):
         """Evaluate at a point with coordinates in one finite field F_{p^m}.
 
-        The coordinates must support ring arithmetic and integer scaling
-        (fqtower.FqElem does); `resolve_point_field` resolves and checks their
-        field. RatFunc and PerfElem evaluate through here.
+        Coordinates are ints or FqElem/PFElem of that field, which
+        `resolve_point_field` resolves and checks; ints become its elements,
+        so powers stay reduced. RatFunc and PerfElem evaluate through here.
         """
         field = resolve_point_field(point, field, self.field.p)
         if len(point) < self.nvars:
             raise ValueError(f"need {self.nvars} coordinates, got {len(point)}")
+        point = [field.const(c) if isinstance(c, int) else c for c in point]
         acc = field.zero()
         for mono, c in self.terms.items():
             term = c
@@ -484,14 +485,19 @@ def digit_power(x: T, e: int, p: int, one: T, frob: Callable[[T], T]) -> T:
 def resolve_point_field(point: Sequence, field, p: int):
     """The field of an evaluation point's coordinates over Z_p.
 
-    `field` defaults to the first coordinate's. A field of characteristic
-    other than p, or a coordinate of another field, raises
-    ContextMismatch; int coordinates are residues of any field.
+    `field` defaults to the first non-int coordinate's, since ints are
+    residues of any field. A field of characteristic other than p, or a
+    coordinate of another field, raises ContextMismatch.
     """
     if field is None:
         if not point:
             raise ValueError("field required to evaluate with an empty point")
-        field = point[0].field
+        first = point[0]
+        if isinstance(first, int):
+            first = next((c for c in point if not isinstance(c, int)), None)
+            if first is None:
+                raise ValueError("field required to evaluate at a point of ints")
+        field = first.field
     if field.p != p:
         raise ContextMismatch(f"point field has p={field.p}, not p={p}")
     # `is` first: a coordinate of the resolved field itself skips FqField.__eq__

@@ -18,7 +18,7 @@ bounded so arbitrary input cannot blow the interpreter stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ParseError
 
@@ -183,14 +183,11 @@ class _Parser:
         return node
 
     def exponent(self) -> tuple[int, int]:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            value, _ = self._signed_number()
-            close = self.expect(")", "')'")
-            return value, close.end
-        value, end = self._signed_number()
-        return value, end
+        if self.peek().kind != "(":
+            return self._signed_number()
+        self.advance()
+        value, _ = self._signed_number()
+        return value, self.expect(")", "')'").end
 
     def _signed_number(self) -> tuple[int, int]:
         sign = 1
@@ -223,7 +220,7 @@ class _Parser:
             node = self.expr(depth + 1)
             close = self.expect(")", "')'")
             # keep the parenthesized span so error messages point at the group
-            return _respan(node, tok.start, close.end)
+            return replace(node, start=tok.start, end=close.end)
         raise ParseError(tok.start, {"a number", "a name", "'('", "'-'"}, _describe(tok))
 
     def _root(self, kw: Token, depth: int):
@@ -239,13 +236,6 @@ class _Parser:
             raise ParseError(
                 self.peek().start, {"a shallower expression"}, "nesting too deep"
             )
-
-
-def _respan(node: Node, start: int, end: int) -> Node:
-    kwargs = {f: getattr(node, f) for f in node.__dataclass_fields__}
-    kwargs["start"] = start
-    kwargs["end"] = end
-    return type(node)(**kwargs)
 
 
 def _describe(tok: Token) -> str:

@@ -31,7 +31,7 @@ from .errors import (
     LevelOverflow,
     LevelTooLow,
 )
-from .multipoly import check_power_terms, poly_gcd, resolve_point_field
+from .multipoly import check_power_terms, poly_gcd
 from .primefield import PrimeField
 from .ratfunc import RatFunc
 
@@ -349,17 +349,16 @@ class PerfElem:
     def eval(self, point: Sequence, field=None):
         """Evaluate at a point with coordinates in a finite field F_{p^m}.
 
-        The level-n variable x_i^(1/p^n) goes to the unique p^n-th root
-        of the i-th coordinate, obtained by iterating the coordinate
-        field's inverse Frobenius. That field is resolved and checked
-        first, so a foreign point is refused before any root is taken.
-        Raises PoleAtPoint if the denominator vanishes there.
+        The level-L variable x_i^(1/p^L) goes to the unique p^L-th root of
+        the i-th coordinate. Inverse Frobenius is an automorphism fixing Z_p,
+        so body(x^(1/p^L)) = body(x)^(1/p^L): the body is evaluated at the
+        point (MultiPoly.eval checks it), then rooted L times. So is the
+        denominator, and only 0 has root 0, so poles fall at the same points.
         """
-        field = resolve_point_field(point, field, self.ctx.p)
-        roots = list(point)
+        value = self.body.eval(point, field)
         for _ in range(self.level):
-            roots = [c.inv_frobenius() for c in roots]
-        return self.body.eval(roots, field)
+            value = value.inv_frobenius()
+        return value
 
     # -- printing ----------------------------------------------------------------------
 

@@ -61,6 +61,8 @@ class PrimeField:
     def elem(self, value: int) -> PFElem:
         return PFElem(self, value % self.p)
 
+    const = elem
+
     def zero(self) -> PFElem:
         return PFElem(self, 0)
 
@@ -140,6 +142,8 @@ class PFElem:
         assuming it.
         """
         return PFElem(self.field, self.value)
+
+    inv_frobenius = frobenius
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -279,6 +279,19 @@ def oracle_pow(x: RatFunc, e: int) -> RatFunc:
     return oracle_reduce(x.num**e, x.den**e)
 
 
+# The per-coordinate evaluation of a level-L element: take the p^L-th
+# root of every coordinate, then evaluate the body there. Kept as the
+# oracle for PerfElem.eval, which roots the body's value instead.
+
+
+def oracle_perfelem_eval(a: PerfElem, point, field=None):
+    """body(x^(1/p^L)); an int coordinate lies in Z_p, its own p-th root."""
+    roots = list(point)
+    for _ in range(a.level):
+        roots = [c if isinstance(c, int) else c.inv_frobenius() for c in roots]
+    return a.body.eval(roots, field)
+
+
 # The matmul sweep of the exhaustive perfectness check: decode every
 # element to a row, map all rows through Berlekamp's Q in one int64
 # product, and test bijectivity with np.unique. Kept as the oracle for

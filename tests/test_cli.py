@@ -1,5 +1,6 @@
 """Tests for the command interface: output text, JSON mode, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -264,6 +265,22 @@ def test_mode_switch_enforces_level0():
     assert isinstance(exc.value.cause, NotPerfectMode)
     assert run(s, "mode perfect") == "mode = perfect"
     assert run(s, "pthroot x1") == "root(x1,1)"
+
+
+def test_mode_refusals_name_the_modes(capsys):
+    with pytest.raises(UsageError, match=r"^mode must be 'perfect' or 'level0', got 'bad'$"):
+        Session(2, 1, mode="bad")
+    with pytest.raises(UsageError, match=r"^usage: mode perfect\|level0$"):
+        run(Session(2, 1), "mode bad")
+    # argparse words the refusal itself, so compare with a parser that
+    # lists the modes literally
+    ref = argparse.ArgumentParser(prog="perffield")
+    ref.add_argument("--mode", choices=("perfect", "level0"))
+    for parse in (ref.parse_args, cli_module.main):
+        with pytest.raises(SystemExit):
+            parse(["--mode", "bad"])
+    want, got = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert "invalid choice: 'bad'" in got and got == want
 
 
 def test_level0_blocks_rooted_binding():

@@ -16,10 +16,11 @@ from perffield.errors import (
 from perffield.fqtower import FqField, make_field
 from perffield.multipoly import MultiPoly
 from perffield.perfclosure import PerfContext, PerfElem
+from perffield.primefield import PrimeField
 from perffield.ratfunc import RatFunc
 from perffield.septools import UniPoly
 
-from helpers import random_nonzero_perfelem, random_perfelem
+from helpers import oracle_perfelem_eval, random_nonzero_perfelem, random_perfelem
 
 
 def body(ctx, num_terms, den_terms=None):
@@ -327,6 +328,82 @@ def test_eval_of_an_empty_point_needs_a_field():
         with pytest.raises(ValueError, match="^field required to evaluate with an empty point$"):
             value.eval(())
         assert value.eval((), make_field(3, 2)) == 1
+
+
+def test_eval_of_a_root_at_an_int_coordinate():
+    # 3 lies in Z_5, so it is its own 5th root in every field of
+    # characteristic 5, Z_5 included
+    r = PerfContext(5, 1).variable(0).pth_root()
+    v = r.eval([3], make_field(5, 2))
+    assert v == 3 and v**5 == 3
+    assert r.eval([3], PrimeField(5)) == 3
+
+
+def test_eval_at_a_point_whose_first_coordinate_is_an_int():
+    # the point field comes from the first coordinate that is not an int
+    ctx = PerfContext(5, 2)
+    F25 = make_field(5, 2)
+    t = F25.gen()
+    x1, x2 = ctx.variable(0), ctx.variable(1)
+    assert x1.body.num.eval([3, t]) == 3
+    a = (x1 + 2 * x2**2) / (x1 * x2 + 1)
+    for level in (0, 1, 2):
+        b = a.pn_root(level)
+        assert b.level == level
+        for value in (b.body.num, b.body, b):
+            assert value.eval([3, t]) == value.eval([F25.const(3), t])
+
+
+def test_eval_powers_an_int_coordinate_in_the_point_field():
+    # x2^(5^40) at the int 3: as a Python int the power would need about
+    # 10^28 bits, so the coordinate becomes a field element first
+    class Residue(int):
+        def __pow__(self, e):
+            raise AssertionError("an int coordinate was powered as an int")
+
+    a = PerfContext(5, 2).variable(1).frobenius_iter(40)
+    assert a.eval([make_field(5, 2).gen(), Residue(3)]) == 3
+
+
+def test_eval_at_a_point_of_ints_needs_a_field():
+    a = PerfContext(5, 2).variable(0).pth_root()
+    for value in (a.body.num, a.body, a):
+        with pytest.raises(ValueError, match="^field required to evaluate at a point of ints$"):
+            value.eval([3, 4])
+        assert value.eval([3, 4], make_field(5, 2)) == 3
+
+
+def test_eval_matches_the_per_coordinate_roots_oracle():
+    # rooting the body's value once per level agrees with rooting every
+    # coordinate, poles included, at points that mix ints and FqElems
+    rng = random.Random(1919)
+    values = poles = 0
+    levels = set()
+    for p in (2, 3, 5, 7):
+        fq = make_field(p, 2 if p == 7 else 3)
+        for d in (1, 2):
+            ctx = PerfContext(p, d)
+            for level in range(4):
+                for _ in range(4):
+                    a = random_perfelem(rng, ctx, max_level=0, max_deg=3).pn_root(level)
+                    levels.add(a.level)
+                    for _ in range(4):
+                        pt = [
+                            rng.randrange(p) if rng.random() < 0.4
+                            else fq.from_encoding(rng.randrange(fq.order))
+                            for _ in range(d)
+                        ]
+                        field = fq if all(isinstance(c, int) for c in pt) else None
+                        try:
+                            want = oracle_perfelem_eval(a, pt, field)
+                        except PoleAtPoint:
+                            with pytest.raises(PoleAtPoint):
+                                a.eval(pt, field)
+                            poles += 1
+                        else:
+                            assert a.eval(pt, field) == want
+                            values += 1
+    assert levels == {0, 1, 2, 3} and values > 0 and poles > 0
 
 
 def test_str_and_json():
