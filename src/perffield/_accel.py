@@ -6,13 +6,12 @@ enters through a precomputed reduction table (row k = t^(n+k) mod f).
 The exhaustive perfectness sweep does not use this module: fqtower
 builds its image table by linearity. Everything here serves the
 embedding root search: `decode_range` lists the small subfield searched
-for a root, `batch_mulmod` runs the Horner evaluation of the source
-modulus over it, and `encode_rows` turns the roots found back into
-encodings. `batch_pow` is on no library path; it stays because the
+for a root, and `batch_mulmod` runs the Horner evaluation of the source
+modulus over it. `batch_pow` is on no library path; it stays because the
 benchmark's layer table (perfbench/layers.py) traces it. The kernels
 are checked in the tests against scalar `FqElem` arithmetic, their
-oracle, and the test oracle for the exhaustive sweep uses the encode
-and decode helpers. fqtower imports this module, and numpy with it,
+oracle, and the test oracle for the exhaustive sweep lists the field
+with `decode_range`. fqtower imports this module, and numpy with it,
 only when a root search runs.
 
 Coefficient magnitudes: with p^n <= 2^20 the schoolbook products and
@@ -75,13 +74,6 @@ def batch_pow(A: np.ndarray, e: int, red: np.ndarray, p: int) -> np.ndarray:
         if e:
             base = batch_mulmod(base, base, red, p)
     return result
-
-
-def encode_rows(A: np.ndarray, p: int) -> np.ndarray:
-    """Row polynomials to integers: sum of c_i p^i (c_0 least significant)."""
-    n = A.shape[1]
-    weights = p ** np.arange(n, dtype=np.int64)
-    return A @ weights
 
 
 def decode_range(start: int, stop: int, n: int, p: int) -> np.ndarray:

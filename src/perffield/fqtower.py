@@ -687,7 +687,7 @@ def _null_space(a: list[list[int]], p: int) -> list[list[int]]:
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
+        inv = pow(a[r][c], -1, p)
         a[r] = [(v * inv) % p for v in a[r]]
         for i in range(n):
             if i != r and a[i][c]:
@@ -709,8 +709,10 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
 
     The modulus is irreducible of degree m dividing n, so each of its
     roots is fixed by x -> x^(p^m) and lies in the subfield ker(Q^m - I)
-    of p^m elements. Only that subfield is searched, and the root with
-    the smallest encoding is returned.
+    of p^m elements. Only that subfield is searched, on a reduced echelon
+    basis ordered by free column, which lists it in increasing encoding,
+    so the first root met is returned. No root, which only a reducible
+    target modulus allows, raises NoEmbedding.
     """
     _check_embeddable(source, target)
     import numpy as np
@@ -725,7 +727,6 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     mod = source.modulus
     red = _accel.reduction_table(target.modulus, p)
     size = p ** len(basis)
-    roots = []
     for start in range(0, size, _BLOCK):
         X = (_accel.decode_range(start, min(start + _BLOCK, size), len(basis), p) @ B) % p
         val = np.zeros_like(X)
@@ -733,8 +734,10 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
         for c in reversed(mod[:-1]):
             val = _accel.batch_mulmod(val, X, red, p)
             val[:, 0] = (val[:, 0] + c) % p
-        roots += _accel.encode_rows(X[~val.any(axis=1)], p).tolist()
-    return target.from_encoding(min(roots))
+        hits = np.flatnonzero(~val.any(axis=1))
+        if hits.size:
+            return target.elem(X[hits[0]].tolist())
+    raise NoEmbedding(f"the modulus of {source!r} has no root in {target!r}")
 
 
 def _check_embeddable(source: FqField, target: FqField) -> None:
@@ -760,6 +763,8 @@ def embed(a: FqElem, target: FqField) -> FqElem:
     target. The two fields, moduli included, decide the map, so it is a
     homomorphism whatever the moduli; only a field into itself is the
     identity."""
+    if not isinstance(a, FqElem):
+        raise TypeError(f"embed takes an FqElem, not {type(a).__name__}")
     source = a.field
     _check_embeddable(source, target)
     if source == target:

@@ -487,24 +487,32 @@ def resolve_point_field(point: Sequence, field, p: int):
 
     `field` defaults to the first non-int coordinate's, since ints are
     residues of any field. A field of characteristic other than p, or a
-    coordinate of another field, raises ContextMismatch.
+    coordinate of another field, raises ContextMismatch, and one that is
+    neither an int nor a field element, TypeError.
     """
     if field is None:
         if not point:
             raise ValueError("field required to evaluate with an empty point")
         first = point[0]
         if isinstance(first, int):
-            first = next((c for c in point if not isinstance(c, int)), None)
-            if first is None:
+            first = next((c for c in point if not isinstance(c, int)), first)
+            if isinstance(first, int):
                 raise ValueError("field required to evaluate at a point of ints")
-        field = first.field
+        field = _field_of(first)
     if field.p != p:
         raise ContextMismatch(f"point field has p={field.p}, not p={p}")
     # `is` first: a coordinate of the resolved field itself skips FqField.__eq__
     for c in point:
-        if not (isinstance(c, int) or c.field is field or c.field == field):
+        if not (isinstance(c, int) or _field_of(c) is field or c.field == field):
             raise ContextMismatch(f"point coordinate lies in {c.field!r}, not in {field!r}")
     return field
+
+
+def _field_of(c):
+    """The field of a point coordinate that is not an int."""
+    if not hasattr(c, "field"):
+        raise TypeError(f"a point coordinate is an int or a field element, not {type(c).__name__}")
+    return c.field
 
 
 def check_power_terms(polys: Iterable[MultiPoly], e: int, p: int) -> None:

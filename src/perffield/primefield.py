@@ -70,11 +70,11 @@ class PrimeField:
         return PFElem(self, 1)
 
     def inv(self, value: int) -> int:
-        """Inverse of a nonzero residue, by Fermat exponentiation."""
+        """Inverse of a nonzero residue, by pow(value, -1, p)."""
         value %= self.p
         if value == 0:
             raise DivisionByZero("no inverse of 0 in Z_p")
-        return pow(value, self.p - 2, self.p)
+        return pow(value, -1, self.p)
 
 
 class PFElem:

@@ -9,10 +9,11 @@ fresh list without trailing zeros and leaves its inputs alone, except
 
 fqtower builds F_{p^n} and its Frobenius matrices on it, its point
 fields past their table bound take their products, powers and inverses
-from it, and _accel builds its reduction table with it. The extended
-Euclid of `invmod` also serves fqtower's Rabin test, which needs only
-whether a gcd is 1; the monic gcd over Z_p[t] is the Euclid that
-Brown's algorithm runs over every point field, Z_p among them.
+from it, and _accel builds its reduction table with it. `invmod`, an
+extended Euclid by single division steps that builds no quotient, also
+serves fqtower's Rabin test, which needs only whether a gcd is 1; the
+monic gcd over Z_p[t] is the Euclid that Brown's algorithm runs over
+every point field, Z_p among them.
 """
 
 from __future__ import annotations
@@ -47,32 +48,14 @@ def mul(a: Poly, b: Poly, p: int) -> list[int]:
     return trim(out)
 
 
-def divmod(a: Poly, b: Poly, p: int) -> tuple[list[int], list[int]]:
-    """(q, r) with a = q*b + r and deg r < deg b; b must be nonzero."""
-    r = trim(list(a))
-    db = len(b) - 1
-    inv_lc = pow(b[-1], p - 2, p)
-    q = [0] * max(len(r) - db, 1)
-    while len(r) - 1 >= db and r:
-        c = (r[-1] * inv_lc) % p
-        shift = len(r) - 1 - db
-        q[shift] = c
-        for i, cb in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * cb) % p
-        while r and r[-1] == 0:
-            r.pop()
-    return trim(q), r
-
-
 def rem(a: Poly, b: Poly, p: int) -> list[int]:
     """a mod b; b must be nonzero."""
-    # divmod's loop without the quotient: every FqElem product ends here,
-    # and building q made it about 10% slower (the trim is inlined in both
-    # loops for the same reason)
+    # every FqElem product ends here, so the loop builds no quotient and
+    # inlines its trim
     r = trim(list(a))
     db = len(b) - 1
-    inv_lc = pow(b[-1], p - 2, p)
-    while len(r) - 1 >= db and r:
+    inv_lc = pow(b[-1], -1, p)
+    while len(r) > db:
         c = (r[-1] * inv_lc) % p
         shift = len(r) - 1 - db
         for i, cb in enumerate(b):
@@ -96,18 +79,28 @@ def powmod(a: Poly, e: int, f: Poly, p: int) -> list[int]:
 
 
 def invmod(a: Poly, f: Poly, p: int) -> list[int]:
-    """The inverse of a modulo f, by the extended Euclidean algorithm.
+    """The inverse of a modulo f (deg f >= 1) by the extended Euclid.
 
     Raises ValueError when gcd(a, f) is not 1.
     """
-    # invariants: r0 = s0*f + t0*a, r1 = s1*f + t1*a (s never needed)
+    # invariants r0 = t0*a and r1 = t1*a mod f; each division step takes
+    # c*t^s*r1 off r0 and c*t^s*t1 off t0, so no quotient is built, and
+    # deg t0 stays below deg f
     r0, r1 = trim(list(f)), trim(list(a))
     t0, t1 = [], [1]
     while r1:
-        q, r2 = divmod(r0, r1, p)
-        r0, r1 = r1, r2
-        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
+        inv_lc = pow(r1[-1], -1, p)
+        while len(r0) >= len(r1):
+            c, s = (r0[-1] * inv_lc) % p, len(r0) - len(r1)
+            for i, x in enumerate(r1):
+                r0[s + i] = (r0[s + i] - c * x) % p
+            trim(r0)
+            t0 += [0] * (s + len(t1) - len(t0))
+            for i, x in enumerate(t1):
+                t0[s + i] = (t0[s + i] - c * x) % p
+            trim(t0)
+        r0, r1, t0, t1 = r1, r0, t1, t0
     if len(r0) != 1:
         raise ValueError("polynomial is not invertible modulo f")
-    scale = pow(r0[0], p - 2, p)
-    return rem([(c * scale) % p for c in t0], f, p)
+    scale = pow(r0[0], -1, p)
+    return [(c * scale) % p for c in t0]

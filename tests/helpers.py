@@ -307,7 +307,7 @@ def oracle_check_perfect(field: FqField) -> PerfectReport:
     p = field.p
     Q = np.array(field.frobenius_matrix(), dtype=np.int64)
     rows = _accel.decode_range(0, field.order, field.n, p)
-    enc = _accel.encode_rows((rows @ Q) % p, p)
+    enc = ((rows @ Q) % p) @ p ** np.arange(field.n, dtype=np.int64)
     if np.unique(enc).size != field.order:
         seen: dict[int, int] = {}
         pair = (0, 0)
@@ -353,6 +353,25 @@ def _oracle_divides(g: list[int], f: list[int], p: int) -> bool:
             r[s + i] = (r[s + i] - c * gi) % p
         r.pop()
     return not any(r)
+
+
+def oracle_long_division(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*b + r and deg r < deg b over Z_p, for b ending in
+    a nonzero coefficient: schoolbook long division, top coefficient down,
+    with b's leading coefficient inverted by search."""
+    inv = next(x for x in range(1, p) if x * b[-1] % p == 1)
+    r = [c % p for c in a]
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    for s in reversed(range(len(q))):
+        c = r[s + len(b) - 1] * inv % p
+        q[s] = c
+        for i, bi in enumerate(b):
+            r[s + i] = (r[s + i] - c * bi) % p
+    r = r[: len(b) - 1]
+    for poly in (q, r):
+        while poly and poly[-1] == 0:
+            poly.pop()
+    return q, r
 
 
 def oracle_small_factor(f: list[int], p: int) -> list[int] | None:

@@ -67,5 +67,5 @@ def test_encode_decode_roundtrip():
     for p, n in [(2, 4), (3, 3), (7, 2)]:
         rows = _accel.decode_range(0, p**n, n, p)
         assert rows.shape == (p**n, n)
-        enc = _accel.encode_rows(rows, p)
+        enc = rows @ p ** np.arange(n, dtype=np.int64)
         assert enc.tolist() == list(range(p**n))

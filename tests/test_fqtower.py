@@ -16,7 +16,7 @@ from perffield.fqtower import (
     make_field,
     point_field,
 )
-from perffield.primefield import is_prime
+from perffield.primefield import PrimeField, is_prime
 
 from helpers import oracle_check_perfect, oracle_monic_polys, oracle_small_factor
 
@@ -312,6 +312,53 @@ def test_embedding_root_matches_exhaustive_scan():
                     assert find_embedding_root(source, target) == expect, (p, m, n)
 
 
+def _subfield_listing(source, target):
+    """The target encodings of the subfield ker(Q^m - I) in the order the
+    root search lists them: the k-th combination of _null_space's basis
+    takes the base-p digits of k, least significant first."""
+    p, n = target.p, target.n
+    F = target.power_map(p**source.n)
+    basis = fqtower._null_space([[(F[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
+    assert len(basis) == source.n
+    out = []
+    for k in range(p ** len(basis)):
+        x = [0] * n
+        for i, row in enumerate(basis):
+            digit = (k // p**i) % p
+            x = [(xc + digit * rc) % p for xc, rc in zip(x, row)]
+        out.append(target.elem(x).encode())
+    return out
+
+
+def test_subfield_is_listed_in_increasing_encoding():
+    # so the first root the search meets is the one of smallest encoding
+    pairs = [
+        (make_field(p, m), make_field(p, n))
+        for p in (2, 3, 5, 7, 11, 13, 17, 31, 101, 251)
+        for n in range(1, 13)
+        if p**n <= 2**12
+        for m in range(1, n + 1)
+        if n % m == 0
+    ]
+    noncanonical = FqField(2, 4, (1, 0, 0, 1, 1))  # t^4 + t^3 + 1
+    assert noncanonical.modulus != make_field(2, 4).modulus
+    pairs += [(make_field(2, m), noncanonical) for m in (1, 2, 4)]
+    for source, target in pairs:
+        listing = _subfield_listing(source, target)
+        assert all(a < b for a, b in zip(listing, listing[1:])), (source, target)
+    for source in (make_field(2, 2), make_field(2, 4)):
+        assert find_embedding_root(source, noncanonical) == _first_root_by_scan(source, noncanonical)
+
+
+def test_embedding_root_into_a_reducible_modulus_is_no_embedding():
+    # t^2 is no field modulus, and t^2 + t + 1 has no root in Z_2[t]/(t^2)
+    F4, ring = make_field(2, 2), FqField(2, 2, (0, 0, 1))
+    with pytest.raises(NoEmbedding, match="has no root in"):
+        find_embedding_root(F4, ring)
+    with pytest.raises(NoEmbedding, match="has no root in"):
+        embed(F4.gen(), ring)
+
+
 def test_embedding_root_needs_a_subfield():
     with pytest.raises(NoEmbedding, match="degree 3 does not divide 4; no embedding exists"):
         find_embedding_root(make_field(2, 3), make_field(2, 4))
@@ -339,6 +386,13 @@ def test_embed_degree_mismatch():
         embed(F4.gen(), F8)
     with pytest.raises(NoEmbedding):
         embed(F4.gen(), make_field(3, 2))
+
+
+def test_embed_refuses_what_is_not_an_fqelem():
+    F4 = make_field(2, 2)
+    for a, name in ((3, "int"), (PrimeField(2).elem(1), "PFElem"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"^embed takes an FqElem, not {name}$"):
+            embed(a, F4)
 
 
 def test_embed_same_field_identity():

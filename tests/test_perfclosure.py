@@ -373,6 +373,20 @@ def test_eval_at_a_point_of_ints_needs_a_field():
         assert value.eval([3, 4], make_field(5, 2)) == 3
 
 
+@pytest.mark.parametrize("bad", [1.5, "a", None])
+def test_eval_refuses_a_coordinate_that_is_not_a_field_element(bad):
+    F = make_field(3, 2)
+    x = PerfContext(3, 2).variable(0)
+    message = f"^a point coordinate is an int or a field element, not {type(bad).__name__}$"
+    # MultiPoly, RatFunc and PerfElem at levels 0 and 1; the bad coordinate
+    # is met by the default-field search or by the membership loop
+    for value in (x.body.num, x.body, x, x.pth_root()):
+        for point in ([bad, 2], [2, bad], [F.gen(), bad]):
+            for field in (F, None):
+                with pytest.raises(TypeError, match=message):
+                    value.eval(point, field)
+
+
 def test_eval_matches_the_per_coordinate_roots_oracle():
     # rooting the body's value once per level agrees with rooting every
     # coordinate, poles included, at points that mix ints and FqElems

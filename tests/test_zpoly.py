@@ -7,6 +7,8 @@ import pytest
 from perffield import modgcd, zpoly
 from perffield.fqtower import make_field, point_field
 
+from helpers import oracle_long_division
+
 PRIMES = (2, 3, 5, 7, 101)
 
 
@@ -27,14 +29,18 @@ def add(a, b, p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_divmod_identity(p):
+    # the division identity a = q*b + r, deg r < deg b, of an independent
+    # long division, and zpoly.rem gives its r
     rng = random.Random(1000 + p)
     for _ in range(200):
         a = random_poly(rng, p)
         b = random_nonzero_poly(rng, p)
-        q, r = zpoly.divmod(a, b, p)
+        q, r = oracle_long_division(a, b, p)
         assert len(r) < len(b)
         assert add(zpoly.mul(q, b, p), r, p) == a
         assert zpoly.rem(a, b, p) == r
+        # padded inputs, as fqtower's residue tuples are, give the same remainder
+        assert zpoly.rem(tuple(a) + (0, 0), b, p) == r
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -76,6 +82,20 @@ def test_invmod_over_every_nonzero_element(p, n):
         inv = zpoly.invmod(a, f, p)
         assert len(inv) <= n
         assert zpoly.rem(zpoly.mul(a, inv, p), f, p) == [1]
+
+
+@pytest.mark.parametrize("p, n", [(2, 16), (3, 10), (101, 2)])
+def test_invmod_matches_fermat(p, n):
+    # in F_q, q = p^n, every nonzero a has a^(q-2) as its inverse; the
+    # operand is padded to n coefficients, as an FqElem's residue tuple is
+    f = make_field(p, n).modulus
+    rng = random.Random(4000 + p)
+    for _ in range(60):
+        a = zpoly.trim([rng.randrange(p) for _ in range(n)])
+        if not a:
+            continue
+        expect = zpoly.powmod(a, p**n - 2, f, p)
+        assert zpoly.invmod(a + [0] * (n - len(a)), f, p) == expect
 
 
 def test_invmod_refuses_a_common_factor():
