@@ -5,13 +5,22 @@ enough that "Frobenius is a bijection" can be verified element by
 element rather than proved. Construction is deterministic — the modulus
 is the first monic irreducible of degree n in coefficient enumeration
 order (constant term fastest-varying), confirmed by Rabin's criterion —
-so a given (p, n) always denotes the same concrete field. Residues are
-coefficient tuples, and all their arithmetic (products, powers,
-inverses) is the dense Z_p[t] arithmetic of `zpoly`, whose extended
-Euclid gives Rabin's test its gcd. An element's encoding is the int whose
-base-p digits are its coefficients (`_decode`, `_encode`). `point_field`
-gives F_{p^k}, past make_field's bounds too, as a field of encodings for
-the evaluation points of Brown's modular gcd.
+so a given (p, n) always denotes the same concrete field. An element is
+its field and its encoding: the int whose base-p digits are the
+coefficients of its residue, constant first (`_decode`, `_encode`).
+
+Each field does its arithmetic through one object, picked on the first
+`+ - * / ** inv` and never at construction. Up to MAX_POINT_FIELD
+elements, on a modulus that Rabin's test accepts, that object is
+`_FqTables`: log, antilog and Zech tables of about 4q entries, built
+once from zpoly's products on the field's own modulus, on which a
+product is exp[log a + log b], an inverse exp[q - 1 - log a] and a power
+exp[log a * e mod (q - 1)]. Otherwise (a larger field, or a reducible
+modulus, whose zero divisors raise DivisionByZero) it is `_FqPoly`,
+zpoly's arithmetic on the decoded digits. `point_field` gives F_{p^k},
+past make_field's bounds too, as a field of encodings for the
+evaluation points of Brown's modular gcd: `_Fq`, a zero-free layout of
+the same tables, or `_FqPoly`.
 
 The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
 Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
@@ -19,10 +28,12 @@ Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
 fills one int32 table with the images of all p^n elements by linearity,
 in place, one encoding digit (one row of Q) at a time; the embedding
 root search looks only in the subfield ker(Q^m - I) where every root
-lies; the scalar `frobenius` and `inv_frobenius` are one vector-matrix
-product each. Scalar powering (`FqElem.__pow__`, square-and-multiply on
-residues) never goes through these matrices, and the tests check the
-matrices against it element by element.
+lies; so `check_perfect` still visits every element, through Q, and
+neither sweep builds tables. The scalar `frobenius` and `inv_frobenius`
+are one vector-matrix product each on the decoded digits, on every
+field, so they build no tables either. Powering never goes through
+these matrices, and the tests check the matrices against it element by
+element.
 
 numpy is imported inside the two sweeps, `check_perfect` and
 `find_embedding_root`, and nowhere else, so importing the library or
@@ -31,6 +42,7 @@ the CLI does not load it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -43,10 +55,11 @@ from .primefield import is_prime
 MAX_DEGREE = 16
 MAX_ORDER = 2**20
 MAX_EXHAUSTIVE = 2**16
-# elements of the largest F_{p^k}, k >= 2, whose point-field arithmetic
-# runs on tables; building them takes 2 to 7 us per element (22 ms for
-# F_{101^2}, 117 ms for F_{2^14}), and larger fields serve degrees in the
-# thousands, in practice lifted elements with sparse rows, which
+# elements of the largest F_{p^k} whose arithmetic runs on tables, for
+# FqElem and for Brown's points alike; building them takes 0.6 to 4 us
+# per element (7 ms for F_{101^2}, 70 ms for F_{2^14}), and the point
+# field's layout under 0.3 us more. Larger point fields serve degrees in
+# the thousands, in practice lifted elements with sparse rows, which
 # `_FqPoly` evaluates in fewer products
 MAX_POINT_FIELD = 1 << 14
 
@@ -87,6 +100,19 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+def _first_primitive(p: int, f) -> int:
+    """The encoding of the first element of multiplicative order
+    p^n - 1 modulo f of degree n: g^((p^n - 1)/r) != 1 for every prime r
+    dividing p^n - 1, by zpoly's powers on g's digits."""
+    q = p ** (len(f) - 1)
+    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+    for g in range(1, q):
+        digits = _decode(g, p)
+        if all(zpoly.powmod(digits, m, f, p) != [1] for m in cofactors):
+            return g
+    raise RuntimeError(f"no primitive element modulo {_poly_str(f)} over Z_{p}")
+
+
 def _decode(k: int, p: int) -> list[int]:
     """The base-p digits of k >= 0, least significant first, without
     trailing zeros: the coefficients of the residue that k encodes."""
@@ -111,7 +137,7 @@ def _encode(coeffs, p: int) -> int:
 class FqField:
     """The finite field with p^n elements, as Z_p[t] mod a fixed modulus."""
 
-    __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob", "point_tables")
+    __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob", "_arith", "point_tables")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -120,9 +146,24 @@ class FqField:
         self.order = p**n
         self._frob = None
         self._inv_frob = None
+        # the arithmetic of the elements' encodings, picked on first use
+        self._arith = None
         # the `_Fq` tables of the field as a point field, built by
         # point_field on first use
         self.point_tables = None
+
+    def arith(self) -> _FqTables | _FqPoly:
+        """The object that adds, multiplies, powers and inverts encodings:
+        tables up to MAX_POINT_FIELD elements on an irreducible modulus,
+        zpoly's arithmetic on digits otherwise. Picked on the first call,
+        so a field that only maps through Q never builds tables."""
+        if self._arith is None:
+            p, f = self.p, self.modulus
+            if self.order <= MAX_POINT_FIELD and _is_irreducible(list(f), p):
+                self._arith = _FqTables(p, f)
+            else:
+                self._arith = _FqPoly(p, f)
+        return self._arith
 
     def power_map(self, e: int) -> tuple[tuple[int, ...], ...]:
         """Rows of the matrix of a -> a^e when that map is F_p-linear
@@ -150,31 +191,25 @@ class FqField:
 
     def primitive_element(self) -> FqElem:
         """The first element of multiplicative order p^n - 1 in encoding
-        order: g^((p^n - 1)/r) != 1 for every prime r dividing p^n - 1."""
-        one = self.one()
-        cofactors = [(self.order - 1) // r for r in _prime_factors(self.order - 1)]
-        for e in range(1, self.order):
-            g = self.from_encoding(e)
-            if all(g**m != one for m in cofactors):
-                return g
-        raise RuntimeError(f"no primitive element in F_{self.p}^{self.n}")
+        order, the generator of the field's tables."""
+        return FqElem(self, _first_primitive(self.p, self.modulus))
 
     def elem(self, coeffs) -> FqElem:
+        """The residue of a coefficient sequence, constant first."""
         p = self.p
         cs = [c % p for c in coeffs]
         if len(cs) > self.n:
             cs = zpoly.rem(cs, self.modulus, p)
-        cs += [0] * (self.n - len(cs))
-        return FqElem(self, tuple(cs[: self.n]))
+        return FqElem(self, _encode(cs, p))
 
     def zero(self) -> FqElem:
-        return FqElem(self, (0,) * self.n)
+        return FqElem(self, 0)
 
     def one(self) -> FqElem:
-        return self.elem([1])
+        return FqElem(self, 1)
 
     def const(self, c: int) -> FqElem:
-        return self.elem([c])
+        return FqElem(self, c % self.p)
 
     def gen(self) -> FqElem:
         """The residue of t (the constant -c_0 when the modulus is t + c_0)."""
@@ -185,13 +220,12 @@ class FqField:
             raise ValueError(f"an encoding must be an integer, got {k!r}")
         if not 0 <= k < self.order:
             raise ValueError(f"encoding {k} out of range for a field of order {self.order}")
-        cs = _decode(k, self.p)
-        return FqElem(self, tuple(cs + [0] * (self.n - len(cs))))
+        return FqElem(self, k)
 
     def elements(self):
         """All field elements in encoding order."""
         for k in range(self.order):
-            yield self.from_encoding(k)
+            yield FqElem(self, k)
 
     def __eq__(self, other):
         if self is other:
@@ -227,71 +261,76 @@ def _poly_str(coeffs) -> str:
 
 
 class FqElem:
-    """An element of F_{p^n}: a residue of degree < n, stored densely."""
+    """An element of F_{p^n}: its field and its encoding, the int whose
+    base-p digits are the coefficients of its residue, constant first.
 
-    __slots__ = ("field", "coeffs")
+    `+ - * / ** inv` run on encodings through the field's `arith()`
+    object, and `frobenius` and `inv_frobenius` multiply the decoded
+    digits by the rows of Q or of its inverse. `coeffs` is the residue
+    as an n-tuple, derived from the encoding."""
 
-    def __init__(self, field: FqField, coeffs: tuple[int, ...]):
+    __slots__ = ("field", "enc")
+
+    def __init__(self, field: FqField, enc: int):
         self.field = field
-        self.coeffs = coeffs
+        self.enc = enc
 
-    def _check(self, other) -> FqElem:
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        cs = _decode(self.enc, self.field.p)
+        return tuple(cs) + (0,) * (self.field.n - len(cs))
+
+    def _operand(self, other) -> int:
+        """The encoding of an operand: an int is a residue of Z_p."""
         if isinstance(other, int):
-            return self.field.const(other)
-        if not isinstance(other, FqElem) or other.field != self.field:
+            return other % self.field.p
+        if not isinstance(other, FqElem) or (
+            other.field is not self.field and other.field != self.field
+        ):
             raise TypeError("operands belong to different fields")
-        return other
+        return other.enc
 
     def __add__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FqElem(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        F = self.field
+        return FqElem(F, F.arith().add(self.enc, self._operand(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FqElem(self.field, tuple((-a) % p for a in self.coeffs))
+        F = self.field
+        return FqElem(F, F.arith().neg(self.enc))
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        F = self.field
+        return FqElem(F, F.arith().sub(self.enc, self._operand(other)))
 
     def __rsub__(self, other):
-        return (-self) + self._check(other)
+        F = self.field
+        return FqElem(F, F.arith().sub(self._operand(other), self.enc))
 
     def __mul__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        prod = zpoly.mul(self.coeffs, other.coeffs, p)
-        prod = zpoly.rem(prod, self.field.modulus, p)
-        prod += [0] * (self.field.n - len(prod))
-        return FqElem(self.field, tuple(prod))
+        F = self.field
+        return FqElem(F, F.arith().mul(self.enc, self._operand(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        out = zpoly.powmod(self.coeffs, e, self.field.modulus, self.field.p)
-        out += [0] * (self.field.n - len(out))
-        return FqElem(self.field, tuple(out))
+        F = self.field
+        return FqElem(F, F.arith().pow(self.enc, e))
 
     def inv(self) -> FqElem:
-        """Multiplicative inverse by the extended Euclidean algorithm."""
-        if not any(self.coeffs):
+        if not self.enc:
             raise DivisionByZero("inverse of zero in a finite field")
-        out = zpoly.invmod(self.coeffs, self.field.modulus, self.field.p)
-        out += [0] * (self.field.n - len(out))
-        return FqElem(self.field, tuple(out))
+        F = self.field
+        return FqElem(F, F.arith().inv(self.enc))
 
     def __truediv__(self, other):
-        return self * self._check(other).inv()
+        return self * FqElem(self.field, self._operand(other)).inv()
 
     def __rtruediv__(self, other):
-        return self._check(other) * self.inv()
+        return FqElem(self.field, self._operand(other)) * self.inv()
 
     def frobenius(self) -> FqElem:
         """a^p, as the coefficient vector times Q."""
@@ -303,31 +342,32 @@ class FqElem:
         return self._times(self.field.inv_frobenius_matrix())
 
     def _times(self, rows) -> FqElem:
-        out = [0] * self.field.n
-        for c, row in zip(self.coeffs, rows):
+        F = self.field
+        p = F.p
+        out = [0] * F.n
+        for c, row in zip(_decode(self.enc, p), rows):
             if c:
                 out = [o + c * r for o, r in zip(out, row)]
-        p = self.field.p
-        return FqElem(self.field, tuple(o % p for o in out))
+        return FqElem(F, _encode([o % p for o in out], p))
 
     def encode(self) -> int:
-        return _encode(self.coeffs, self.field.p)
+        return self.enc
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self == self.field.const(other)
+            return self.enc == other % self.field.p
         if not isinstance(other, FqElem):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.enc == other.enc and self.field == other.field
 
     def __hash__(self):
-        return hash((self.field.p, self.field.n, self.coeffs))
+        return hash((self.field.p, self.field.n, self.enc))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.enc)
 
     def __str__(self):
-        return _poly_str(self.coeffs)
+        return _poly_str(_decode(self.enc, self.field.p))
 
     def __repr__(self):
         return f"FqElem(F_{self.field.p}^{self.field.n}, {self})"
@@ -369,6 +409,90 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {n} over Z_{p}")
 
 
+# -- tables -----------------------------------------------------------------------
+
+
+class _FqTables:
+    """The arithmetic of the encodings of F_q, q = p^n <= MAX_POINT_FIELD,
+    modulo an irreducible f, on log, antilog and Zech tables.
+
+    With L = q - 1 and g the first primitive element in encoding order,
+    `exp[i]` is g^(i mod L) for i < 2L, `log[a]` is the exponent of g for
+    a != 0 and 3L for 0 (no index of `exp`, so a zero must be tested
+    first), and `zech[d]` is log(1 + g^d), or None where 1 + g^d = 0. So
+    a*b = exp[log a + log b], a^-1 = exp[L - log a], a^e = exp[log a * e
+    mod L], and a + b = g^la (1 + g^(lb - la)) = exp[la + zech[lb - la]].
+    The powers of g come from zpoly's products on f's own digits, never
+    from FqElem arithmetic, so any irreducible modulus gets its own
+    tables; they take about 4q list entries (1.4 MB for F_{5^6}).
+    """
+
+    __slots__ = ("p", "q", "log", "exp", "zech", "half")
+
+    def __init__(self, p: int, f):
+        n = len(f) - 1
+        q = p**n
+        L = q - 1
+        g = _first_primitive(p, f)
+        # the products x*g of the digit vectors x: column i of the matrix
+        # whose row j is t^j * g mod f gives digit i
+        rows, cur = [], _decode(g, p)
+        for _ in range(n):
+            rows.append(cur + [0] * (n - len(cur)))
+            cur = zpoly.rem([0] + cur, f, p)
+        cols = list(zip(*rows))
+        weights = [p**i for i in range(n)]
+        powers, x = [1], [1] + [0] * (n - 1)
+        for _ in range(L - 1):
+            x = [sum(map(operator.mul, x, col)) % p for col in cols]
+            powers.append(sum(map(operator.mul, x, weights)))
+        log = [3 * L] * q
+        for i, a in enumerate(powers):
+            log[a] = i
+        # 1 + a changes a's constant digit only
+        zech = [None] * L
+        for d, a in enumerate(powers):
+            a1 = a - a % p + (a + 1) % p
+            if a1:
+                zech[d] = log[a1]
+        self.p, self.q = p, q
+        self.log, self.exp, self.zech = log, powers * 2, zech
+        # log(-1)
+        self.half = L // 2 if p > 2 else 0
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self.log
+        la = log[a]
+        z = self.zech[(log[b] - la) % (self.q - 1)]
+        return 0 if z is None else self.exp[la + z]
+
+    def neg(self, a: int) -> int:
+        return self.exp[self.log[a] + self.half] if a else 0
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        log = self.log
+        return self.exp[log[a] + log[b]]
+
+    def inv(self, a: int) -> int:
+        """The inverse of a nonzero a."""
+        return self.exp[self.q - 1 - self.log[a]]
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e for e >= 0, with 0^0 = 1."""
+        if not a:
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % (self.q - 1)]
+
+
 # -- point fields -------------------------------------------------------------------
 
 
@@ -380,17 +504,18 @@ def point_field(p: int, k: int):
     `value` on lists of them, and `points`, every element once, in the
     order the gcd tries them.
 
-    Z_p for k = 1; up to MAX_POINT_FIELD elements, log, antilog and Zech
-    tables (`_Fq`), kept on make_field's field object, so they are built
-    once per field and go when make_field's cache is cleared; past that,
-    zpoly's products modulo the canonical modulus (`_FqPoly`)."""
+    Z_p for k = 1; up to MAX_POINT_FIELD elements, a zero-free layout
+    (`_Fq`) of the make_field object's own tables, kept on that object,
+    so they are built once per field and go when make_field's cache is
+    cleared; past that, zpoly's products modulo the canonical modulus
+    (`_FqPoly`, the arithmetic of FqElem past the table bound)."""
     if k == 1:
         return _Zp(p)
     if p**k > MAX_POINT_FIELD:
-        return _FqPoly(p, k)
+        return _FqPoly(p, canonical_modulus(p, k))
     field = make_field(p, k)
     if field.point_tables is None:
-        field.point_tables = _Fq(field)
+        field.point_tables = _Fq(field.arith())
     return field.point_tables
 
 
@@ -434,42 +559,34 @@ class _Zp:
 
 class _Fq:
     """F_q, q = p^k with 2 <= k and q <= MAX_POINT_FIELD, as a point
-    field, through O(q) tables.
+    field, through O(q) tables laid out so that no operation tests for
+    zero; the field's `_FqTables` give the generator g, its powers and
+    `log`, and the layout adds about 14q entries.
 
-    With L = q - 1 and g the first primitive element in encoding order,
-    `log[a]` is the exponent of g for a != 0 and 3L for 0, and `exp[i]`
-    is g^(i mod L) below 2L and 0 from 2L to 6L; so exp[log a + log b] =
-    a*b with no test for zero. Addition goes through Zech logarithms:
-    a + w = exp[log a + zech[lw - log a + 3L]], where lw is log w,
-    possibly unreduced up to 2L - 2, or in [3L, 4L) for w = 0; the
-    table's three ranges cover a = 0, both nonzero, and w = 0.
-    `nlog[a]` is log(-a).
+    With L = q - 1, `log[a]` is the exponent of g for a != 0 and 3L for
+    0, and `exp[i]` is g^(i mod L) below 2L and 0 from 2L to 6L; so
+    exp[log a + log b] = a*b with no test for zero. Addition goes
+    through Zech logarithms: a + w = exp[log a + zech[lw - log a + 3L]],
+    where lw is log w, possibly unreduced up to 2L - 2, or in [3L, 4L)
+    for w = 0; the table's three ranges cover a = 0, both nonzero, and
+    w = 0. `nlog[a]` is log(-a).
     """
 
     __slots__ = ("p", "q", "log", "nlog", "exp", "zech", "points")
 
-    def __init__(self, field: FqField):
-        p, q = field.p, field.order
+    def __init__(self, tables: _FqTables):
+        p, q = tables.p, tables.q
         n = q - 1
-        g = field.primitive_element()
-        powers, x = [1], g
-        for _ in range(n - 1):
-            powers.append(x.encode())
-            x = x * g
-        log = [3 * n] * q
-        for i, a in enumerate(powers):
-            log[a] = i
-        half = n // 2 if p > 2 else 0
+        powers, log = tables.exp[:n], tables.log
         zech = [0] * (7 * n)
         for d in range(2 * n - 1):
             zech[d] = d - 3 * n
         for d in range(2 * n + 1, 5 * n - 1):
-            a = powers[(d - 3 * n) % n]
-            a1 = a - a % p + (a + 1) % p
-            zech[d] = log[a1] if a1 else 2 * n
+            z = tables.zech[(d - 3 * n) % n]
+            zech[d] = 2 * n if z is None else z
         self.p, self.q = p, q
         self.log = log
-        self.nlog = [3 * n] + [(i + half) % n for i in log[1:]]
+        self.nlog = [3 * n] + [(i + tables.half) % n for i in log[1:]]
         self.exp = powers * 2 + [0] * (4 * n + 1)
         self.zech = zech
         # g, g^2, ... first: g^i lies in a proper subfield only for i a
@@ -517,22 +634,24 @@ class _Fq:
 
 
 class _FqPoly:
-    """F_q, q = p^k past MAX_POINT_FIELD elements, as a point field
-    without tables: zpoly's arithmetic on the decoded residues, modulo
-    the canonical modulus of degree k.
+    """Z_p[t] modulo f of degree k without tables: zpoly's arithmetic on
+    the decoded digits of encodings. It is the arithmetic of FqElem on a
+    field past MAX_POINT_FIELD elements or on a reducible modulus, whose
+    zero divisors raise DivisionByZero, and the point field F_q, q = p^k
+    past MAX_POINT_FIELD, on the canonical modulus.
 
-    A field this large serves degrees in the hundreds and more, which in
-    practice are those of lifted elements (x^(p^2) at p = 101) with long,
-    sparse rows; so `value` jumps over runs of zero coefficients by
-    powering, Horner's rule with gaps. The points are the encodings from
-    p up, then F_p: at points of F_p, x^p and x agree.
+    A point field this large serves degrees in the hundreds and more,
+    which in practice are those of lifted elements (x^(p^2) at p = 101)
+    with long, sparse rows; so `value` jumps over runs of zero
+    coefficients by powering, Horner's rule with gaps. The points are the
+    encodings from p up, then F_p: at points of F_p, x^p and x agree.
     """
 
     __slots__ = ("p", "q", "modulus")
 
-    def __init__(self, p: int, k: int):
-        self.p, self.q = p, p**k
-        self.modulus = canonical_modulus(p, k)
+    def __init__(self, p: int, f):
+        self.p, self.q = p, p ** (len(f) - 1)
+        self.modulus = f
 
     @property
     def points(self) -> Iterable[int]:
@@ -544,6 +663,12 @@ class _FqPoly:
             return a * b % p
         prod = zpoly.mul(_decode(a, p), _decode(b, p), p)
         return _encode(zpoly.rem(prod, self.modulus, p), p)
+
+    def add(self, a: int, b: int) -> int:
+        p = self.p
+        if a < p and b < p:
+            return (a + b) % p
+        return _encode(zpoly.add(_decode(a, p), _decode(b, p), p), p)
 
     def neg(self, a: int) -> int:
         p = self.p
@@ -558,10 +683,16 @@ class _FqPoly:
         return _encode(zpoly.sub(_decode(a, p), _decode(b, p), p), p)
 
     def inv(self, a: int) -> int:
+        """The inverse of a nonzero a."""
         p = self.p
         if a < p:
             return pow(a, -1, p)
-        return _encode(zpoly.invmod(_decode(a, p), self.modulus, p), p)
+        try:
+            return _encode(zpoly.invmod(_decode(a, p), self.modulus, p), p)
+        except ValueError:
+            raise DivisionByZero(
+                f"the residue encoded {a} is a zero divisor modulo {_poly_str(self.modulus)}"
+            ) from None
 
     def pow(self, a: int, e: int) -> int:
         p = self.p
@@ -770,7 +901,7 @@ def embed(a: FqElem, target: FqField) -> FqElem:
     if source == target:
         return a
     if source.n == 1:
-        return target.const(a.coeffs[0])
+        return target.const(a.enc)
     r = target.from_encoding(_embedding_root_cached(source, target))
     # Horner in the image of the generator
     acc = target.zero()

@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from perffield import _accel
+from perffield import _accel, zpoly
 from perffield.errors import BoundExceeded, ConstantPolynomial, DivisionByZero, NotDivisible
 from perffield.fqtower import MAX_EXHAUSTIVE, FqField, PerfectReport
 from perffield.multipoly import MultiPoly, gcd_cofactors, grlex_key
@@ -326,6 +326,43 @@ def oracle_check_perfect(field: FqField) -> PerfectReport:
         if k > field.n:
             raise RuntimeError("Frobenius order exceeded the extension degree")
     return PerfectReport(p, field.n, field.order, True, k, None)
+
+
+# Residue-tuple arithmetic in F_{p^n}: an element is its padded n-tuple
+# of coefficients, constant first; products, powers and inverses are
+# zpoly's dense Z_p[t] arithmetic modulo the field's modulus, and a sum
+# is taken digit by digit. FqElem used to compute this way; it is kept
+# as the oracle for the tables and for `_FqPoly`.
+
+
+def _oracle_residue(field: FqField, cs: list[int]) -> tuple[int, ...]:
+    return tuple(cs) + (0,) * (field.n - len(cs))
+
+
+def oracle_fq_add(field: FqField, a: tuple, b: tuple) -> tuple[int, ...]:
+    return tuple((x + y) % field.p for x, y in zip(a, b))
+
+
+def oracle_fq_neg(field: FqField, a: tuple) -> tuple[int, ...]:
+    return tuple(-x % field.p for x in a)
+
+
+def oracle_fq_mul(field: FqField, a: tuple, b: tuple) -> tuple[int, ...]:
+    p = field.p
+    return _oracle_residue(field, zpoly.rem(zpoly.mul(a, b, p), field.modulus, p))
+
+
+def oracle_fq_pow(field: FqField, a: tuple, e: int) -> tuple[int, ...]:
+    """a^e for e >= 0 by square and multiply."""
+    return _oracle_residue(field, zpoly.powmod(a, e, field.modulus, field.p))
+
+
+def oracle_fq_inv(field: FqField, a: tuple) -> tuple[int, ...]:
+    """The inverse by the extended Euclid; ValueError for a zero divisor
+    (zero included)."""
+    if not any(a):
+        raise ValueError("zero has no inverse")
+    return _oracle_residue(field, zpoly.invmod(a, field.modulus, field.p))
 
 
 # Irreducibility by trial division, the oracle for fqtower's canonical

@@ -24,6 +24,7 @@ from perffield.errors import (
     UnknownVariable,
     UsageError,
 )
+from perffield.fqtower import make_field
 
 
 def run(session, line):
@@ -178,6 +179,39 @@ def test_fq_element_commands_in_json_mode():
         assert json.loads(render_error(exc.value, True)) == {
             "schema": 1, "ok": False, "error": {"kind": "UsageError", "message": message}
         }
+
+
+def test_fq_frob_and_invfrob_build_no_tables():
+    # both multiply the digits by the rows of Q or of its inverse, so a
+    # one-shot line pays for no log table (tens of ms at F_{2^14})
+    make_field.cache_clear()
+    s = Session(2, 1)
+    assert run(s, "fq frob 2 14 5") == "t^4 + 1 (encoding 17)"
+    assert run(s, "fq invfrob 5 3 7") == "t^2 + 3*t + 1 (encoding 41)"
+    for p, n in ((2, 14), (5, 3)):
+        field = make_field(p, n)
+        assert field._arith is None and field.point_tables is None
+
+
+@pytest.mark.parametrize(
+    "json_mode, digest", [(False, "80c2b106632a4178"), (True, "472ae86004baf9e6")]
+)
+def test_fq_replies_over_every_encoding_are_unchanged(json_mode, digest):
+    # every make, perfect-check, frob and invfrob of F_{2^4}, F_{3^3} and
+    # F_{5^2}, and every embed into them; the digests were recorded when
+    # elements were residue tuples with no tables
+    s = Session(2, 1, json_mode=json_mode)
+    out = []
+    for p, n in ((2, 4), (3, 3), (5, 2)):
+        lines = [f"fq make {p} {n}", f"fq perfect-check {p} {n}"]
+        for enc in range(p**n):
+            lines += [f"fq frob {p} {n} {enc}", f"fq invfrob {p} {n} {enc}"]
+        for m in range(1, n + 1):
+            if n % m == 0:
+                lines += [f"fq embed {p} {m} {n} {enc}" for enc in range(p**m)]
+        out += [run(s, line) for line in lines]
+    assert len(out) == 224
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest()[:16] == digest
 
 
 def test_power_bounded_before_work():

@@ -1,5 +1,6 @@
 """Tests for finite extension fields, Frobenius bijectivity, embeddings."""
 
+import hashlib
 import random
 
 import pytest
@@ -18,7 +19,16 @@ from perffield.fqtower import (
 )
 from perffield.primefield import PrimeField, is_prime
 
-from helpers import oracle_check_perfect, oracle_monic_polys, oracle_small_factor
+from helpers import (
+    oracle_check_perfect,
+    oracle_fq_add,
+    oracle_fq_inv,
+    oracle_fq_mul,
+    oracle_fq_neg,
+    oracle_fq_pow,
+    oracle_monic_polys,
+    oracle_small_factor,
+)
 
 
 def test_prime_field_modulus():
@@ -176,13 +186,100 @@ def test_inv_frobenius_inverts_frobenius_exhaustive():
 
 
 def test_frobenius_matrices_match_scalar_powering_exhaustive():
-    # a ** e runs square-and-multiply on residues and never touches the
-    # matrices, so it is the oracle for both linear maps
+    # a ** e runs on the field's tables and never touches the matrices,
+    # so it is the oracle for both linear maps
     for p, n in [(2, 2), (3, 3), (2, 8), (5, 3), (13, 2)]:
         fq = make_field(p, n)
         for a in fq.elements():
             assert a.frobenius() == a**p
             assert a.inv_frobenius() == a ** (p ** (n - 1))
+
+
+def _check_against_tuple_oracle(field, pairs, is_field=True):
+    """Every element of `field` through -, inv, ** (e in 0, 1, p, q - 2,
+    -1), frobenius and inv_frobenius, and `pairs` through + - * /, each
+    against the residue-tuple oracle; an element the oracle cannot invert
+    must raise DivisionByZero. inv_frobenius is a -> a^(p^(n-1)); in a
+    field that is the one element whose p-th power is a, a cheaper check."""
+    p, q = field.p, field.order
+    inverses = {}
+    for a in field.elements():
+        x = a.coeffs
+        assert (-a).coeffs == oracle_fq_neg(field, x)
+        for e in (0, 1, q - 2):
+            assert (a**e).coeffs == oracle_fq_pow(field, x, e), (a, e)
+        assert a.frobenius().coeffs == (a**p).coeffs == oracle_fq_pow(field, x, p)
+        root = a.inv_frobenius().coeffs
+        if is_field:
+            assert oracle_fq_pow(field, root, p) == x
+        else:
+            assert root == oracle_fq_pow(field, x, p ** (field.n - 1))
+        try:
+            inverses[a.enc] = oracle_fq_inv(field, x)
+        except ValueError:
+            for op in (a.inv, lambda: a**-1, lambda: 1 / a):
+                with pytest.raises(DivisionByZero):
+                    op()
+        else:
+            assert a.inv().coeffs == (a**-1).coeffs == inverses[a.enc]
+    for a, b in pairs:
+        x, y = a.coeffs, b.coeffs
+        assert (a + b).coeffs == oracle_fq_add(field, x, y)
+        assert (a - b).coeffs == oracle_fq_add(field, x, oracle_fq_neg(field, y))
+        assert (a * b).coeffs == oracle_fq_mul(field, x, y)
+        if b.enc in inverses:
+            assert (a / b).coeffs == oracle_fq_mul(field, x, inverses[b.enc])
+        else:
+            with pytest.raises(DivisionByZero):
+                a / b
+    return inverses
+
+
+def _oracle_pairs(field, rng):
+    """All pairs up to 64 elements, 2,000 seeded pairs past that."""
+    if field.order <= 64:
+        return [(a, b) for a in field.elements() for b in field.elements()]
+    el = field.from_encoding
+    return [(el(rng.randrange(field.order)), el(rng.randrange(field.order))) for _ in range(2000)]
+
+
+def test_fqelem_matches_the_tuple_oracle_on_every_small_field():
+    # every F_{p^n} with n >= 2, p <= 13 and p^n <= 2^12 runs on tables
+    fields = [
+        make_field(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 13) if p**n <= 2**12
+    ]
+    assert len(fields) == 28
+    rng = random.Random(21)
+    for field in fields:
+        assert len(_check_against_tuple_oracle(field, _oracle_pairs(field, rng))) == field.order - 1
+        assert isinstance(field.arith(), fqtower._FqTables)
+
+
+def test_fqelem_matches_the_tuple_oracle_on_other_moduli():
+    rng = random.Random(22)
+    # t^6 + t^5 + 1 is irreducible over Z_2 but not the canonical modulus
+    # t^6 + t + 1, so the field builds tables of its own
+    F = FqField(2, 6, (1, 0, 0, 0, 0, 1, 1))
+    assert F.modulus != make_field(2, 6).modulus
+    assert len(_check_against_tuple_oracle(F, _oracle_pairs(F, rng))) == 63
+    assert isinstance(F.arith(), fqtower._FqTables)
+    assert F.primitive_element().enc == F.arith().exp[1]
+    # (t^2 + t + 1)^2 over Z_2: the 4 residues divisible by t^2 + t + 1,
+    # zero among them, have no inverse, and the other 12 have one
+    R = FqField(2, 4, (1, 0, 1, 0, 1))
+    assert len(_check_against_tuple_oracle(R, _oracle_pairs(R, rng), is_field=False)) == 12
+    assert isinstance(R.arith(), fqtower._FqPoly)
+
+
+def test_zero_divisor_of_a_reducible_modulus_raises_division_by_zero():
+    # t is a zero divisor modulo t^2: zpoly's Euclid finds gcd t, not 1
+    ring = FqField(2, 2, (0, 0, 1))
+    t = ring.gen()
+    with pytest.raises(DivisionByZero, match="zero divisor"):
+        t.inv()
+    with pytest.raises(DivisionByZero, match="zero divisor"):
+        ring.one() / t
+    assert (t + 1).inv() == t + 1  # (1 + t)^2 = 1 + t^2 = 1
 
 
 def test_fermat_for_extensions():
@@ -482,34 +579,47 @@ def test_random_arithmetic_against_integers():
 @pytest.mark.parametrize("p, k", [(101, 1), (3, 4), (2, 15), (101, 3)])
 def test_point_field_matches_fqelem_arithmetic(p, k):
     # Z_101, a table field (F_81) and two fields past MAX_POINT_FIELD
-    # (F_{101^3} is past make_field's bound too)
+    # (F_{101^3} is past make_field's bound too), against the residue-tuple
+    # oracle: FqElem shares the tables of F_81, so it is no oracle for them
     assert 3**4 <= MAX_POINT_FIELD < 2**15
     F = point_field(p, k)
     fq = make_field(p, k) if p**k <= fqtower.MAX_ORDER else FqField(p, k, canonical_modulus(p, k))
     assert F.q == fq.order
-    el = fq.from_encoding
+
+    def el(a):
+        return fq.from_encoding(a).coeffs
+
+    def enc(x):
+        return sum(c * p**i for i, c in enumerate(x))
+
+    def mul(a, b):
+        return enc(oracle_fq_mul(fq, el(a), el(b)))
+
+    def sub(a, b):
+        return enc(oracle_fq_add(fq, el(a), oracle_fq_neg(fq, el(b))))
+
     rng = random.Random(4000 + p**k)
     for _ in range(200):
         a, b = rng.randrange(fq.order), rng.randrange(fq.order)
-        assert F.mul(a, b) == (el(a) * el(b)).encode()
-        assert F.sub(a, b) == (el(a) - el(b)).encode()
-        assert F.neg(a) == (-el(a)).encode()
+        assert F.mul(a, b) == mul(a, b)
+        assert F.sub(a, b) == sub(a, b)
+        assert F.neg(a) == enc(oracle_fq_neg(fq, el(a)))
         if a:
-            assert F.inv(a) == el(a).inv().encode()
+            assert F.inv(a) == enc(oracle_fq_inv(fq, el(a)))
     for _ in range(20):
         c = rng.randrange(1, fq.order)
         u = [rng.randrange(fq.order) for _ in range(8)]
         v = [rng.randrange(fq.order) for _ in range(8)]
-        assert F.scale(c, v) == [(el(c) * el(y)).encode() for y in v]
-        assert F.axpy(u, c, v) == [(el(x) - el(c) * el(y)).encode() for x, y in zip(u, v)]
+        assert F.scale(c, v) == [mul(c, y) for y in v]
+        assert F.axpy(u, c, v) == [sub(x, mul(c, y)) for x, y in zip(u, v)]
         # a sparse row, as lifted elements give, and a dense one
         row = [rng.randrange(fq.order) if rng.random() < 0.3 else 0 for _ in range(40)]
         for r in (row, u + [1]):
             x = rng.randrange(fq.order)
-            acc = fq.zero()
+            acc = 0
             for coeff in reversed(r):
-                acc = acc * el(x) + el(coeff)
-            assert F.value(r, x) == acc.encode()
+                acc = enc(oracle_fq_add(fq, el(mul(acc, x)), el(coeff)))
+            assert F.value(r, x) == acc
     # F_p is the encodings below p
     assert all(F.mul(a, b) == a * b % p for a in range(p) for b in range(p))
     assert all(F.sub(a, b) == (a - b) % p for a in range(p) for b in range(p))
@@ -524,3 +634,32 @@ def test_point_field_tables_list_every_element_once_and_follow_make_field():
     assert G is not F
     assert G is make_field(3, 4).point_tables
     assert (G.log, G.exp, G.zech, G.points) == (F.log, F.exp, F.zech, F.points)
+
+
+def _digest(values):
+    return hashlib.sha256(repr(list(values)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "p, k, generator, digests",
+    [
+        # digests of log, exp, zech, nlog and points
+        (3, 4, 3, "0d8393f27d1a16d6 aa917bc7fef48348 9b0c92732a17a35e"
+                  " 32404460a00f917c eeab1fd5546ad2a7"),
+        (2, 6, 2, "721877d1b0cd8635 9bf5e63ffb74c426 7adac6b7d7ce2729"
+                  " 721877d1b0cd8635 bd4f5f4959ea21c4"),
+        (101, 2, 102, "0f78457a889768ca 6b38adc0090bb111 57f04fcfcf94d06e"
+                      " 47f88fcadd34c238 435ebd6651f3527f"),
+    ],
+)
+def test_point_field_tables_come_from_the_field_table_build(p, k, generator, digests):
+    # the digests are of the lists _Fq built when it multiplied FqElems
+    # and searched its own primitive element; it now reads g, its powers
+    # and log from the field's one table build, and the lists are the same
+    make_field.cache_clear()
+    field = make_field(p, k)
+    F = point_field(p, k)
+    tables = field.arith()
+    assert tables.exp[1] == generator == field.primitive_element().enc == F.points[0]
+    assert F.log is tables.log
+    assert " ".join(map(_digest, (F.log, F.exp, F.zech, F.nlog, F.points))) == digests
