@@ -3,22 +3,20 @@
 Elements are rows of an (N, n) int64 matrix of residues; the modulus
 enters through a precomputed reduction table (row k = t^(n+k) mod f).
 
-The exhaustive perfectness sweep does not use this module: fqtower
-builds its image table by linearity. Everything here serves the
-embedding root search: `decode_range` lists the small subfield searched
-for a root, and `batch_mulmod` runs the Horner evaluation of the source
-modulus over it. `batch_pow` is on no library path; it stays because the
-benchmark's layer table (perfbench/layers.py) traces it. The kernels
-are checked in the tests against scalar `FqElem` arithmetic, their
-oracle, and the test oracle for the exhaustive sweep lists the field
-with `decode_range`. fqtower imports this module, and numpy with it,
-only when a root search runs.
+No library code calls this module any more. The exhaustive perfectness
+sweep builds its image table by linearity, the embedding root search
+multiplies in the subfield's own coordinates on one tensor, and the
+test oracles decode encodings with numpy themselves. It stays only
+because the benchmark traces `batch_mulmod` and `batch_pow`
+(perfbench/layers.py) and records `HAVE_NUMBA` and `backend_name()`
+(perfbench/run.py `environment()`), until the benchmark drops those
+(ROADMAP direction 1). tests/test_accel.py checks the kernels against
+scalar `FqElem` arithmetic.
 
 Coefficient magnitudes: with p^n <= 2^20 the schoolbook products and
 reduction accumulations stay far below 2^63, so plain int64 arithmetic
 is exact on every supported field.
 """
-
 from __future__ import annotations
 
 import numpy as np

@@ -28,12 +28,14 @@ Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
 fills one int32 table with the images of all p^n elements by linearity,
 in place, one encoding digit (one row of Q) at a time; the embedding
 root search looks only in the subfield ker(Q^m - I) where every root
-lies; so `check_perfect` still visits every element, through Q, and
-neither sweep builds tables. The scalar `frobenius` and `inv_frobenius`
-are one vector-matrix product each on the decoded digits, on every
-field, so they build no tables either. Powering never goes through
-these matrices, and the tests check the matrices against it element by
-element.
+lies, and works in that subfield's m coordinates, where one m x m x m
+tensor holds its multiplication; so `check_perfect` still visits every
+element, through Q, and neither sweep builds tables. The scalar
+`frobenius` and `inv_frobenius` are one vector-matrix product each on
+the decoded digits, on every field, and so is `embed` (on the rows of
+the root's powers), so they build no tables either. Powering never goes
+through these matrices, and the tests check the matrices against it
+element by element.
 
 numpy is imported inside the two sweeps, `check_perfect` and
 `find_embedding_root`, and nowhere else, so importing the library or
@@ -63,8 +65,9 @@ MAX_EXHAUSTIVE = 2**16
 # `_FqPoly` evaluates in fewer products
 MAX_POINT_FIELD = 1 << 14
 
-# rows per chunk in the embedding root search, which bounds its memory
-# when the subfield searched is large (m = n)
+# entries of the multiplication matrices of one block of the embedding
+# root search (elements times m^2), which bounds its memory when the
+# subfield searched is large (m = n)
 _BLOCK = 1 << 15
 
 
@@ -170,12 +173,7 @@ class FqField:
         (e a power of p): row i is t^(ie) mod f, so a row vector of
         coefficients times the matrix is the image."""
         f, p = self.modulus, self.p
-        step = zpoly.powmod([0, 1], e, f, p)
-        rows, cur = [], [1]
-        for _ in range(self.n):
-            rows.append(tuple(cur) + (0,) * (self.n - len(cur)))
-            cur = zpoly.rem(zpoly.mul(cur, step, p), f, p)
-        return tuple(rows)
+        return _power_rows(zpoly.powmod([0, 1], e, f, p), self.n, f, p)
 
     def frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Berlekamp's Q: row i is t^(ip) mod f."""
@@ -244,6 +242,28 @@ class FqField:
 
     def modulus_str(self) -> str:
         return _poly_str(self.modulus)
+
+
+def _power_rows(x, k: int, f, p: int) -> tuple[tuple[int, ...], ...]:
+    """x^i mod f for i < k, each padded to deg f digits: the rows of the
+    F_p-linear map that sends t to x."""
+    n = len(f) - 1
+    rows, cur = [], [1]
+    for _ in range(k):
+        rows.append(tuple(cur) + (0,) * (n - len(cur)))
+        cur = zpoly.rem(zpoly.mul(cur, x, p), f, p)
+    return tuple(rows)
+
+
+def _linear_image(k: int, rows, field: FqField) -> FqElem:
+    """The element of `field` whose digits are those of the encoding k
+    times the rows, reduced mod p."""
+    p = field.p
+    out = [0] * field.n
+    for c, row in zip(_decode(k, p), rows):
+        if c:
+            out = [o + c * r for o, r in zip(out, row)]
+    return FqElem(field, _encode([o % p for o in out], p))
 
 
 def _poly_str(coeffs) -> str:
@@ -334,21 +354,14 @@ class FqElem:
 
     def frobenius(self) -> FqElem:
         """a^p, as the coefficient vector times Q."""
-        return self._times(self.field.frobenius_matrix())
+        F = self.field
+        return _linear_image(self.enc, F.frobenius_matrix(), F)
 
     def inv_frobenius(self) -> FqElem:
         """The unique p-th root a^(p^(n-1)), since a^(p^n) = a, as the
         coefficient vector times the inverse of Q."""
-        return self._times(self.field.inv_frobenius_matrix())
-
-    def _times(self, rows) -> FqElem:
         F = self.field
-        p = F.p
-        out = [0] * F.n
-        for c, row in zip(_decode(self.enc, p), rows):
-            if c:
-                out = [o + c * r for o, r in zip(out, row)]
-        return FqElem(F, _encode([o % p for o in out], p))
+        return _linear_image(self.enc, F.inv_frobenius_matrix(), F)
 
     def encode(self) -> int:
         return self.enc
@@ -806,9 +819,10 @@ def check_perfect(field: FqField) -> PerfectReport:
 # -- embeddings ---------------------------------------------------------------------
 
 
-def _null_space(a: list[list[int]], p: int) -> list[list[int]]:
+def _null_space(a: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """A basis of {x : a x = 0} for a square matrix a over Z_p, by
-    Gauss-Jordan elimination."""
+    Gauss-Jordan elimination, and its free columns: basis vector i is 1
+    in free column i and 0 in the others."""
     n = len(a)
     a = [list(row) for row in a]
     pivots = []
@@ -825,14 +839,15 @@ def _null_space(a: list[list[int]], p: int) -> list[list[int]]:
                 f = a[i][c]
                 a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
         pivots.append(c)
+    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for free in (c for c in range(n) if c not in pivots):
+    for c in free:
         x = [0] * n
-        x[free] = 1
-        for i, c in enumerate(pivots):
-            x[c] = (-a[i][free]) % p
+        x[c] = 1
+        for i, pc in enumerate(pivots):
+            x[pc] = (-a[i][c]) % p
         basis.append(x)
-    return basis
+    return basis, free
 
 
 def find_embedding_root(source: FqField, target: FqField) -> FqElem:
@@ -841,33 +856,68 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     The modulus is irreducible of degree m dividing n, so each of its
     roots is fixed by x -> x^(p^m) and lies in the subfield ker(Q^m - I)
     of p^m elements. Only that subfield is searched, on a reduced echelon
-    basis ordered by free column, which lists it in increasing encoding,
-    so the first root met is returned. No root, which only a reducible
-    target modulus allows, raises NoEmbedding.
+    basis B ordered by free column, which lists it in increasing encoding
+    (its k-th element has the base-p digits of k as coordinates), so the
+    first root met is returned. The search runs in those m coordinates:
+    B is the identity on its free columns, so the coordinates of a
+    subfield element are its digits there, and the products B_i * B_j,
+    taken once by shift-and-reduce on B, give the multiplication tensor
+    S. A block of elements gets its multiplication matrices in one
+    product with S, and Horner's rule for the modulus is m batched
+    m x m mat-vecs. No root, which only a reducible target modulus
+    allows, raises NoEmbedding.
     """
     _check_embeddable(source, target)
     import numpy as np
 
-    from . import _accel
-
     p, n = target.p, target.n
-    # x is fixed by x -> x^(p^m) iff x (F - I) = 0, i.e. (F - I)^T x = 0
-    F = target.power_map(p**source.n)
-    basis = _null_space([[(F[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
-    B = np.array(basis, dtype=np.int64).reshape(len(basis), n)
-    mod = source.modulus
-    red = _accel.reduction_table(target.modulus, p)
-    size = p ** len(basis)
-    for start in range(0, size, _BLOCK):
-        X = (_accel.decode_range(start, min(start + _BLOCK, size), len(basis), p) @ B) % p
-        val = np.zeros_like(X)
-        val[:, 0] = mod[-1] % p
+    # x is fixed by x -> x^(p^m) iff x (Q^m - I) = 0, i.e. (Q^m - I)^T x = 0
+    Q = np.array(target.frobenius_matrix(), dtype=np.int64)
+    eye = np.identity(n, dtype=np.int64)
+    Qm = eye
+    for _ in range(source.n):
+        Qm = Qm @ Q % p
+    basis, free = _null_space(((Qm - eye).T % p).tolist(), p)
+    # d = m, unless the target modulus is reducible
+    d = len(basis)
+    B = np.array(basis, dtype=np.int64)
+    # tB[k] is t^k B mod f: each step shifts one place and adds the
+    # digit that leaves times t^n mod f
+    top = zpoly.rem([0] * n + [1], target.modulus, p)
+    top = np.array(top + [0] * (n - len(top)), dtype=np.int64)
+    tB = np.empty((n, d, n), dtype=np.int64)
+    tB[0] = B
+    for k in range(1, n):
+        prev, cur = tB[k - 1], tB[k]
+        cur[:, 0] = 0
+        cur[:, 1:] = prev[:, :-1]
+        cur += prev[:, -1:] * top
+        cur %= p
+    # S[i, j] holds the coordinates of B_i * B_j = sum_k B[i, k] t^k B_j;
+    # in float64, so that products with it run in BLAS, exactly: their
+    # sums stay below d p^2 < 2^53
+    S = (np.tensordot(B, tB, axes=(1, 0))[:, :, free] % p).reshape(d, d * d).astype(np.float64)
+    mod = [c % p for c in source.modulus]
+    size = p**d
+    step = max(1, _BLOCK // (d * d))
+    weights = p ** np.arange(d, dtype=np.int64)
+    for start in range(0, size, step):
+        # digits[k, i] is digit i of the encoding start + k
+        digits = np.arange(start, min(start + step, size), dtype=np.int64)[:, None] // weights % p
+        # mats[k] multiplies coordinates by the k-th element of the block,
+        # unreduced: a mat-vec's sums stay below d^2 p^3, at most 2^38 for
+        # n >= 2 (p <= 2^10) and 2^60 for n = 1
+        mats = (digits @ S).astype(np.int64).reshape(-1, d, d)
+        # constants are fixed, so column 0 is free and B_0 = 1: a
+        # constant c has the coordinates (c, 0, ..., 0)
+        val = np.zeros_like(digits)
+        val[:, 0] = mod[-1]
         for c in reversed(mod[:-1]):
-            val = _accel.batch_mulmod(val, X, red, p)
+            val = np.matmul(val[:, None, :], mats)[:, 0, :] % p
             val[:, 0] = (val[:, 0] + c) % p
         hits = np.flatnonzero(~val.any(axis=1))
         if hits.size:
-            return target.elem(X[hits[0]].tolist())
+            return target.elem((digits[hits[0]] @ B % p).tolist())
     raise NoEmbedding(f"the modulus of {source!r} has no root in {target!r}")
 
 
@@ -884,16 +934,22 @@ def _check_embeddable(source: FqField, target: FqField) -> None:
 
 
 @lru_cache(maxsize=None)
-def _embedding_root_cached(source: FqField, target: FqField) -> int:
-    return find_embedding_root(source, target).encode()
+def _embedding_root_cached(source: FqField, target: FqField) -> tuple[tuple[int, ...], ...]:
+    """The matrix of the embedding: row i is r^i mod the target modulus
+    for i < m, r the first root of the source modulus (row 1), by zpoly's
+    products, so no field builds tables."""
+    p = target.p
+    r = _decode(find_embedding_root(source, target).enc, p)
+    return _power_rows(r, source.n, target.modulus, p)
 
 
 def embed(a: FqElem, target: FqField) -> FqElem:
     """Canonical embedding F_{p^m} -> F_{p^n} for m dividing n: send the
-    source generator to the first root of the source modulus in the
-    target. The two fields, moduli included, decide the map, so it is a
-    homomorphism whatever the moduli; only a field into itself is the
-    identity."""
+    source generator to the first root r of the source modulus in the
+    target, so sum a_i t^i goes to sum a_i r^i, a's digits times the
+    cached rows r^i. The two fields, moduli included, decide the map, so
+    it is a homomorphism whatever the moduli; only a field into itself is
+    the identity."""
     if not isinstance(a, FqElem):
         raise TypeError(f"embed takes an FqElem, not {type(a).__name__}")
     source = a.field
@@ -902,9 +958,4 @@ def embed(a: FqElem, target: FqField) -> FqElem:
         return a
     if source.n == 1:
         return target.const(a.enc)
-    r = target.from_encoding(_embedding_root_cached(source, target))
-    # Horner in the image of the generator
-    acc = target.zero()
-    for c in reversed(a.coeffs):
-        acc = acc * r + c
-    return acc
+    return _linear_image(a.enc, _embedding_root_cached(source, target), target)

@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from perffield import _accel, zpoly
+from perffield import zpoly
 from perffield.errors import BoundExceeded, ConstantPolynomial, DivisionByZero, NotDivisible
 from perffield.fqtower import MAX_EXHAUSTIVE, FqField, PerfectReport
 from perffield.multipoly import MultiPoly, gcd_cofactors, grlex_key
@@ -306,8 +306,10 @@ def oracle_check_perfect(field: FqField) -> PerfectReport:
         )
     p = field.p
     Q = np.array(field.frobenius_matrix(), dtype=np.int64)
-    rows = _accel.decode_range(0, field.order, field.n, p)
-    enc = ((rows @ Q) % p) @ p ** np.arange(field.n, dtype=np.int64)
+    # rows[k] holds the base-p digits of k, least significant first
+    weights = p ** np.arange(field.n, dtype=np.int64)
+    rows = np.arange(field.order, dtype=np.int64)[:, None] // weights % p
+    enc = ((rows @ Q) % p) @ weights
     if np.unique(enc).size != field.order:
         seen: dict[int, int] = {}
         pair = (0, 0)

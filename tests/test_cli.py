@@ -193,6 +193,20 @@ def test_fq_frob_and_invfrob_build_no_tables():
         assert field._arith is None and field.point_tables is None
 
 
+def test_fq_embed_builds_no_tables():
+    # the embedding is F_p-linear: the digits times the rows r^i, whose
+    # products zpoly takes, so neither field pays for a log table
+    make_field.cache_clear()
+    s = Session(2, 1)
+    assert run(s, "fq embed 2 7 14 5") == (
+        "t^13 + t^11 + t^10 + t^8 + t^7 + t^4 + 1 (encoding 11665)"
+    )
+    assert run(s, "fq embed 5 2 6 7") == "2*t^5 + 4*t^4 + 3*t^2 + 3*t + 2 (encoding 8842)"
+    for p, n in ((2, 7), (2, 14), (5, 2), (5, 6)):
+        field = make_field(p, n)
+        assert field._arith is None and field.point_tables is None
+
+
 @pytest.mark.parametrize(
     "json_mode, digest", [(False, "80c2b106632a4178"), (True, "472ae86004baf9e6")]
 )

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -415,8 +416,12 @@ def _subfield_listing(source, target):
     takes the base-p digits of k, least significant first."""
     p, n = target.p, target.n
     F = target.power_map(p**source.n)
-    basis = fqtower._null_space([[(F[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
+    basis, free = fqtower._null_space([[(F[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
     assert len(basis) == source.n
+    # so a subfield element's coordinates in the basis are its digits there
+    assert [[row[c] for c in free] for row in basis] == [
+        [int(i == j) for j in range(len(free))] for i in range(len(free))
+    ]
     out = []
     for k in range(p ** len(basis)):
         x = [0] * n
@@ -454,6 +459,70 @@ def test_embedding_root_into_a_reducible_modulus_is_no_embedding():
         find_embedding_root(F4, ring)
     with pytest.raises(NoEmbedding, match="has no root in"):
         embed(F4.gen(), ring)
+
+
+# the first root of make_field(p, m)'s modulus in make_field(p, n), for
+# every proper m | n with 2 <= m and p^n <= 2^16, recorded when the search
+# evaluated the modulus by Horner in the target's n coordinates
+_PINNED_ROOTS = {
+    (2, 2, 4): 6, (2, 2, 6): 58, (2, 3, 6): 14, (2, 2, 8): 188, (2, 4, 8): 92,
+    (2, 3, 9): 252, (2, 2, 10): 236, (2, 5, 10): 314, (2, 2, 12): 72,
+    (2, 3, 12): 1186, (2, 4, 12): 8, (2, 6, 12): 163, (2, 2, 14): 5106,
+    (2, 7, 14): 3374, (2, 3, 15): 892, (2, 5, 15): 316, (2, 2, 16): 1842,
+    (2, 4, 16): 34988, (2, 8, 16): 16845, (3, 2, 4): 42, (3, 2, 6): 129,
+    (3, 3, 6): 144, (3, 2, 8): 828, (3, 4, 8): 9, (3, 3, 9): 1629,
+    (3, 2, 10): 20199, (3, 5, 10): 9, (5, 2, 4): 25, (5, 2, 6): 8840,
+    (5, 3, 6): 11365, (7, 2, 4): 1271, (11, 2, 4): 3681, (13, 2, 4): 169,
+}
+
+
+def test_embedding_roots_are_pinned():
+    pairs = [
+        (p, m, n)
+        for p in range(2, 256)
+        if is_prime(p)
+        for n in range(2, 17)
+        if p**n <= 2**16
+        for m in range(1, n)
+        if n % m == 0
+    ]
+    # 72 of them with p <= 13; past that every pair has m = 1
+    assert len([p for p, _, _ in pairs if p <= 13]) == 72
+    for p, m, n in pairs:
+        root = find_embedding_root(make_field(p, m), make_field(p, n))
+        # the modulus of F_p is t, whose root is 0
+        assert root.encode() == _PINNED_ROOTS.get((p, m, n), 0), (p, m, n)
+    assert {pair for pair in pairs if pair[1] > 1} == set(_PINNED_ROOTS)
+
+
+def _second_modulus(p, n):
+    """The first monic irreducible of degree n after the canonical one."""
+    start = fqtower._encode(make_field(p, n).modulus, p) + 1
+    return next(
+        tuple(cs)
+        for cs in (fqtower._decode(k, p) for k in range(start, 2 * p**n))
+        if fqtower._is_irreducible(cs, p)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, n, roots", [(2, 16, (5411, 582)), (3, 10, (1158, 4014))]
+)
+def test_embedding_root_of_a_whole_field_in_small_memory(p, n, roots):
+    # m = n with a non-canonical modulus on one side searches all p^n
+    # elements; the roots were recorded with the search in n coordinates,
+    # which peaked at 25 to 31 MB on F_{2^16}
+    canonical, other = make_field(p, n), FqField(p, n, _second_modulus(p, n))
+    for (source, target), expect in zip(((canonical, other), (other, canonical)), roots):
+        tracemalloc.start()
+        try:
+            root = find_embedding_root(source, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert root.encode() == expect
+        assert peak < 16 * 2**20
+        assert not _eval_modulus(source.modulus, root, target)
 
 
 def test_embedding_root_needs_a_subfield():
