@@ -17,10 +17,11 @@ once from zpoly's products on the field's own modulus, on which a
 product is exp[log a + log b], an inverse exp[q - 1 - log a] and a power
 exp[log a * e mod (q - 1)]. Otherwise (a larger field, or a reducible
 modulus, whose zero divisors raise DivisionByZero) it is `_FqPoly`,
-zpoly's arithmetic on the decoded digits. `point_field` gives F_{p^k},
-past make_field's bounds too, as a field of encodings for the
-evaluation points of Brown's modular gcd: `_Fq`, a zero-free layout of
-the same tables, or `_FqPoly`.
+which packs the digits into one int, one slot per digit, so a product
+is one big-int product and a Barrett reduction, and inverts by zpoly's
+Euclid. `point_field` gives F_{p^k}, past make_field's bounds too, as
+a field of encodings for the evaluation points of Brown's modular gcd:
+`_Fq`, a zero-free layout of the same tables, or `_FqPoly`.
 
 The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
 Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
@@ -60,9 +61,10 @@ MAX_EXHAUSTIVE = 2**16
 # elements of the largest F_{p^k} whose arithmetic runs on tables, for
 # FqElem and for Brown's points alike; building them takes 0.6 to 4 us
 # per element (7 ms for F_{101^2}, 70 ms for F_{2^14}), and the point
-# field's layout under 0.3 us more. Larger point fields serve degrees in
-# the thousands, in practice lifted elements with sparse rows, which
-# `_FqPoly` evaluates in fewer products
+# field's layout under 0.3 us more. Past it `_FqPoly` multiplies packed
+# digits in 1-1.3 us, and larger point fields serve degrees in the
+# thousands, in practice lifted elements with sparse rows, which it
+# evaluates in fewer products
 MAX_POINT_FIELD = 1 << 14
 
 # entries of the multiplication matrices of one block of the embedding
@@ -143,6 +145,11 @@ class FqField:
     __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob", "_arith", "point_tables")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
+        if len(modulus) != n + 1 or not modulus[-1] % p:
+            raise ValueError(
+                f"modulus {modulus} of F_{p}^{n} needs {n + 1} coefficients and a "
+                f"leading one nonzero mod {p}"
+            )
         self.p = p
         self.n = n
         self.modulus = modulus
@@ -158,7 +165,7 @@ class FqField:
     def arith(self) -> _FqTables | _FqPoly:
         """The object that adds, multiplies, powers and inverts encodings:
         tables up to MAX_POINT_FIELD elements on an irreducible modulus,
-        zpoly's arithmetic on digits otherwise. Picked on the first call,
+        products of packed digits otherwise. Picked on the first call,
         so a field that only maps through Q never builds tables."""
         if self._arith is None:
             p, f = self.p, self.modulus
@@ -520,7 +527,7 @@ def point_field(p: int, k: int):
     Z_p for k = 1; up to MAX_POINT_FIELD elements, a zero-free layout
     (`_Fq`) of the make_field object's own tables, kept on that object,
     so they are built once per field and go when make_field's cache is
-    cleared; past that, zpoly's products modulo the canonical modulus
+    cleared; past that, packed products modulo the canonical modulus
     (`_FqPoly`, the arithmetic of FqElem past the table bound)."""
     if k == 1:
         return _Zp(p)
@@ -647,11 +654,24 @@ class _Fq:
 
 
 class _FqPoly:
-    """Z_p[t] modulo f of degree k without tables: zpoly's arithmetic on
-    the decoded digits of encodings. It is the arithmetic of FqElem on a
-    field past MAX_POINT_FIELD elements or on a reducible modulus, whose
-    zero divisors raise DivisionByZero, and the point field F_q, q = p^k
-    past MAX_POINT_FIELD, on the canonical modulus.
+    """Z_p[t] modulo f of degree n without tables, on Kronecker-packed
+    ints: digit i of an encoding sits in bits [i*w, (i+1)*w) of one int,
+    so a product of residues is one big-int product, reduced modulo f by
+    Barrett's method: with U = A*B, q = ((U >> nw) * mu) >> nw and the
+    remainder is (U + q*g) masked to n slots, where mu = t^(2n) div f and
+    g holds the low coefficients of -f, both over Z_p for f reduced mod p
+    and made monic. Barrett is exact for deg U < 2n, and every step is
+    Z-linear, so one reduction of each slot mod p, in parallel by a
+    multiply-high (`_norm`), gives the Z_p residue; w is picked from the
+    worst case, so no slot ever carries into the next. An encoding is
+    packed through a table of at most 256 chunks of digits and read back
+    by one product whose middle slot is the sum of digit * p^i. Inverses
+    stay zpoly's extended Euclid on the decoded digits.
+
+    It is the arithmetic of FqElem on a field past MAX_POINT_FIELD
+    elements or on a reducible modulus, whose zero divisors raise
+    DivisionByZero, and the point field F_q, q = p^n past
+    MAX_POINT_FIELD, on the canonical modulus.
 
     A point field this large serves degrees in the hundreds and more,
     which in practice are those of lifted elements (x^(p^2) at p = 101)
@@ -660,40 +680,113 @@ class _FqPoly:
     encodings from p up, then F_p: at points of F_p, x^p and x agree.
     """
 
-    __slots__ = ("p", "q", "modulus")
+    __slots__ = (
+        "p", "q", "modulus", "chunk", "base", "width", "nw", "low", "mu", "g",
+        "top", "m", "k", "qmask", "read", "shift", "mask",
+    )
 
     def __init__(self, p: int, f):
-        self.p, self.q = p, p ** (len(f) - 1)
-        self.modulus = f
+        n = len(f) - 1
+        self.p, self.q = p, p**n
+        # the associate of f that is reduced mod p and monic: the same
+        # ideal, and the shape that Barrett and zpoly's Euclid need
+        lc = pow(f[-1], -1, p)
+        f = self.modulus = tuple(c * lc % p for c in f)
+        # mu = t^(2n) div f by long division
+        r, mu = [0] * (2 * n) + [1], [0] * (n + 1)
+        for i in range(n, -1, -1):
+            c = mu[i] = r[i + n]
+            for j, fj in enumerate(f):
+                r[i + j] = (r[i + j] - c * fj) % p
+        # slot bounds for digits below p: U, then q, then the remainder,
+        # which `top`, a multiple of p, passes; below `s` is every slot
+        b1 = n * (p - 1) ** 2
+        b2 = (n - 1) * b1 * (p - 1)
+        top = -(-(b1 + n * b2 * (p - 1)) // p) * p
+        s = top + p
+        # floor(x * m / 2^k) = floor(x / p) for x < s, since s * p < 2^k
+        k = (s * p).bit_length()
+        m = -(-(1 << k) // p)
+        w = max((s * m).bit_length(), (p**n).bit_length())
+
+        def packed(cs):
+            return sum(c << i * w for i, c in enumerate(cs))
+
+        self.nw, self.low = n * w, (1 << n * w) - 1
+        self.mu, self.g = packed(mu), packed([-c % p for c in f[:n]])
+        self.top = packed([top] * n)
+        self.m, self.k, self.qmask = m, k, packed([(1 << w - k) - 1] * n)
+        # slot n - 1 of x * read is the sum of x's slots times p^i
+        self.read = packed([p**j for j in range(n)][::-1])
+        self.shift, self.mask = (n - 1) * w, (1 << w) - 1
+        # chunk[d] packs the c digits of d < p^c, built digit by digit
+        c, chunk = 1, range(p)
+        while c < n and p ** (c + 1) <= 256:
+            chunk = [t + (d << c * w) for d in range(p) for t in chunk]
+            c += 1
+        self.chunk, self.base, self.width = chunk, p**c, c * w
 
     @property
     def points(self) -> Iterable[int]:
         return chain(range(self.p, self.q), range(self.p))
 
+    def _pack(self, a: int) -> int:
+        """The encoding a with its digits in slots."""
+        chunk, base, width = self.chunk, self.base, self.width
+        x = s = 0
+        while a:
+            a, d = divmod(a, base)
+            x |= chunk[d] << s
+            s += width
+        return x
+
+    def _mul(self, x: int, y: int) -> int:
+        """x*y mod f on packed residues with digits below p; its slots
+        stay below `top`, unreduced."""
+        u = x * y
+        nw = self.nw
+        return (u + ((u >> nw) * self.mu >> nw) * self.g) & self.low
+
+    def _norm(self, x: int) -> int:
+        """x with every slot reduced mod p."""
+        return x - self.p * (x * self.m >> self.k & self.qmask)
+
+    def _unpack(self, x: int) -> int:
+        """The encoding of x, its slots reduced mod p."""
+        return self._norm(x) * self.read >> self.shift & self.mask
+
+    def _pow(self, x: int, e: int) -> int:
+        """x^e, x and the result with digits below p."""
+        r = 1
+        for bit in bin(e)[2:]:
+            r = self._norm(self._mul(r, r))
+            if bit == "1":
+                r = self._norm(self._mul(r, x))
+        return r
+
     def mul(self, a: int, b: int) -> int:
         p = self.p
         if a < p and b < p:
             return a * b % p
-        prod = zpoly.mul(_decode(a, p), _decode(b, p), p)
-        return _encode(zpoly.rem(prod, self.modulus, p), p)
+        return self._unpack(self._mul(self._pack(a), self._pack(b)))
 
     def add(self, a: int, b: int) -> int:
         p = self.p
         if a < p and b < p:
             return (a + b) % p
-        return _encode(zpoly.add(_decode(a, p), _decode(b, p), p), p)
+        return self._unpack(self._pack(a) + self._pack(b))
 
     def neg(self, a: int) -> int:
         p = self.p
         if a < p:
             return -a % p
-        return _encode(zpoly.sub([], _decode(a, p), p), p)
+        return self._unpack(self.top - self._pack(a))
 
     def sub(self, a: int, b: int) -> int:
         p = self.p
         if a < p and b < p:
             return (a - b) % p
-        return _encode(zpoly.sub(_decode(a, p), _decode(b, p), p), p)
+        return self._unpack(self._pack(a) + self.top - self._pack(b))
 
     def inv(self, a: int) -> int:
         """The inverse of a nonzero a."""
@@ -709,24 +802,29 @@ class _FqPoly:
 
     def pow(self, a: int, e: int) -> int:
         p = self.p
-        return _encode(zpoly.powmod(_decode(a, p), e, self.modulus, p), p)
+        if a < p:
+            return pow(a, e, p)
+        return self._unpack(self._pow(self._pack(a), e))
 
     def scale(self, c: int, v: list[int]) -> list[int]:
-        return [self.mul(c, x) for x in v]
+        c, pack, mul, unpack = self._pack(c), self._pack, self._mul, self._unpack
+        return [unpack(mul(c, pack(y))) for y in v]
 
     def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
         """u - c*v, elementwise, for a nonzero c."""
-        return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
+        c, pack, mul, unpack, top = self._pack(c), self._pack, self._mul, self._unpack, self.top
+        return [unpack(pack(x) + top - mul(c, pack(y))) for x, y in zip(u, v)]
 
     def value(self, row: list[int], x: int) -> int:
         """The row evaluated at x, by Horner's rule over its nonzero
-        coefficients: acc * x^gap + c."""
+        coefficients: acc * x^gap + c, packed throughout."""
+        x = self._pack(x)
         acc, last = 0, 0
         for e in reversed([e for e, c in enumerate(row) if c]):
             if acc:
-                acc = self.mul(acc, self.pow(x, last - e))
-            acc, last = self.sub(acc, self.neg(row[e])), e
-        return self.mul(acc, self.pow(x, last)) if last else acc
+                acc = self._mul(acc, self._pow(x, last - e))
+            acc, last = self._norm(acc + self._pack(row[e])), e
+        return self._unpack(self._mul(acc, self._pow(x, last)) if last else acc)
 
 
 # -- exhaustive perfectness check ---------------------------------------------------

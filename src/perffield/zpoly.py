@@ -9,11 +9,11 @@ its inputs alone, except `trim`, which trims in place.
 fqtower builds on it the moduli of F_{p^n}, the Frobenius matrices and
 the powers of the generator behind each field's log tables. Past those
 tables (more than MAX_POINT_FIELD elements, or a reducible modulus),
-fqtower's `_FqPoly` takes the sums, products, powers and inverses of
-FqElem and of Brown's largest point fields from it, on decoded digits;
-_accel builds its reduction table with it. `invmod`, an extended Euclid
-by single division steps that builds no quotient, also serves fqtower's
-Rabin test, which needs only whether a gcd is 1. The monic gcd over
+fqtower's `_FqPoly` multiplies on packed ints of its own and takes only
+its inverses from here, on decoded digits; _accel builds its reduction
+table with it. `invmod`, an extended Euclid by single division steps
+that builds no quotient, also serves fqtower's Rabin test, which needs
+only whether a gcd is 1. The monic gcd over
 Z_p[t] is not here: it is the Euclid that Brown's algorithm (modgcd)
 runs over every point field, Z_p among them.
 """
@@ -30,13 +30,6 @@ def trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def add(a: Poly, b: Poly, p: int) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return trim(out)
 
 
 def sub(a: Poly, b: Poly, p: int) -> list[int]:
@@ -59,8 +52,8 @@ def mul(a: Poly, b: Poly, p: int) -> list[int]:
 
 def rem(a: Poly, b: Poly, p: int) -> list[int]:
     """a mod b; b must be nonzero."""
-    # every product of `_FqPoly` and every power of a table build ends
-    # here, so the loop builds no quotient and inlines its trim
+    # every power of a table build and of Rabin's test ends here, so the
+    # loop builds no quotient and inlines its trim
     r = trim(list(a))
     db = len(b) - 1
     inv_lc = pow(b[-1], -1, p)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -270,6 +271,70 @@ def test_fqelem_matches_the_tuple_oracle_on_other_moduli():
     R = FqField(2, 4, (1, 0, 1, 0, 1))
     assert len(_check_against_tuple_oracle(R, _oracle_pairs(R, rng), is_field=False)) == 12
     assert isinstance(R.arith(), fqtower._FqPoly)
+
+
+@pytest.mark.parametrize("p, n", [(2, 15), (2, 16), (3, 10), (1021, 2), (65521, 1)])
+def test_fqelem_past_the_table_bound_matches_the_tuple_oracle(p, n):
+    # packed products; F_{1021^2} has the widest slots make_field allows,
+    # and at n = 1 every encoding is below p. The element whose digits are
+    # all p - 1 gives the largest slot sums, so it is always in
+    field = make_field(p, n)
+    q = field.order
+    assert q > MAX_POINT_FIELD and isinstance(field.arith(), fqtower._FqPoly)
+    rng = random.Random(23 + q)
+    el = field.from_encoding
+    top = el(q - 1)
+    assert set(top.coeffs) == {p - 1}
+    elems = [el(rng.randrange(q)) for _ in range(2000)]
+    pairs = [(top, top), (top, el(p - 1)), (el(1), top), (top, field.zero())]
+    pairs += zip(elems, elems[1:] + elems[:1])
+    for a, b in pairs:
+        x, y = a.coeffs, b.coeffs
+        assert (a + b).coeffs == oracle_fq_add(field, x, y)
+        assert (a - b).coeffs == oracle_fq_add(field, x, oracle_fq_neg(field, y))
+        assert (a * b).coeffs == oracle_fq_mul(field, x, y)
+        if b:
+            assert (a / b).coeffs == oracle_fq_mul(field, x, oracle_fq_inv(field, y))
+        else:
+            with pytest.raises(DivisionByZero):
+                a / b
+    for a in [top, field.zero(), field.one(), el(p - 1)] + elems[:40]:
+        x = a.coeffs
+        if a:
+            assert a.inv().coeffs == oracle_fq_inv(field, x)
+        for e in (0, 1, 2, p, q - 2, q - 1, q, 10**30):
+            assert (a**e).coeffs == oracle_fq_pow(field, x, e), (a, e)
+
+
+def test_an_associate_or_unreduced_modulus_gives_the_same_encodings():
+    # 2f and f + 3 (3 added to every coefficient) are f over Z_3
+    F = make_field(3, 10)
+    f = F.modulus
+    rng = random.Random(24)
+    encs = [rng.randrange(F.order) for _ in range(300)] + [F.order - 1] * 2
+    for G in (FqField(3, 10, tuple(2 * c for c in f)), FqField(3, 10, tuple(c + 3 for c in f))):
+        assert isinstance(G.arith(), fqtower._FqPoly)
+        for a, b in zip(encs, reversed(encs)):
+            x, y, u, v = G.from_encoding(a), G.from_encoding(b), F.from_encoding(a), F.from_encoding(b)
+            assert [(x + y).enc, (x - y).enc, (x * y).enc, (-x).enc, (x**b).enc] == [
+                (u + v).enc, (u - v).enc, (u * v).enc, (-u).enc, (u**b).enc
+            ]
+            if b:
+                assert (x / y).enc == (u / v).enc
+
+
+@pytest.mark.parametrize(
+    "p, n, modulus",
+    [
+        (2, 3, (1, 1, 1)),  # too few coefficients
+        (2, 3, (1, 1, 0, 1, 1)),  # too many
+        (2, 3, (1, 1, 0, 0)),  # leading coefficient zero
+        (3, 2, (1, 0, 3)),  # leading coefficient zero mod p
+    ],
+)
+def test_fqfield_refuses_a_modulus_of_the_wrong_shape(p, n, modulus):
+    with pytest.raises(ValueError, match=re.escape(f"modulus {modulus}")):
+        FqField(p, n, modulus)
 
 
 def test_zero_divisor_of_a_reducible_modulus_raises_division_by_zero():
@@ -645,9 +710,9 @@ def test_random_arithmetic_against_integers():
             assert (fq.const(x) * fq.const(y)).encode() == (x * y) % p
 
 
-@pytest.mark.parametrize("p, k", [(101, 1), (3, 4), (2, 15), (101, 3)])
+@pytest.mark.parametrize("p, k", [(101, 1), (3, 4), (2, 15), (101, 3), (1021, 2)])
 def test_point_field_matches_fqelem_arithmetic(p, k):
-    # Z_101, a table field (F_81) and two fields past MAX_POINT_FIELD
+    # Z_101, a table field (F_81) and three fields past MAX_POINT_FIELD
     # (F_{101^3} is past make_field's bound too), against the residue-tuple
     # oracle: FqElem shares the tables of F_81, so it is no oracle for them
     assert 3**4 <= MAX_POINT_FIELD < 2**15
@@ -689,6 +754,15 @@ def test_point_field_matches_fqelem_arithmetic(p, k):
             for coeff in reversed(r):
                 acc = enc(oracle_fq_add(fq, el(mul(acc, x)), el(coeff)))
             assert F.value(r, x) == acc
+    # every coefficient q - 1 at a point whose digits are all p - 1: the
+    # largest slot sums of a packed Horner run
+    row, x = [fq.order - 1] * 40, fq.order - 1
+    acc = 0
+    for coeff in reversed(row):
+        acc = enc(oracle_fq_add(fq, el(mul(acc, x)), el(coeff)))
+    assert F.value(row, x) == acc
+    assert F.scale(x, [x]) == [mul(x, x)]
+    assert F.axpy([x, 0], x, [x, x]) == [sub(x, mul(x, x)), sub(0, mul(x, x))]
     # F_p is the encodings below p
     assert all(F.mul(a, b) == a * b % p for a in range(p) for b in range(p))
     assert all(F.sub(a, b) == (a - b) % p for a in range(p) for b in range(p))
