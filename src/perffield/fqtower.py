@@ -26,11 +26,14 @@ a field of encodings for the evaluation points of Brown's modular gcd:
 The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
 Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
 (row i = t^(i p^(n-1)) mod f), built on first use. The exhaustive sweep
-fills one int32 table with the images of all p^n elements by linearity,
-in place, one encoding digit (one row of Q) at a time; the embedding
-root search looks only in the subfield ker(Q^m - I) where every root
-lies, and works in that subfield's m coordinates, where one m x m x m
-tensor holds its multiplication; so `check_perfect` still visits every
+fills a byte-wide table (up to p = 127) with the coordinates of the
+images of all p^n elements by linearity, in place, one encoding digit
+(one row of Q) at a time, counts the encoded images to see that they are
+distinct, reads the order k off the orbits of the n basis elements t^i,
+and checks x^(p^k) = x on every element; the embedding root search
+looks only in the subfield ker(Q^m - I) where every root lies, and
+works in that subfield's m coordinates, where one m x m x m tensor
+holds its multiplication; so `check_perfect` still visits every
 element, through Q, and neither sweep builds tables. The scalar
 `frobenius` and `inv_frobenius` are one vector-matrix product each on
 the decoded digits, on every field, and so is `embed` (on the rows of
@@ -38,9 +41,9 @@ the root's powers), so they build no tables either. Powering never goes
 through these matrices, and the tests check the matrices against it
 element by element.
 
-numpy is imported inside the two sweeps, `check_perfect` and
-`find_embedding_root`, and nowhere else, so importing the library or
-the CLI does not load it.
+numpy is imported inside the two sweeps, `check_perfect` (and the
+image table it builds) and `find_embedding_root`, and nowhere else, so
+importing the library or the CLI does not load it.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from math import lcm
 from typing import Iterable
 
 from . import zpoly
@@ -857,17 +861,57 @@ class PerfectReport:
         return self.summary()
 
 
+def _frobenius_images(field: FqField):
+    """The encodings of the images x^p of all p^n elements x, as an intp
+    array indexed by the encoding of x.
+
+    The image of sum c_i t^i is sum c_i Q[i], so the table of the
+    coordinates of all p^n images is filled in place one encoding digit
+    at a time: the images of the elements below p^(i+1) are the p
+    multiples of Q[i] added to the images of the elements below p^i,
+    reduced mod p. The table holds coordinates in the narrowest unsigned
+    type that holds 2p - 2 (one byte up to p = 127), so a sum of two
+    coordinates is exact and min(x, x - p) reduces it: x - p wraps above
+    x exactly when x < p. Horner's rule encodes the images, in the
+    narrowest type that holds p^n - 1. The table is freed on return, so
+    it is not held while check_perfect gathers.
+    """
+    import numpy as np
+
+    p, n, q = field.p, field.n, field.order
+    coord = np.min_scalar_type(2 * p - 2)
+    # images[:, k] holds the coordinates of the image of the element encoded k
+    images = np.zeros((n, q), dtype=coord)
+    # the multiples d*Q[i] reach (p - 1)^2, and floor division by a
+    # scalar is a multiply-high where % is a division
+    wide = np.min_scalar_type((p - 1) ** 2)
+    digits = np.arange(1, p, dtype=wide)
+    for i, row in enumerate(np.array(field.frobenius_matrix(), dtype=wide)):
+        # block[:, d, j] is the element d*p^i + j, for j below p^i
+        block = images[:, : p ** (i + 1)].reshape(n, p, p**i)
+        high = block[:, 1:]
+        mult = np.outer(row, digits)
+        mult = (mult - mult // p * p).astype(coord)
+        np.add(mult[:, :, None], block[:, :1], out=high)
+        np.minimum(high, high - coord.type(p), out=high)
+    enc = images[-1].astype(np.min_scalar_type(q - 1))
+    for coords in reversed(images[:-1]):
+        enc *= p
+        enc += coords
+    return enc.astype(np.intp)
+
+
 def check_perfect(field: FqField) -> PerfectReport:
     """Verify by enumeration that x -> x^p permutes the whole field, and
     return the order of that permutation (the degree n, when all is well).
 
-    The image of sum c_i t^i is sum c_i Q[i], so the table of all p^n
-    images is filled in place one encoding digit at a time: the images
-    of the elements below p^(i+1) are the p multiples of Q[i] added to
-    the images of the elements below p^i, reduced mod p. The table is
-    int32 and exact: the multiples d*Q[i] reach p^2 and are reduced in
-    int64, after which both terms of a sum are below p, so one
-    subtraction of p reduces it, and an encoding is below p^n <= 2^16.
+    A bincount of the encodings of all p^n images (`_frobenius_images`)
+    shows whether they are distinct. The map P is F_p-linear, so P^j is
+    the identity exactly when it fixes the n basis elements t^i, and the
+    order k is the lcm of their orbit lengths: for each j < k some basis
+    element is not fixed by P^j. P^k is then computed on every element,
+    by binary powering of the image permutation, and checked to be the
+    identity.
     """
     if field.order > MAX_EXHAUSTIVE:
         raise BoundExceeded(
@@ -876,23 +920,10 @@ def check_perfect(field: FqField) -> PerfectReport:
         )
     import numpy as np
 
-    p, n = field.p, field.n
-    # images[:, k] holds the coordinates of the image of the element encoded k
-    images = np.zeros((n, field.order), dtype=np.int32)
-    digits = np.arange(1, p, dtype=np.int64)
-    for i, row in enumerate(np.array(field.frobenius_matrix(), dtype=np.int64)):
-        # block[:, d, j] is the element d*p^i + j, for j below p^i
-        block = images[:, : p ** (i + 1)].reshape(n, p, p**i)
-        high = block[:, 1:]
-        mult = (np.outer(row, digits) % p).astype(np.int32)
-        np.add(mult[:, :, None], block[:, :1], out=high)
-        np.subtract(high, p, out=high, where=high >= p)
+    p, n, q = field.p, field.n, field.order
     # enc[k] is the encoding of the image of the element encoded k
-    enc = images[-1].copy()
-    for coords in reversed(images[:-1]):
-        enc *= p
-        enc += coords
-    if np.bincount(enc, minlength=field.order).max() != 1:
+    enc = _frobenius_images(field)
+    if np.bincount(enc, minlength=q).max() != 1:
         # locate one collision pair for the report
         seen: dict[int, int] = {}
         pair = (0, 0)
@@ -901,17 +932,30 @@ def check_perfect(field: FqField) -> PerfectReport:
                 pair = (seen[v], i)
                 break
             seen[v] = i
-        return PerfectReport(p, field.n, field.order, False, None, pair)
-    # order of the permutation: iterate until every element returns home
-    home = np.arange(field.order, dtype=enc.dtype)
-    k = 1
-    cur = enc
-    while not np.array_equal(cur, home):
-        cur = enc[cur]
-        k += 1
-        if k > field.n:
+        return PerfectReport(p, n, q, False, None, pair)
+    # the order: the lcm of the orbit lengths of t^i (encoding p^i); an
+    # orbit longer than n already puts it past n
+    order = 1
+    for i in range(n):
+        basis = p**i
+        x, length = enc.item(basis), 1
+        while x != basis and length <= n:
+            x, length = enc.item(x), length + 1
+        order = lcm(order, length)
+        if order > n:
             raise RuntimeError("Frobenius order exceeded the extension degree")
-    return PerfectReport(p, field.n, field.order, True, k, None)
+    # P^order on every element, by squaring and multiplying permutations
+    power, square, e = None, enc, order
+    while True:
+        if e & 1:
+            power = square if power is None else np.take(square, power)
+        e >>= 1
+        if not e:
+            break
+        square = np.take(square, square)
+    if not np.array_equal(power, np.arange(q)):
+        raise RuntimeError("Frobenius order of the basis does not hold on every element")
+    return PerfectReport(p, n, q, True, order, None)
 
 
 # -- embeddings ---------------------------------------------------------------------

@@ -12,6 +12,7 @@ from perffield.errors import BoundExceeded, DivisionByZero, NoEmbedding
 from perffield.fqtower import (
     MAX_POINT_FIELD,
     FqField,
+    PerfectReport,
     canonical_modulus,
     check_perfect,
     embed,
@@ -417,9 +418,12 @@ def test_check_perfect_matches_matmul_sweep_on_every_small_field():
         if p**n <= 2**12
     ]
     assert len(fields) > 500
-    # and fields at the top of the exhaustive bound, where the int32 image
-    # table is largest, and the largest p it admits
+    # and fields at the top of the exhaustive bound, where the image table
+    # is largest, and the largest p it admits; 127, 131 and 32771 are the
+    # last p whose coordinates (up to 2p - 2) fit a byte, the first that
+    # needs 16 bits and the first that needs 32
     fields += [(2, 16), (2, 15), (3, 10), (5, 6), (7, 5), (13, 4), (31, 3), (251, 2), (65521, 1)]
+    fields += [(127, 2), (131, 2), (32771, 1)]
     for p, n in fields:
         field = make_field(p, n)
         assert check_perfect(field) == oracle_check_perfect(field), (p, n)
@@ -452,6 +456,62 @@ def test_check_perfect_matches_matmul_sweep_on_reducible_moduli():
         RuntimeError,
         "Frobenius order exceeded the extension degree",
     )
+    # (t + 1)(t^2 + t + 1) = t^3 + 1 over Z_2: Z_2[t]/(f) is F_2 x F_4, where
+    # the Frobenius has order 2, at most n = 3 but not dividing it
+    assert check_perfect(FqField(2, 3, (1, 0, 0, 1))) == PerfectReport(2, 3, 8, True, 2, None)
+
+
+def _outcome(report_or_error, n):
+    if isinstance(report_or_error, tuple):
+        return "order > n"
+    if not report_or_error.passed:
+        return "collision"
+    return "order | n" if n % report_or_error.order == 0 else "order <= n, not | n"
+
+
+def test_check_perfect_matches_matmul_sweep_on_random_linear_maps():
+    # check_perfect reads the order off the orbits of the basis, which holds
+    # for every F_p-linear map, not just for a Frobenius: seeded random
+    # matrices in place of Q, every third one singular (its last row a
+    # multiple of its first), give every outcome
+    rng = random.Random(24)
+    outcomes = set()
+    for p, n in [(2, 1), (2, 3), (2, 4), (2, 6), (2, 12), (3, 2), (3, 5), (5, 3), (7, 4), (13, 3), (61, 2)]:
+        field = FqField(p, n, make_field(p, n).modulus)
+        for trial in range(12):
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 0:
+                c = rng.randrange(p)
+                rows[-1] = [c * a % p for a in rows[0]] if n > 1 else [0]
+            field._frob = tuple(map(tuple, rows))
+            got = _report_or_error(check_perfect, field)
+            assert got == _report_or_error(oracle_check_perfect, field), (p, n, rows)
+            outcomes.add(_outcome(got, n))
+    assert outcomes == {"order | n", "order <= n, not | n", "order > n", "collision"}
+    # the basis permuted by a 2-cycle and a 3-cycle: orbits of lengths 2 and
+    # 3, so the order is their lcm 6, past n = 5 and dividing n = 6
+    for n in (5, 6):
+        field = FqField(2, n, make_field(2, n).modulus)
+        cycle = [1, 0, 3, 4, 2] + list(range(5, n))
+        field._frob = tuple(tuple(int(j == cycle[i]) for j in range(n)) for i in range(n))
+        got = _report_or_error(check_perfect, field)
+        assert got == _report_or_error(oracle_check_perfect, field), n
+    assert got == PerfectReport(2, 6, 64, True, 6, None)
+
+
+def test_check_perfect_memory():
+    # one byte per coordinate, and a table freed before the gathers, keep
+    # F_{2^16} near 1.6 MiB of numpy memory; an int32 table of the
+    # coordinates alone takes 4 MiB
+    field = make_field(2, 16)
+    tracemalloc.start()
+    try:
+        report = check_perfect(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.order == 16
+    assert peak < 2.5 * 2**20
 
 
 def _first_root_by_scan(source, target):
