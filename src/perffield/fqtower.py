@@ -10,18 +10,17 @@ its field and its encoding: the int whose base-p digits are the
 coefficients of its residue, constant first (`_decode`, `_encode`).
 
 Each field does its arithmetic through one object, picked on the first
-`+ - * / ** inv` and never at construction. Up to MAX_POINT_FIELD
-elements, on a modulus that Rabin's test accepts, that object is
-`_FqTables`: log, antilog and Zech tables of about 4q entries, built
-once from zpoly's products on the field's own modulus, on which a
-product is exp[log a + log b], an inverse exp[q - 1 - log a] and a power
-exp[log a * e mod (q - 1)]. Otherwise (a larger field, or a reducible
-modulus, whose zero divisors raise DivisionByZero) it is `_FqPoly`,
-which packs the digits into one int, one slot per digit, so a product
-is one big-int product and a Barrett reduction, and inverts by zpoly's
-Euclid. `point_field` gives F_{p^k}, past make_field's bounds too, as
-a field of encodings for the evaluation points of Brown's modular gcd:
-`_Fq`, a zero-free layout of the same tables, or `_FqPoly`.
+`+ - * / ** inv` and never at construction, and Brown's modular gcd
+takes its evaluation points from the same object (`point_field`). Up
+to MAX_POINT_FIELD elements, on a modulus that Rabin's test accepts,
+that object is `_FqTables`: log, antilog and Zech tables of about 15q
+entries, laid out so that no product or sum tests for zero, built once
+from zpoly's products on the field's own modulus. Otherwise (a larger
+field, or a reducible modulus, whose zero divisors raise
+DivisionByZero) it is `_FqPoly`, which packs the digits into one int,
+one slot per digit, so a product is one big-int product and a Barrett
+reduction, and inverts by zpoly's Euclid. Point fields past
+make_field's bounds are `_FqPoly` on the canonical modulus.
 
 The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
 Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
@@ -63,12 +62,11 @@ MAX_DEGREE = 16
 MAX_ORDER = 2**20
 MAX_EXHAUSTIVE = 2**16
 # elements of the largest F_{p^k} whose arithmetic runs on tables, for
-# FqElem and for Brown's points alike; building them takes 0.6 to 4 us
-# per element (7 ms for F_{101^2}, 70 ms for F_{2^14}), and the point
-# field's layout under 0.3 us more. Past it `_FqPoly` multiplies packed
-# digits in 1-1.3 us, and larger point fields serve degrees in the
-# thousands, in practice lifted elements with sparse rows, which it
-# evaluates in fewer products
+# FqElem and for Brown's points alike; building them takes 1.8 to 11 us
+# per element on a 2-core Xeon host (18 ms for F_{101^2}, 177 ms for
+# F_{2^14}). Past it `_FqPoly` multiplies packed digits in 1-1.3 us, and
+# larger point fields serve degrees in the thousands, in practice lifted
+# elements with sparse rows, which it evaluates in fewer products
 MAX_POINT_FIELD = 1 << 14
 
 # entries of the multiplication matrices of one block of the embedding
@@ -146,7 +144,7 @@ def _encode(coeffs, p: int) -> int:
 class FqField:
     """The finite field with p^n elements, as Z_p[t] mod a fixed modulus."""
 
-    __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob", "_arith", "point_tables")
+    __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob", "_arith")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         if len(modulus) != n + 1 or not modulus[-1] % p:
@@ -162,9 +160,6 @@ class FqField:
         self._inv_frob = None
         # the arithmetic of the elements' encodings, picked on first use
         self._arith = None
-        # the `_Fq` tables of the field as a point field, built by
-        # point_field on first use
-        self.point_tables = None
 
     def arith(self) -> _FqTables | _FqPoly:
         """The object that adds, multiplies, powers and inverts encodings:
@@ -438,20 +433,25 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
 
 class _FqTables:
     """The arithmetic of the encodings of F_q, q = p^n <= MAX_POINT_FIELD,
-    modulo an irreducible f, on log, antilog and Zech tables.
+    modulo an irreducible f, on log, antilog and Zech tables laid out so
+    that no product or sum tests for zero: FqElem's arithmetic, and on
+    the canonical modulus Brown's point field F_q as well.
 
     With L = q - 1 and g the first primitive element in encoding order,
-    `exp[i]` is g^(i mod L) for i < 2L, `log[a]` is the exponent of g for
-    a != 0 and 3L for 0 (no index of `exp`, so a zero must be tested
-    first), and `zech[d]` is log(1 + g^d), or None where 1 + g^d = 0. So
-    a*b = exp[log a + log b], a^-1 = exp[L - log a], a^e = exp[log a * e
-    mod L], and a + b = g^la (1 + g^(lb - la)) = exp[la + zech[lb - la]].
-    The powers of g come from zpoly's products on f's own digits, never
-    from FqElem arithmetic, so any irreducible modulus gets its own
-    tables; they take about 4q list entries (1.4 MB for F_{5^6}).
+    `log[a]` is the exponent of g for a != 0 and 3L for 0, and `exp[i]`
+    is g^(i mod L) below 2L and 0 from 2L to 6L; so a*b = exp[log a +
+    log b], a^-1 = exp[L - log a] and a^e = exp[log a * e mod L].
+    Addition goes through Zech logarithms: a + w = g^la (1 + g^(lw - la))
+    = exp[la + zech[lw - la + 3L]], where lw is log w, possibly unreduced
+    up to 2L - 2, or in [3L, 4L) for w = 0; the table's three ranges cover
+    a = 0, both nonzero (log(1 + g^d), or 2L where 1 + g^d = 0) and w = 0.
+    `nlog[a]` is log(-a). The powers of g come from zpoly's products on
+    f's own digits, never from FqElem arithmetic, so any irreducible
+    modulus gets its own tables; they take about 15q list entries (3.7 MiB
+    at F_{5^6}).
     """
 
-    __slots__ = ("p", "q", "log", "exp", "zech", "half")
+    __slots__ = ("p", "q", "log", "nlog", "exp", "zech", "points")
 
     def __init__(self, p: int, f):
         n = len(f) - 1
@@ -470,39 +470,47 @@ class _FqTables:
         for _ in range(L - 1):
             x = [sum(map(operator.mul, x, col)) % p for col in cols]
             powers.append(sum(map(operator.mul, x, weights)))
+        exp = powers * 2 + [0] * (4 * L + 1)
         log = [3 * L] * q
         for i, a in enumerate(powers):
             log[a] = i
-        # 1 + a changes a's constant digit only
-        zech = [None] * L
-        for d, a in enumerate(powers):
+        # -g^i = g^(i + L/2) (g^0 for p = 2); nlog and the Zech column
+        # read their values out of log, so the three share its ints
+        half = L // 2 if p > 2 else 0
+        nlog = log[:]
+        zcol = []
+        for i, a in enumerate(powers):
+            nlog[a] = log[exp[i + half]]
+            # 1 + a changes a's constant digit only
             a1 = a - a % p + (a + 1) % p
-            if a1:
-                zech[d] = log[a1]
+            zcol.append(log[a1] if a1 else 2 * L)
+        # the docstring's three ranges, in place: a = 0, both nonzero, w = 0
+        zech = [0] * (7 * L)
+        zech[: 2 * L - 1] = range(-3 * L, -L - 1)
+        zech[2 * L + 1 : 3 * L] = zcol[1:]
+        zech[3 * L : 4 * L] = zcol
+        zech[4 * L : 5 * L - 1] = zcol[:-1]
         self.p, self.q = p, q
-        self.log, self.exp, self.zech = log, powers * 2, zech
-        # log(-1)
-        self.half = L // 2 if p > 2 else 0
+        self.log, self.nlog, self.exp, self.zech = log, nlog, exp, zech
+        # g, g^2, ... first: g^i lies in a proper subfield only for i a
+        # multiple of (q - 1)/(p^j - 1), and at points of F_p (or of any
+        # subfield) x^p and x, or x^(p^j) and x, agree, which makes them
+        # unlucky for the lifted inputs of the perfect closure
+        self.points = powers[1:] + [1, 0]
 
     def add(self, a: int, b: int) -> int:
-        if not a:
-            return b
-        if not b:
-            return a
         log = self.log
         la = log[a]
-        z = self.zech[(log[b] - la) % (self.q - 1)]
-        return 0 if z is None else self.exp[la + z]
+        return self.exp[la + self.zech[log[b] - la + 3 * (self.q - 1)]]
 
     def neg(self, a: int) -> int:
-        return self.exp[self.log[a] + self.half] if a else 0
+        return self.exp[self.nlog[a]]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        la = self.log[a]
+        return self.exp[la + self.zech[self.nlog[b] - la + 3 * (self.q - 1)]]
 
     def mul(self, a: int, b: int) -> int:
-        if not a or not b:
-            return 0
         log = self.log
         return self.exp[log[a] + log[b]]
 
@@ -516,6 +524,29 @@ class _FqTables:
             return 0 if e else 1
         return self.exp[self.log[a] * e % (self.q - 1)]
 
+    def scale(self, c: int, v: list[int]) -> list[int]:
+        log, exp = self.log, self.exp
+        lc = log[c]
+        return [exp[lc + log[x]] for x in v]
+
+    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
+        """u - c*v, elementwise, for a nonzero c."""
+        log, exp, zech = self.log, self.exp, self.zech
+        off = 3 * (self.q - 1) + self.nlog[c]
+        return [exp[(lx := log[x]) + zech[off + log[y] - lx]] for x, y in zip(u, v)]
+
+    def value(self, row: list[int], x: int) -> int:
+        """The dense row evaluated at x, by Horner."""
+        if not x:
+            return row[0] if row else 0
+        log, exp, zech = self.log, self.exp, self.zech
+        off = 3 * (self.q - 1) + log[x]
+        acc = 0
+        for c in reversed(row):
+            lc = log[c]
+            acc = exp[lc + zech[off + log[acc] - lc]]
+        return acc
+
 
 # -- point fields -------------------------------------------------------------------
 
@@ -528,19 +559,15 @@ def point_field(p: int, k: int):
     `value` on lists of them, and `points`, every element once, in the
     order the gcd tries them.
 
-    Z_p for k = 1; up to MAX_POINT_FIELD elements, a zero-free layout
-    (`_Fq`) of the make_field object's own tables, kept on that object,
-    so they are built once per field and go when make_field's cache is
-    cleared; past that, packed products modulo the canonical modulus
-    (`_FqPoly`, the arithmetic of FqElem past the table bound)."""
+    Z_p for k = 1; within make_field's bounds, the field's own `arith()`,
+    which its FqElems use too, so it is built once per field and goes
+    when make_field's cache is cleared; past them, `_FqPoly` on the
+    canonical modulus."""
     if k == 1:
         return _Zp(p)
-    if p**k > MAX_POINT_FIELD:
-        return _FqPoly(p, canonical_modulus(p, k))
-    field = make_field(p, k)
-    if field.point_tables is None:
-        field.point_tables = _Fq(field.arith())
-    return field.point_tables
+    if k <= MAX_DEGREE and p**k <= MAX_ORDER:
+        return make_field(p, k).arith()
+    return _FqPoly(p, canonical_modulus(p, k))
 
 
 class _Zp:
@@ -581,82 +608,6 @@ class _Zp:
         return acc
 
 
-class _Fq:
-    """F_q, q = p^k with 2 <= k and q <= MAX_POINT_FIELD, as a point
-    field, through O(q) tables laid out so that no operation tests for
-    zero; the field's `_FqTables` give the generator g, its powers and
-    `log`, and the layout adds about 14q entries.
-
-    With L = q - 1, `log[a]` is the exponent of g for a != 0 and 3L for
-    0, and `exp[i]` is g^(i mod L) below 2L and 0 from 2L to 6L; so
-    exp[log a + log b] = a*b with no test for zero. Addition goes
-    through Zech logarithms: a + w = exp[log a + zech[lw - log a + 3L]],
-    where lw is log w, possibly unreduced up to 2L - 2, or in [3L, 4L)
-    for w = 0; the table's three ranges cover a = 0, both nonzero, and
-    w = 0. `nlog[a]` is log(-a).
-    """
-
-    __slots__ = ("p", "q", "log", "nlog", "exp", "zech", "points")
-
-    def __init__(self, tables: _FqTables):
-        p, q = tables.p, tables.q
-        n = q - 1
-        powers, log = tables.exp[:n], tables.log
-        zech = [0] * (7 * n)
-        for d in range(2 * n - 1):
-            zech[d] = d - 3 * n
-        for d in range(2 * n + 1, 5 * n - 1):
-            z = tables.zech[(d - 3 * n) % n]
-            zech[d] = 2 * n if z is None else z
-        self.p, self.q = p, q
-        self.log = log
-        self.nlog = [3 * n] + [(i + tables.half) % n for i in log[1:]]
-        self.exp = powers * 2 + [0] * (4 * n + 1)
-        self.zech = zech
-        # g, g^2, ... first: g^i lies in a proper subfield only for i a
-        # multiple of (q - 1)/(p^j - 1), and at points of F_p (or of any
-        # subfield) x^p and x, or x^(p^j) and x, agree, which makes them
-        # unlucky for the lifted inputs of the perfect closure
-        self.points = powers[1:] + [1, 0]
-
-    def mul(self, a: int, b: int) -> int:
-        log = self.log
-        return self.exp[log[a] + log[b]]
-
-    def neg(self, a: int) -> int:
-        return self.exp[self.nlog[a]]
-
-    def sub(self, a: int, b: int) -> int:
-        la = self.log[a]
-        return self.exp[la + self.zech[self.nlog[b] - la + 3 * (self.q - 1)]]
-
-    def inv(self, a: int) -> int:
-        return self.exp[self.q - 1 - self.log[a]]
-
-    def scale(self, c: int, v: list[int]) -> list[int]:
-        log, exp = self.log, self.exp
-        lc = log[c]
-        return [exp[lc + log[x]] for x in v]
-
-    def axpy(self, u: list[int], c: int, v: list[int]) -> list[int]:
-        """u - c*v, elementwise, for a nonzero c."""
-        log, exp, zech = self.log, self.exp, self.zech
-        off = 3 * (self.q - 1) + self.nlog[c]
-        return [exp[(lx := log[x]) + zech[off + log[y] - lx]] for x, y in zip(u, v)]
-
-    def value(self, row: list[int], x: int) -> int:
-        """The dense row evaluated at x, by Horner."""
-        if not x:
-            return row[0] if row else 0
-        log, exp, zech = self.log, self.exp, self.zech
-        off = 3 * (self.q - 1) + log[x]
-        acc = 0
-        for c in reversed(row):
-            lc = log[c]
-            acc = exp[lc + zech[off + log[acc] - lc]]
-        return acc
-
-
 class _FqPoly:
     """Z_p[t] modulo f of degree n without tables, on Kronecker-packed
     ints: digit i of an encoding sits in bits [i*w, (i+1)*w) of one int,
@@ -672,10 +623,9 @@ class _FqPoly:
     by one product whose middle slot is the sum of digit * p^i. Inverses
     stay zpoly's extended Euclid on the decoded digits.
 
-    It is the arithmetic of FqElem on a field past MAX_POINT_FIELD
-    elements or on a reducible modulus, whose zero divisors raise
-    DivisionByZero, and the point field F_q, q = p^n past
-    MAX_POINT_FIELD, on the canonical modulus.
+    It is FqElem's arithmetic past MAX_POINT_FIELD elements or on a
+    reducible modulus, whose zero divisors raise DivisionByZero, and so
+    Brown's point field F_q past MAX_POINT_FIELD.
 
     A point field this large serves degrees in the hundreds and more,
     which in practice are those of lifted elements (x^(p^2) at p = 101)

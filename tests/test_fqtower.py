@@ -308,20 +308,32 @@ def test_fqelem_past_the_table_bound_matches_the_tuple_oracle(p, n):
 
 
 def test_an_associate_or_unreduced_modulus_gives_the_same_encodings():
-    # 2f and f + 3 (3 added to every coefficient) are f over Z_3
-    F = make_field(3, 10)
-    f = F.modulus
+    # 2f and f + p (p added to every coefficient) are f over Z_p: packed
+    # products on F_{3^10}, on seeded pairs, and tables of their own on
+    # F_{5^3}, on every pair
     rng = random.Random(24)
-    encs = [rng.randrange(F.order) for _ in range(300)] + [F.order - 1] * 2
-    for G in (FqField(3, 10, tuple(2 * c for c in f)), FqField(3, 10, tuple(c + 3 for c in f))):
-        assert isinstance(G.arith(), fqtower._FqPoly)
-        for a, b in zip(encs, reversed(encs)):
-            x, y, u, v = G.from_encoding(a), G.from_encoding(b), F.from_encoding(a), F.from_encoding(b)
-            assert [(x + y).enc, (x - y).enc, (x * y).enc, (-x).enc, (x**b).enc] == [
-                (u + v).enc, (u - v).enc, (u * v).enc, (-u).enc, (u**b).enc
-            ]
-            if b:
-                assert (x / y).enc == (u / v).enc
+    big, small = make_field(3, 10), make_field(5, 3)
+    encs = [rng.randrange(big.order) for _ in range(300)] + [big.order - 1] * 2
+    cases = [
+        (big, fqtower._FqPoly, list(zip(encs, reversed(encs)))),
+        (small, fqtower._FqTables, [(a, b) for a in range(125) for b in range(125)]),
+    ]
+    for F, kind, pairs in cases:
+        p, n, f = F.p, F.n, F.modulus
+        for G in (FqField(p, n, tuple(2 * c for c in f)), FqField(p, n, tuple(c + p for c in f))):
+            assert isinstance(G.arith(), kind)
+            for a, b in pairs:
+                x, y = G.from_encoding(a), G.from_encoding(b)
+                u, v = F.from_encoding(a), F.from_encoding(b)
+                assert [
+                    (x + y).enc, (x - y).enc, (x * y).enc, (-x).enc, (x**b).enc,
+                    x.frobenius().enc, x.inv_frobenius().enc,
+                ] == [
+                    (u + v).enc, (u - v).enc, (u * v).enc, (-u).enc, (u**b).enc,
+                    u.frobenius().enc, u.inv_frobenius().enc,
+                ]
+                if b:
+                    assert (x / y).enc == (u / v).enc
 
 
 @pytest.mark.parametrize(
@@ -770,11 +782,12 @@ def test_random_arithmetic_against_integers():
             assert (fq.const(x) * fq.const(y)).encode() == (x * y) % p
 
 
-@pytest.mark.parametrize("p, k", [(101, 1), (3, 4), (2, 15), (101, 3), (1021, 2)])
+@pytest.mark.parametrize("p, k", [(101, 1), (3, 4), (2, 15), (101, 3), (1021, 2), (2, 21)])
 def test_point_field_matches_fqelem_arithmetic(p, k):
-    # Z_101, a table field (F_81) and three fields past MAX_POINT_FIELD
-    # (F_{101^3} is past make_field's bound too), against the residue-tuple
-    # oracle: FqElem shares the tables of F_81, so it is no oracle for them
+    # Z_101, a table field (F_81), three fields past MAX_POINT_FIELD but
+    # inside make_field's bounds, and F_{2^21}, past MAX_ORDER, whose
+    # modulus comes from canonical_modulus; against the residue-tuple
+    # oracle, since FqElem shares the point field's arithmetic object
     assert 3**4 <= MAX_POINT_FIELD < 2**15
     F = point_field(p, k)
     fq = make_field(p, k) if p**k <= fqtower.MAX_ORDER else FqField(p, k, canonical_modulus(p, k))
@@ -835,8 +848,33 @@ def test_point_field_tables_list_every_element_once_and_follow_make_field():
     make_field.cache_clear()
     G = point_field(3, 4)
     assert G is not F
-    assert G is make_field(3, 4).point_tables
+    assert G is make_field(3, 4).arith()
     assert (G.log, G.exp, G.zech, G.points) == (F.log, F.exp, F.zech, F.points)
+
+
+@pytest.mark.parametrize("p, k", [(3, 4), (2, 15), (101, 3)])
+def test_point_field_is_the_fields_own_arithmetic(p, k):
+    # tables (F_81) and packed products (F_{2^15}, F_{101^3}): one object
+    # per field, shared with FqElem, and no second build on a second call
+    F = point_field(p, k)
+    assert F is make_field(p, k).arith()
+    assert point_field(p, k) is F
+
+
+def test_one_table_layout_serves_fqelem_and_the_point_field():
+    # F_{5^6}: one layout of about 15q entries, whose nlog and Zech lists
+    # hold log's own ints, near 3.7 MiB; a second, point-field layout
+    # beside the FqElem tables would bring the pair to 4.6 MiB
+    make_field.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = make_field(5, 6).arith()
+        F = point_field(5, 6)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert F is tables
+    assert size < 4 * 2**20
 
 
 def _digest(values):
@@ -856,13 +894,12 @@ def _digest(values):
     ],
 )
 def test_point_field_tables_come_from_the_field_table_build(p, k, generator, digests):
-    # the digests are of the lists _Fq built when it multiplied FqElems
-    # and searched its own primitive element; it now reads g, its powers
-    # and log from the field's one table build, and the lists are the same
+    # the digests were recorded when the point field built a layout of its
+    # own from FqElem products; the field's one table build now lays its
+    # lists out the same way
     make_field.cache_clear()
     field = make_field(p, k)
     F = point_field(p, k)
-    tables = field.arith()
-    assert tables.exp[1] == generator == field.primitive_element().enc == F.points[0]
-    assert F.log is tables.log
+    assert F is field.arith()
+    assert F.exp[1] == generator == field.primitive_element().enc == F.points[0]
     assert " ".join(map(_digest, (F.log, F.exp, F.zech, F.nlog, F.points))) == digests
