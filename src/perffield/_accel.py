@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import zpoly
+from .fqtower import FqField
 
 # There is one numpy implementation. HAVE_NUMBA and backend_name() stay
 # only because the benchmark's environment record (perfbench/run.py
@@ -36,12 +36,9 @@ def backend_name() -> str:
 def reduction_table(modulus: tuple[int, ...], p: int) -> np.ndarray:
     """Rows k = 0..n-2: coefficients of t^(n+k) mod f, each of degree < n."""
     n = len(modulus) - 1
-    red = np.zeros((max(n - 1, 0), n), dtype=np.int64)
-    row = zpoly.rem([0] * n + [1], modulus, p)
-    for k in range(n - 1):
-        red[k, : len(row)] = row
-        row = zpoly.rem([0] + row, modulus, p)
-    return red
+    field = FqField(p, n, modulus)
+    rows = [field.elem([0] * (n + k) + [1]).coeffs for k in range(n - 1)]
+    return np.array(rows, dtype=np.int64).reshape(max(n - 1, 0), n)
 
 
 def batch_mulmod(

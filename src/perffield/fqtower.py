@@ -9,17 +9,20 @@ so a given (p, n) always denotes the same concrete field. An element is
 its field and its encoding: the int whose base-p digits are the
 coefficients of its residue, constant first (`_decode`, `_encode`).
 
-Each field does its arithmetic through one object, picked on the first
-`+ - * / ** inv` and never at construction, and Brown's modular gcd
-takes its evaluation points from the same object (`point_field`). Up
-to MAX_POINT_FIELD elements, on a modulus that Rabin's test accepts,
-that object is `_FqTables`: log, antilog and Zech tables of about 15q
-entries, laid out so that no product or sum tests for zero, built once
-from zpoly's products on the field's own modulus. Otherwise (a larger
-field, or a reducible modulus, whose zero divisors raise
-DivisionByZero) it is `_FqPoly`, which packs the digits into one int,
-one slot per digit, so a product is one big-int product and a Barrett
-reduction, and inverts by zpoly's Euclid. Point fields past
+Each field has one residue arithmetic, its `ring()`: `_FqPoly`, which
+packs the digits into one int, one slot per digit, so a product is one
+big-int product and a Barrett reduction, and inverts by zpoly's Euclid.
+All of the field's construction runs on it: Rabin's test, the first
+primitive element, the rows of Q, of its inverse and of each embedding,
+and the powers of the generator behind the tables. Each field does its
+arithmetic through one object, picked on the first `+ - * / ** inv` and
+never at construction, and Brown's modular gcd takes its evaluation
+points from the same object (`point_field`). Up to MAX_POINT_FIELD
+elements, on a modulus that Rabin's test accepts, that object is
+`_FqTables`: log, antilog and Zech tables of about 15q entries, laid out
+so that no product or sum tests for zero, built once from the ring's
+products. Otherwise (a larger field, or a reducible modulus, whose zero
+divisors raise DivisionByZero) it is the ring itself. Point fields past
 make_field's bounds are `_FqPoly` on the canonical modulus.
 
 The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
@@ -47,7 +50,6 @@ importing the library or the CLI does not load it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -62,8 +64,8 @@ MAX_DEGREE = 16
 MAX_ORDER = 2**20
 MAX_EXHAUSTIVE = 2**16
 # elements of the largest F_{p^k} whose arithmetic runs on tables, for
-# FqElem and for Brown's points alike; building them takes 1.8 to 11 us
-# per element on a 2-core Xeon host (18 ms for F_{101^2}, 177 ms for
+# FqElem and for Brown's points alike; building them takes 2 to 3 us
+# per element on a 2-core Xeon host (20 ms for F_{101^2}, 44 ms for
 # F_{2^14}). Past it `_FqPoly` multiplies packed digits in 1-1.3 us, and
 # larger point fields serve degrees in the thousands, in practice lifted
 # elements with sparse rows, which it evaluates in fewer products
@@ -89,35 +91,38 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's criterion for a monic f of degree n over Z_p."""
-    n = len(f) - 1
+def _is_irreducible(R: _FqPoly) -> bool:
+    """Rabin's criterion for the modulus f of the ring R, of degree n:
+    t^(p^n) = t, and gcd(t^(p^(n/r)) - t, f) = 1 for every prime r
+    dividing n, which R's inverse tells by raising unless it holds."""
+    p, n = R.p, len(R.modulus) - 1
     if n == 1:
         return True
-    t = [0, 1]
-    # t^(p^n) must be t itself mod f
-    if zpoly.powmod(t, p**n, f, p) != t:
+    t = p  # the encoding of t
+    if R.pow(t, R.q) != t:
         return False
-    for q in _prime_factors(n):
-        h = zpoly.sub(zpoly.powmod(t, p ** (n // q), f, p), t, p)
+    for r in _prime_factors(n):
+        h = R.sub(R.pow(t, p ** (n // r)), t)
+        # f divides h = 0, so their gcd is f
+        if not h:
+            return False
         try:
-            zpoly.invmod(h, f, p)  # raises ValueError unless gcd(h, f) = 1
-        except ValueError:
+            R.inv(h)
+        except DivisionByZero:
             return False
     return True
 
 
-def _first_primitive(p: int, f) -> int:
-    """The encoding of the first element of multiplicative order
-    p^n - 1 modulo f of degree n: g^((p^n - 1)/r) != 1 for every prime r
-    dividing p^n - 1, by zpoly's powers on g's digits."""
-    q = p ** (len(f) - 1)
+def _first_primitive(R: _FqPoly) -> int:
+    """The encoding of the first element of multiplicative order q - 1
+    in the ring R of q elements: g^((q - 1)/r) != 1 for every prime r
+    dividing q - 1."""
+    q = R.q
     cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
     for g in range(1, q):
-        digits = _decode(g, p)
-        if all(zpoly.powmod(digits, m, f, p) != [1] for m in cofactors):
+        if all(R.pow(g, m) != 1 for m in cofactors):
             return g
-    raise RuntimeError(f"no primitive element modulo {_poly_str(f)} over Z_{p}")
+    raise RuntimeError(f"no primitive element modulo {_poly_str(R.modulus)} over Z_{R.p}")
 
 
 def _decode(k: int, p: int) -> list[int]:
@@ -128,6 +133,12 @@ def _decode(k: int, p: int) -> list[int]:
         k, r = divmod(k, p)
         out.append(r)
     return out
+
+
+def _digits(k: int, p: int, n: int) -> tuple[int, ...]:
+    """The n base-p digits of k < p^n, least significant first."""
+    cs = _decode(k, p)
+    return tuple(cs) + (0,) * (n - len(cs))
 
 
 def _encode(coeffs, p: int) -> int:
@@ -144,7 +155,7 @@ def _encode(coeffs, p: int) -> int:
 class FqField:
     """The finite field with p^n elements, as Z_p[t] mod a fixed modulus."""
 
-    __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob", "_arith")
+    __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob", "_ring", "_arith")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         if len(modulus) != n + 1 or not modulus[-1] % p:
@@ -158,28 +169,35 @@ class FqField:
         self.order = p**n
         self._frob = None
         self._inv_frob = None
-        # the arithmetic of the elements' encodings, picked on first use
+        # Z_p[t] mod the modulus on packed digits, and the arithmetic of
+        # the elements' encodings, both built on first use
+        self._ring = None
         self._arith = None
+
+    def ring(self) -> _FqPoly:
+        """Z_p[t] modulo the field's modulus on packed digits: every step
+        of the field's construction runs on it, and past the tables so
+        does FqElem's arithmetic."""
+        if self._ring is None:
+            self._ring = _FqPoly(self.p, self.modulus)
+        return self._ring
 
     def arith(self) -> _FqTables | _FqPoly:
         """The object that adds, multiplies, powers and inverts encodings:
         tables up to MAX_POINT_FIELD elements on an irreducible modulus,
-        products of packed digits otherwise. Picked on the first call,
-        so a field that only maps through Q never builds tables."""
+        the ring otherwise. Picked on the first call, so a field that
+        only maps through Q never builds tables."""
         if self._arith is None:
-            p, f = self.p, self.modulus
-            if self.order <= MAX_POINT_FIELD and _is_irreducible(list(f), p):
-                self._arith = _FqTables(p, f)
-            else:
-                self._arith = _FqPoly(p, f)
+            R = self.ring()
+            small = self.order <= MAX_POINT_FIELD
+            self._arith = _FqTables(R) if small and _is_irreducible(R) else R
         return self._arith
 
     def power_map(self, e: int) -> tuple[tuple[int, ...], ...]:
         """Rows of the matrix of a -> a^e when that map is F_p-linear
         (e a power of p): row i is t^(ie) mod f, so a row vector of
         coefficients times the matrix is the image."""
-        f, p = self.modulus, self.p
-        return _power_rows(zpoly.powmod([0, 1], e, f, p), self.n, f, p)
+        return _power_rows(self, self.ring().pow(self.gen().enc, e), self.n)
 
     def frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Berlekamp's Q: row i is t^(ip) mod f."""
@@ -196,14 +214,15 @@ class FqField:
     def primitive_element(self) -> FqElem:
         """The first element of multiplicative order p^n - 1 in encoding
         order, the generator of the field's tables."""
-        return FqElem(self, _first_primitive(self.p, self.modulus))
+        return FqElem(self, _first_primitive(self.ring()))
 
     def elem(self, coeffs) -> FqElem:
         """The residue of a coefficient sequence, constant first."""
         p = self.p
         cs = [c % p for c in coeffs]
         if len(cs) > self.n:
-            cs = zpoly.rem(cs, self.modulus, p)
+            # the polynomial cs at t, in the ring
+            return FqElem(self, self.ring().value(cs, self.gen().enc))
         return FqElem(self, _encode(cs, p))
 
     def zero(self) -> FqElem:
@@ -216,8 +235,10 @@ class FqField:
         return FqElem(self, c % self.p)
 
     def gen(self) -> FqElem:
-        """The residue of t (the constant -c_0 when the modulus is t + c_0)."""
-        return self.elem([0, 1])
+        """The residue of t: the encoding p, or the constant -f_0/f_1
+        when the modulus f has degree 1."""
+        p, f = self.p, self.modulus
+        return FqElem(self, p if self.n > 1 else -f[0] * pow(f[1], -1, p) % p)
 
     def from_encoding(self, k: int) -> FqElem:
         if not isinstance(k, int):
@@ -250,14 +271,14 @@ class FqField:
         return _poly_str(self.modulus)
 
 
-def _power_rows(x, k: int, f, p: int) -> tuple[tuple[int, ...], ...]:
-    """x^i mod f for i < k, each padded to deg f digits: the rows of the
-    F_p-linear map that sends t to x."""
-    n = len(f) - 1
-    rows, cur = [], [1]
+def _power_rows(field: FqField, x: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The digits of x^i for i < k, by the field's ring: the rows of the
+    F_p-linear map that sends t to the element encoded x."""
+    R, p, n = field.ring(), field.p, field.n
+    rows, cur = [], 1
     for _ in range(k):
-        rows.append(tuple(cur) + (0,) * (n - len(cur)))
-        cur = zpoly.rem(zpoly.mul(cur, x, p), f, p)
+        rows.append(_digits(cur, p, n))
+        cur = R.mul(cur, x)
     return tuple(rows)
 
 
@@ -303,8 +324,7 @@ class FqElem:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        cs = _decode(self.enc, self.field.p)
-        return tuple(cs) + (0,) * (self.field.n - len(cs))
+        return _digits(self.enc, self.field.p, self.field.n)
 
     def _operand(self, other) -> int:
         """The encoding of an operand: an int is a residue of Z_p."""
@@ -423,7 +443,7 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     p^n; point fields past those bounds take their moduli from here."""
     for k in range(p**n, 2 * p**n):
         coeffs = _decode(k, p)
-        if _is_irreducible(coeffs, p):
+        if _is_irreducible(_FqPoly(p, coeffs)):
             return tuple(coeffs)
     raise RuntimeError(f"no irreducible polynomial of degree {n} over Z_{p}")
 
@@ -445,31 +465,25 @@ class _FqTables:
     = exp[la + zech[lw - la + 3L]], where lw is log w, possibly unreduced
     up to 2L - 2, or in [3L, 4L) for w = 0; the table's three ranges cover
     a = 0, both nonzero (log(1 + g^d), or 2L where 1 + g^d = 0) and w = 0.
-    `nlog[a]` is log(-a). The powers of g come from zpoly's products on
-    f's own digits, never from FqElem arithmetic, so any irreducible
-    modulus gets its own tables; they take about 15q list entries (3.7 MiB
-    at F_{5^6}).
+    `nlog[a]` is log(-a). The powers of g come from the products of the
+    field's ring R on its own modulus, never from FqElem arithmetic, so
+    any irreducible modulus gets its own tables; they take about 15q list
+    entries (3.7 MiB at F_{5^6}).
     """
 
     __slots__ = ("p", "q", "log", "nlog", "exp", "zech", "points")
 
-    def __init__(self, p: int, f):
-        n = len(f) - 1
-        q = p**n
+    def __init__(self, R: _FqPoly):
+        p, q = R.p, R.q
         L = q - 1
-        g = _first_primitive(p, f)
-        # the products x*g of the digit vectors x: column i of the matrix
-        # whose row j is t^j * g mod f gives digit i
-        rows, cur = [], _decode(g, p)
-        for _ in range(n):
-            rows.append(cur + [0] * (n - len(cur)))
-            cur = zpoly.rem([0] + cur, f, p)
-        cols = list(zip(*rows))
-        weights = [p**i for i in range(n)]
-        powers, x = [1], [1] + [0] * (n - 1)
+        g = _first_primitive(R)
+        # the powers stay packed between steps: a product, a reduction of
+        # the slots and a read-back of the encoding each
+        mul, norm, read, shift, mask = R._mul, R._norm, R.read, R.shift, R.mask
+        powers, x, gx = [1], 1, R._pack(g)
         for _ in range(L - 1):
-            x = [sum(map(operator.mul, x, col)) % p for col in cols]
-            powers.append(sum(map(operator.mul, x, weights)))
+            x = norm(mul(x, gx))
+            powers.append(x * read >> shift & mask)
         exp = powers * 2 + [0] * (4 * L + 1)
         log = [3 * L] * q
         for i, a in enumerate(powers):
@@ -621,11 +635,13 @@ class _FqPoly:
     worst case, so no slot ever carries into the next. An encoding is
     packed through a table of at most 256 chunks of digits and read back
     by one product whose middle slot is the sum of digit * p^i. Inverses
-    stay zpoly's extended Euclid on the decoded digits.
+    are zpoly's extended Euclid on the decoded digits, the module's one
+    Euclid: Rabin's test reads its gcds from them too.
 
-    It is FqElem's arithmetic past MAX_POINT_FIELD elements or on a
-    reducible modulus, whose zero divisors raise DivisionByZero, and so
-    Brown's point field F_q past MAX_POINT_FIELD.
+    It is each field's `ring()`, on which the field is built; FqElem's
+    arithmetic past MAX_POINT_FIELD elements or on a reducible modulus,
+    whose zero divisors raise DivisionByZero; and so Brown's point field
+    F_q past MAX_POINT_FIELD.
 
     A point field this large serves degrees in the hundreds and more,
     which in practice are those of lifted elements (x^(p^2) at p = 101)
@@ -975,8 +991,8 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     B = np.array(basis, dtype=np.int64)
     # tB[k] is t^k B mod f: each step shifts one place and adds the
     # digit that leaves times t^n mod f
-    top = zpoly.rem([0] * n + [1], target.modulus, p)
-    top = np.array(top + [0] * (n - len(top)), dtype=np.int64)
+    top = target.ring().mul(p ** (n - 1), target.gen().enc)
+    top = np.array(_digits(top, p, n), dtype=np.int64)
     tB = np.empty((n, d, n), dtype=np.int64)
     tB[0] = B
     for k in range(1, n):
@@ -1028,11 +1044,9 @@ def _check_embeddable(source: FqField, target: FqField) -> None:
 @lru_cache(maxsize=None)
 def _embedding_root_cached(source: FqField, target: FqField) -> tuple[tuple[int, ...], ...]:
     """The matrix of the embedding: row i is r^i mod the target modulus
-    for i < m, r the first root of the source modulus (row 1), by zpoly's
-    products, so no field builds tables."""
-    p = target.p
-    r = _decode(find_embedding_root(source, target).enc, p)
-    return _power_rows(r, source.n, target.modulus, p)
+    for i < m, r the first root of the source modulus (row 1), by the
+    target's ring, so no field builds tables."""
+    return _power_rows(target, find_embedding_root(source, target).enc, source.n)
 
 
 def embed(a: FqElem, target: FqField) -> FqElem:

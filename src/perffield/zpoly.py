@@ -1,19 +1,17 @@
-"""Dense arithmetic in Z_p[t] on coefficient lists.
+"""The extended Euclid in Z_p[t], on coefficient lists.
 
 A polynomial is a list (or tuple) of residues mod a prime p, index =
 degree; the zero polynomial is []. Inputs may carry trailing zeros,
-except that a divisor or modulus must end in a nonzero coefficient.
-Every function returns a fresh list without trailing zeros and leaves
-its inputs alone, except `trim`, which trims in place.
+except that a modulus must end in a nonzero coefficient. `invmod`
+returns a fresh list without trailing zeros and leaves its inputs
+alone; `trim` trims in place.
 
-fqtower builds on it the moduli of F_{p^n}, the Frobenius matrices and
-the powers of the generator behind each field's log tables. Past those
-tables (more than MAX_POINT_FIELD elements, or a reducible modulus),
-fqtower's `_FqPoly` multiplies on packed ints of its own and takes only
-its inverses from here, on decoded digits; _accel builds its reduction
-table with it. `invmod`, an extended Euclid by single division steps
-that builds no quotient, also serves fqtower's Rabin test, which needs
-only whether a gcd is 1. The monic gcd over
+Every other product, power and remainder in Z_p[t] modulo f is
+fqtower's `_FqPoly`, on packed ints. Its inverse decodes the digits and
+runs `invmod`, an extended Euclid by single division steps that builds
+no quotient: the inverses past the log tables and on reducible moduli,
+and through them the gcds of Rabin's test, which needs only whether a
+gcd is 1. modgcd trims its dense rows with `trim`. The monic gcd over
 Z_p[t] is not here: it is the Euclid that Brown's algorithm (modgcd)
 runs over every point field, Z_p among them.
 """
@@ -30,54 +28,6 @@ def trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def sub(a: Poly, b: Poly, p: int) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return trim(out)
-
-
-def mul(a: Poly, b: Poly, p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return trim(out)
-
-
-def rem(a: Poly, b: Poly, p: int) -> list[int]:
-    """a mod b; b must be nonzero."""
-    # every power of a table build and of Rabin's test ends here, so the
-    # loop builds no quotient and inlines its trim
-    r = trim(list(a))
-    db = len(b) - 1
-    inv_lc = pow(b[-1], -1, p)
-    while len(r) > db:
-        c = (r[-1] * inv_lc) % p
-        shift = len(r) - 1 - db
-        for i, cb in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * cb) % p
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def powmod(a: Poly, e: int, f: Poly, p: int) -> list[int]:
-    """a^e mod f for e >= 0 and f of positive degree, by square and multiply."""
-    result = [1]
-    b = rem(a, f, p)
-    while e:
-        if e & 1:
-            result = rem(mul(result, b, p), f, p)
-        e >>= 1
-        if e:
-            b = rem(mul(b, b, p), f, p)
-    return result
 
 
 def invmod(a: Poly, f: Poly, p: int) -> list[int]:

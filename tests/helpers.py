@@ -8,10 +8,10 @@ variants retry until they get one.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import numpy as np
 
-from perffield import zpoly
 from perffield.errors import BoundExceeded, ConstantPolynomial, DivisionByZero, NotDivisible
 from perffield.fqtower import MAX_EXHAUSTIVE, FqField, PerfectReport
 from perffield.multipoly import MultiPoly, gcd_cofactors, grlex_key
@@ -331,10 +331,59 @@ def oracle_check_perfect(field: FqField) -> PerfectReport:
 
 
 # Residue-tuple arithmetic in F_{p^n}: an element is its padded n-tuple
-# of coefficients, constant first; products, powers and inverses are
-# zpoly's dense Z_p[t] arithmetic modulo the field's modulus, and a sum
-# is taken digit by digit. FqElem used to compute this way; it is kept
-# as the oracle for the tables and for `_FqPoly`.
+# of coefficients, constant first. Products, remainders and powers are
+# dense Z_p[t] arithmetic on coefficient lists, schoolbook products and
+# remainders by single division steps, which fqtower ran before all of
+# its arithmetic moved onto packed ints; a sum is taken digit by digit.
+# An inverse is a^(q-2) on a modulus that trial division finds
+# irreducible, and found by search on a reducible one, so it shares no
+# code with the extended Euclid behind `_FqPoly.inv`. Kept as the oracle
+# for the tables and for `_FqPoly`.
+
+
+def _oracle_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def oracle_poly_mul(a, b, p: int) -> list[int]:
+    """The product of two coefficient sequences over Z_p, trimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return _oracle_trim(out)
+
+
+def oracle_poly_rem(a, b, p: int) -> list[int]:
+    """a mod b over Z_p for b ending in a nonzero coefficient, trimmed."""
+    r = _oracle_trim([c % p for c in a])
+    db = len(b) - 1
+    inv_lc = pow(b[-1], -1, p)
+    while len(r) > db:
+        c = (r[-1] * inv_lc) % p
+        shift = len(r) - 1 - db
+        for i, cb in enumerate(b):
+            r[shift + i] = (r[shift + i] - c * cb) % p
+        _oracle_trim(r)
+    return r
+
+
+def oracle_poly_powmod(a, e: int, f, p: int) -> list[int]:
+    """a^e mod f for e >= 0 and f of positive degree, by square and multiply."""
+    result = [1]
+    b = oracle_poly_rem(a, f, p)
+    while e:
+        if e & 1:
+            result = oracle_poly_rem(oracle_poly_mul(result, b, p), f, p)
+        e >>= 1
+        if e:
+            b = oracle_poly_rem(oracle_poly_mul(b, b, p), f, p)
+    return result
 
 
 def _oracle_residue(field: FqField, cs: list[int]) -> tuple[int, ...]:
@@ -351,25 +400,41 @@ def oracle_fq_neg(field: FqField, a: tuple) -> tuple[int, ...]:
 
 def oracle_fq_mul(field: FqField, a: tuple, b: tuple) -> tuple[int, ...]:
     p = field.p
-    return _oracle_residue(field, zpoly.rem(zpoly.mul(a, b, p), field.modulus, p))
+    return _oracle_residue(field, oracle_poly_rem(oracle_poly_mul(a, b, p), field.modulus, p))
 
 
 def oracle_fq_pow(field: FqField, a: tuple, e: int) -> tuple[int, ...]:
     """a^e for e >= 0 by square and multiply."""
-    return _oracle_residue(field, zpoly.powmod(a, e, field.modulus, field.p))
+    return _oracle_residue(field, oracle_poly_powmod(a, e, field.modulus, field.p))
+
+
+@lru_cache(maxsize=None)
+def _oracle_is_field(modulus: tuple[int, ...], p: int) -> bool:
+    monic = [c * pow(modulus[-1], -1, p) % p for c in modulus]
+    return oracle_small_factor(monic, p) is None
 
 
 def oracle_fq_inv(field: FqField, a: tuple) -> tuple[int, ...]:
-    """The inverse by the extended Euclid; ValueError for a zero divisor
-    (zero included)."""
+    """The inverse: a^(q-2) when the modulus is irreducible, checked to
+    give a*y = 1, and otherwise the residue y with a*y = 1 found among
+    all q; ValueError for a zero divisor (zero included)."""
     if not any(a):
         raise ValueError("zero has no inverse")
-    return _oracle_residue(field, zpoly.invmod(a, field.modulus, field.p))
+    f, p, n = field.modulus, field.p, field.n
+    if _oracle_is_field(f, p):
+        y = oracle_fq_pow(field, a, field.order - 2)
+        assert oracle_fq_mul(field, a, y) == _oracle_residue(field, [1])
+        return y
+    for k in range(field.order):
+        y = tuple(k // p**i % p for i in range(n))
+        if oracle_fq_mul(field, a, y) == _oracle_residue(field, [1]):
+            return y
+    raise ValueError("a zero divisor has no inverse")
 
 
 # Irreducibility by trial division, the oracle for fqtower's canonical
 # modulus and its Rabin test: plain loops over coefficient lists, on
-# neither zpoly nor modgcd.
+# neither fqtower's packed ring nor modgcd.
 
 
 def oracle_monic_polys(p: int, d: int):

@@ -195,7 +195,8 @@ def test_fq_frob_and_invfrob_build_no_tables():
 
 def test_fq_embed_builds_no_tables():
     # the embedding is F_p-linear: the digits times the rows r^i, whose
-    # products zpoly takes, so neither field pays for a log table
+    # products the target's packed ring takes, so neither field pays for
+    # a log table
     make_field.cache_clear()
     s = Session(2, 1)
     assert run(s, "fq embed 2 7 14 5") == (

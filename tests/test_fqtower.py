@@ -30,6 +30,8 @@ from helpers import (
     oracle_fq_neg,
     oracle_fq_pow,
     oracle_monic_polys,
+    oracle_poly_powmod,
+    oracle_poly_rem,
     oracle_small_factor,
 )
 
@@ -77,8 +79,9 @@ def _small_prime_powers(bound):
     ],
 )
 def test_canonical_modulus_is_the_first_irreducible(pairs):
-    # Rabin's test reads gcd(h, f) = 1 from zpoly.invmod; trial division
-    # finds the same first irreducible polynomial in enumeration order
+    # Rabin's test, on each candidate's packed ring, reads gcd(h, f) = 1
+    # from the ring's inverse; trial division finds the same first
+    # irreducible polynomial in enumeration order
     for p, n in pairs:
         expect = next(f for f in oracle_monic_polys(p, n) if oracle_small_factor(f, p) is None)
         assert canonical_modulus(p, n) == tuple(expect), (p, n)
@@ -336,6 +339,58 @@ def test_an_associate_or_unreduced_modulus_gives_the_same_encodings():
                     assert (x / y).enc == (u / v).enc
 
 
+def test_construction_matches_the_oracle_dense_powers():
+    # gen, a long elem, every power map t -> t^(p^j) and the embedding
+    # rows run on each field's packed ring; the oracle's dense powers
+    # check them on a non-monic modulus of degree 1, non-canonical and
+    # reducible moduli, and the associates 2f and f + p of a modulus f
+    def pad(cs, n):
+        return tuple(cs) + (0,) * (n - len(cs))
+
+    F5 = FqField(5, 1, (2, 3))
+    assert F5.gen().enc == 1  # t = -2/3 = 1 in Z_5[t]/(3t + 2)
+    f = make_field(3, 4).modulus
+    fields = [
+        F5,
+        make_field(3, 4),
+        FqField(3, 4, tuple(2 * c for c in f)),
+        FqField(3, 4, tuple(c + 3 for c in f)),
+        FqField(3, 4, _second_modulus(3, 4)),
+        FqField(2, 6, (1, 0, 0, 0, 0, 1, 1)),
+        FqField(2, 4, (1, 0, 1, 0, 1)),
+    ]
+    rng = random.Random(26)
+    for F in fields:
+        p, n, f = F.p, F.n, F.modulus
+        assert F.gen().coeffs == pad(oracle_poly_rem([0, 1], f, p), n)
+        for length in (n + 1, 2 * n + 3, 40):
+            cs = [rng.randrange(-p, 2 * p) for _ in range(length)]
+            assert F.elem(cs).coeffs == pad(oracle_poly_rem(cs, f, p), n), (F, cs)
+
+        def rows(e):
+            return tuple(pad(oracle_poly_powmod([0, 1], i * e, f, p), n) for i in range(n))
+
+        for j in range(n):
+            assert F.power_map(p**j) == rows(p**j), (F, j)
+        assert F.frobenius_matrix() == rows(p)
+        assert F.inv_frobenius_matrix() == rows(p ** (n - 1))
+    # the embedding rows r^i of F_9, F_4 and F_8 into targets whose moduli are
+    # not canonical, or are associates of the canonical one
+    pairs = [(make_field(3, 2), G) for G in fields[1:5]]
+    pairs += [(make_field(2, k), fields[5]) for k in (2, 3)]
+    for S, T in pairs:
+        p, m, f = T.p, S.n, T.modulus
+        r = find_embedding_root(S, T)
+        powers = [pad(oracle_poly_powmod(r.coeffs, i, f, p), T.n) for i in range(m + 1)]
+        # r is a root of the source modulus
+        value = [sum(c * x[k] for c, x in zip(S.modulus, powers)) % p for k in range(T.n)]
+        assert not any(value), (S, T)
+        for i in range(m):
+            assert embed(S.from_encoding(p**i), T).coeffs == powers[i], (S, T, i)
+    # an associate is the same ideal, so it has the same first root
+    assert len({find_embedding_root(S, T).enc for S, T in pairs[:3]}) == 1
+
+
 @pytest.mark.parametrize(
     "p, n, modulus",
     [
@@ -351,7 +406,7 @@ def test_fqfield_refuses_a_modulus_of_the_wrong_shape(p, n, modulus):
 
 
 def test_zero_divisor_of_a_reducible_modulus_raises_division_by_zero():
-    # t is a zero divisor modulo t^2: zpoly's Euclid finds gcd t, not 1
+    # t is a zero divisor modulo t^2: the ring's Euclid finds gcd t, not 1
     ring = FqField(2, 2, (0, 0, 1))
     t = ring.gen()
     with pytest.raises(DivisionByZero, match="zero divisor"):
@@ -638,7 +693,7 @@ def _second_modulus(p, n):
     return next(
         tuple(cs)
         for cs in (fqtower._decode(k, p) for k in range(start, 2 * p**n))
-        if fqtower._is_irreducible(cs, p)
+        if oracle_small_factor(cs, p) is None
     )
 
 

@@ -1,13 +1,14 @@
-"""Tests for dense Z_p[t] arithmetic on coefficient lists."""
+"""Tests for zpoly's extended Euclid, and for the remainders and powers
+of fqtower's packed ring, which took over zpoly's other arithmetic."""
 
 import random
 
 import pytest
 
 from perffield import modgcd, zpoly
-from perffield.fqtower import make_field, point_field
+from perffield.fqtower import FqField, make_field, point_field
 
-from helpers import oracle_long_division
+from helpers import oracle_long_division, oracle_poly_mul, oracle_poly_powmod, oracle_poly_rem
 
 PRIMES = (2, 3, 5, 7, 101)
 
@@ -24,23 +25,29 @@ def random_nonzero_poly(rng, p, max_deg=20):
 
 
 def add(a, b, p):
-    return zpoly.sub(a, zpoly.sub([], b, p), p)
+    out = [0] * max(len(a), len(b))
+    for poly in (a, b):
+        for i, c in enumerate(poly):
+            out[i] = (out[i] + c) % p
+    return zpoly.trim(out)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_divmod_identity(p):
     # the division identity a = q*b + r, deg r < deg b, of an independent
-    # long division, and zpoly.rem gives its r
+    # long division, and the residue of a in Z_p[t]/(b), which the field's
+    # packed ring evaluates at t, has r as its digits
     rng = random.Random(1000 + p)
     for _ in range(200):
         a = random_poly(rng, p)
         b = random_nonzero_poly(rng, p)
         q, r = oracle_long_division(a, b, p)
         assert len(r) < len(b)
-        assert add(zpoly.mul(q, b, p), r, p) == a
-        assert zpoly.rem(a, b, p) == r
-        # padded inputs, as fqtower's residue tuples are, give the same remainder
-        assert zpoly.rem(tuple(a) + (0, 0), b, p) == r
+        assert add(oracle_poly_mul(q, b, p), r, p) == a
+        assert oracle_poly_rem(a, b, p) == r
+        if len(b) > 1:
+            n = len(b) - 1
+            assert FqField(p, n, tuple(b)).elem(a).coeffs == tuple(r) + (0,) * (n - len(r))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -48,30 +55,34 @@ def test_gcd_divides_both(p):
     rng = random.Random(2000 + p)
     for _ in range(200):
         c = random_poly(rng, p, 6)
-        a = zpoly.mul(random_poly(rng, p, 14), c, p)
-        b = zpoly.mul(random_poly(rng, p, 14), c, p)
+        a = oracle_poly_mul(random_poly(rng, p, 14), c, p)
+        b = oracle_poly_mul(random_poly(rng, p, 14), c, p)
         if not a and not b:
             continue
         # the Euclid over Z_p[t] is Brown's base case over the point field Z_p
         g = modgcd._univar_gcd(a, b, point_field(p, 1))
         assert g[-1] == 1
-        assert zpoly.rem(a, g, p) == []
-        assert zpoly.rem(b, g, p) == []
+        assert oracle_poly_rem(a, g, p) == []
+        assert oracle_poly_rem(b, g, p) == []
         # a planted common factor divides the gcd
         if c:
-            assert zpoly.rem(g, c, p) == []
+            assert oracle_poly_rem(g, c, p) == []
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_powmod_matches_repeated_mul(p):
+    # the packed ring's powers, on moduli irreducible or not, against
+    # repeated dense products
     rng = random.Random(3000 + p)
     for _ in range(40):
         a = random_poly(rng, p)
         f = random_nonzero_poly(rng, p) + [1]
+        field = FqField(p, len(f) - 1, tuple(f))
+        R, x = field.ring(), field.elem(a).enc
         expect = [1]
         for e in range(12):
-            assert zpoly.powmod(a, e, f, p) == expect
-            expect = zpoly.rem(zpoly.mul(expect, a, p), f, p)
+            assert R.pow(x, e) == field.elem(expect).enc
+            expect = oracle_poly_rem(oracle_poly_mul(expect, a, p), f, p)
 
 
 @pytest.mark.parametrize("p, n", [(2, 8), (3, 5)])
@@ -81,7 +92,7 @@ def test_invmod_over_every_nonzero_element(p, n):
         a = zpoly.trim([(k // p**i) % p for i in range(n)])
         inv = zpoly.invmod(a, f, p)
         assert len(inv) <= n
-        assert zpoly.rem(zpoly.mul(a, inv, p), f, p) == [1]
+        assert oracle_poly_rem(oracle_poly_mul(a, inv, p), f, p) == [1]
 
 
 @pytest.mark.parametrize("p, n", [(2, 16), (3, 10), (101, 2)])
@@ -94,7 +105,7 @@ def test_invmod_matches_fermat(p, n):
         a = zpoly.trim([rng.randrange(p) for _ in range(n)])
         if not a:
             continue
-        expect = zpoly.powmod(a, p**n - 2, f, p)
+        expect = oracle_poly_powmod(a, p**n - 2, f, p)
         assert zpoly.invmod(a + [0] * (n - len(a)), f, p) == expect
 
 
