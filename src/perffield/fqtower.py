@@ -9,43 +9,31 @@ so a given (p, n) always denotes the same concrete field. An element is
 its field and its encoding: the int whose base-p digits are the
 coefficients of its residue, constant first (`_decode`, `_encode`).
 
-Each field has one residue arithmetic, its `ring()`: `_FqPoly`, which
-packs the digits into one int, one slot per digit, so a product is one
-big-int product and a Barrett reduction, and inverts by zpoly's Euclid.
-All of the field's construction runs on it: Rabin's test, the first
-primitive element, the rows of Q, of its inverse and of each embedding,
-and the powers of the generator behind the tables. Each field does its
-arithmetic through one object, picked on the first `+ - * / ** inv` and
-never at construction, and Brown's modular gcd takes its evaluation
-points from the same object (`point_field`). Up to MAX_POINT_FIELD
-elements, on a modulus that Rabin's test accepts, that object is
-`_FqTables`: log, antilog and Zech tables of about 15q entries, laid out
-so that no product or sum tests for zero, built once from the ring's
-products. Otherwise (a larger field, or a reducible modulus, whose zero
-divisors raise DivisionByZero) it is the ring itself. Point fields past
-make_field's bounds are `_FqPoly` on the canonical modulus.
+Each field is built on its `ring()`, an `_FqPoly`: Z_p[t] mod f on
+packed digits, where a product is one big-int product and a Barrett
+reduction. Rabin's test runs there (make_field keeps the ring it
+accepted), and so do the primitive element, the powers behind the
+tables and the rows of every F_p-linear map. `+ - * / ** inv` and
+Brown's points (`point_field`) go through one object per field, picked
+on first use: log, antilog and Zech tables (`_FqTables`) up to
+MAX_POINT_FIELD elements on a modulus that Rabin's test accepts, the
+ring otherwise, where a reducible modulus's zero divisors raise
+DivisionByZero.
 
-The Frobenius x -> x^p is F_p-linear, so each field carries its matrix
-Q (row i = t^(ip) mod f, Berlekamp's Q-matrix) and the inverse matrix
-(row i = t^(i p^(n-1)) mod f), built on first use. The exhaustive sweep
-fills a byte-wide table (up to p = 127) with the coordinates of the
-images of all p^n elements by linearity, in place, one encoding digit
-(one row of Q) at a time, counts the encoded images to see that they are
-distinct, reads the order k off the orbits of the n basis elements t^i,
-and checks x^(p^k) = x on every element; the embedding root search
-looks only in the subfield ker(Q^m - I) where every root lies, and
-works in that subfield's m coordinates, where one m x m x m tensor
-holds its multiplication; so `check_perfect` still visits every
-element, through Q, and neither sweep builds tables. The scalar
-`frobenius` and `inv_frobenius` are one vector-matrix product each on
-the decoded digits, on every field, and so is `embed` (on the rows of
-the root's powers), so they build no tables either. Powering never goes
-through these matrices, and the tests check the matrices against it
-element by element.
+The Frobenius x -> x^p is F_p-linear: a field holds the rows of its
+matrix Q (t^(ip) mod f, Berlekamp's Q-matrix) and of Q's inverse
+(t^(i p^(n-1)) mod f) once each, packed on the ring and built on first
+use, and an embedding holds the packed powers of its root. `frobenius`,
+`inv_frobenius` and `embed` are one `_FqPoly.image` each, digits times
+rows in one sum. `check_perfect` maps every element of any field
+make_field accepts through Q, one digit at a time, and checks
+x^(p^k) = x on each; the embedding root search looks only in the
+subfield ker(Q^m - I) where every root lies. None of these builds
+tables, and the tests check them against powering element by element.
 
-numpy is imported inside the two sweeps, `check_perfect` (and the
-image table it builds) and `find_embedding_root`, and nowhere else, so
-importing the library or the CLI does not load it.
+numpy is imported inside the two sweeps, `check_perfect` and
+`find_embedding_root`, and nowhere else, so importing the library or
+the CLI does not load it.
 """
 
 from __future__ import annotations
@@ -62,7 +50,6 @@ from .primefield import is_prime
 
 MAX_DEGREE = 16
 MAX_ORDER = 2**20
-MAX_EXHAUSTIVE = 2**16
 # elements of the largest F_{p^k} whose arithmetic runs on tables, for
 # FqElem and for Brown's points alike; building them takes 2 to 3 us
 # per element on a 2-core Xeon host (20 ms for F_{101^2}, 44 ms for
@@ -163,16 +150,10 @@ class FqField:
                 f"modulus {modulus} of F_{p}^{n} needs {n + 1} coefficients and a "
                 f"leading one nonzero mod {p}"
             )
-        self.p = p
-        self.n = n
-        self.modulus = modulus
-        self.order = p**n
-        self._frob = None
-        self._inv_frob = None
-        # Z_p[t] mod the modulus on packed digits, and the arithmetic of
-        # the elements' encodings, both built on first use
-        self._ring = None
-        self._arith = None
+        self.p, self.n, self.modulus, self.order = p, n, modulus, p**n
+        # the packed rows of Q and of its inverse, the ring and the
+        # arithmetic of the encodings, each built on first use
+        self._frob = self._inv_frob = self._ring = self._arith = None
 
     def ring(self) -> _FqPoly:
         """Z_p[t] modulo the field's modulus on packed digits: every step
@@ -193,23 +174,34 @@ class FqField:
             self._arith = _FqTables(R) if small and _is_irreducible(R) else R
         return self._arith
 
+    def _map_rows(self, e: int) -> tuple[int, ...]:
+        """The packed rows of a -> a^e, F_p-linear for e a power of p:
+        row i is t^(ie) mod f, on the ring."""
+        R = self.ring()
+        return _power_rows(R, R.pow(self.gen().enc, e), self.n)
+
+    def _frobenius_rows(self) -> tuple[int, ...]:
+        """The packed rows of Q, built on first use."""
+        if self._frob is None:
+            self._frob = self._map_rows(self.p)
+        return self._frob
+
+    def _inv_frobenius_rows(self) -> tuple[int, ...]:
+        """The packed rows of the inverse of Q, t^(i p^(n-1)) mod f."""
+        if self._inv_frob is None:
+            self._inv_frob = self._map_rows(self.p ** (self.n - 1))
+        return self._inv_frob
+
     def power_map(self, e: int) -> tuple[tuple[int, ...], ...]:
         """Rows of the matrix of a -> a^e when that map is F_p-linear
         (e a power of p): row i is t^(ie) mod f, so a row vector of
-        coefficients times the matrix is the image."""
-        return _power_rows(self, self.ring().pow(self.gen().enc, e), self.n)
+        coefficients times the matrix is the image; the field's Q at p."""
+        rows = self._frobenius_rows() if e == self.p else self._map_rows(e)
+        return tuple(_digits(self.ring()._unpack(r), self.p, self.n) for r in rows)
 
     def frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Berlekamp's Q: row i is t^(ip) mod f."""
-        if self._frob is None:
-            self._frob = self.power_map(self.p)
-        return self._frob
-
-    def inv_frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The inverse of Q: row i is t^(i p^(n-1)) mod f."""
-        if self._inv_frob is None:
-            self._inv_frob = self.power_map(self.p ** (self.n - 1))
-        return self._inv_frob
+        return self.power_map(self.p)
 
     def primitive_element(self) -> FqElem:
         """The first element of multiplicative order p^n - 1 in encoding
@@ -271,26 +263,14 @@ class FqField:
         return _poly_str(self.modulus)
 
 
-def _power_rows(field: FqField, x: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The digits of x^i for i < k, by the field's ring: the rows of the
+def _power_rows(R: _FqPoly, x: int, k: int) -> tuple[int, ...]:
+    """The packed powers x^i for i < k in the ring R: the rows of the
     F_p-linear map that sends t to the element encoded x."""
-    R, p, n = field.ring(), field.p, field.n
-    rows, cur = [], 1
+    rows, cur, x = [], 1, R._pack(x)
     for _ in range(k):
-        rows.append(_digits(cur, p, n))
-        cur = R.mul(cur, x)
+        rows.append(cur)
+        cur = R._norm(R._mul(cur, x))
     return tuple(rows)
-
-
-def _linear_image(k: int, rows, field: FqField) -> FqElem:
-    """The element of `field` whose digits are those of the encoding k
-    times the rows, reduced mod p."""
-    p = field.p
-    out = [0] * field.n
-    for c, row in zip(_decode(k, p), rows):
-        if c:
-            out = [o + c * r for o, r in zip(out, row)]
-    return FqElem(field, _encode([o % p for o in out], p))
 
 
 def _poly_str(coeffs) -> str:
@@ -312,9 +292,9 @@ class FqElem:
     base-p digits are the coefficients of its residue, constant first.
 
     `+ - * / ** inv` run on encodings through the field's `arith()`
-    object, and `frobenius` and `inv_frobenius` multiply the decoded
-    digits by the rows of Q or of its inverse. `coeffs` is the residue
-    as an n-tuple, derived from the encoding."""
+    object, and `frobenius` and `inv_frobenius` are the ring's `image`
+    of the encoding under the packed rows of Q or of its inverse.
+    `coeffs` is the residue as an n-tuple, derived from the encoding."""
 
     __slots__ = ("field", "enc")
 
@@ -381,13 +361,13 @@ class FqElem:
     def frobenius(self) -> FqElem:
         """a^p, as the coefficient vector times Q."""
         F = self.field
-        return _linear_image(self.enc, F.frobenius_matrix(), F)
+        return FqElem(F, F.ring().image(self.enc, F._frobenius_rows()))
 
     def inv_frobenius(self) -> FqElem:
         """The unique p-th root a^(p^(n-1)), since a^(p^n) = a, as the
         coefficient vector times the inverse of Q."""
         F = self.field
-        return _linear_image(self.enc, F.inv_frobenius_matrix(), F)
+        return FqElem(F, F.ring().image(self.enc, F._inv_frobenius_rows()))
 
     def encode(self) -> int:
         return self.enc
@@ -433,18 +413,28 @@ def make_field(p: int, n: int) -> FqField:
         )
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return FqField(p, n, canonical_modulus(p, n))
+    R = _canonical_ring(p, n)
+    field = FqField(p, n, R.modulus)
+    field._ring = R  # the ring that Rabin's test ran on
+    return field
 
 
 def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     """The modulus of F_{p^n} for a prime p: the first monic irreducible
     of degree n over Z_p in coefficient enumeration order, constant term
-    fastest-varying: the encodings from p^n up. make_field bounds n and
-    p^n; point fields past those bounds take their moduli from here."""
+    fastest-varying: the encodings from p^n up. make_field and the point
+    fields past its bounds take the ring of the same search."""
+    return _canonical_ring(p, n).modulus
+
+
+def _canonical_ring(p: int, n: int) -> _FqPoly:
+    """The ring on the canonical modulus: one ring takes each candidate
+    as its modulus in turn, until Rabin's test accepts one."""
+    R = _FqPoly(p, _decode(p**n, p))
     for k in range(p**n, 2 * p**n):
-        coeffs = _decode(k, p)
-        if _is_irreducible(_FqPoly(p, coeffs)):
-            return tuple(coeffs)
+        R._set_modulus(_decode(k, p))
+        if _is_irreducible(R):
+            return R
     raise RuntimeError(f"no irreducible polynomial of degree {n} over Z_{p}")
 
 
@@ -581,7 +571,7 @@ def point_field(p: int, k: int):
         return _Zp(p)
     if k <= MAX_DEGREE and p**k <= MAX_ORDER:
         return make_field(p, k).arith()
-    return _FqPoly(p, canonical_modulus(p, k))
+    return _canonical_ring(p, k)
 
 
 class _Zp:
@@ -636,7 +626,9 @@ class _FqPoly:
     packed through a table of at most 256 chunks of digits and read back
     by one product whose middle slot is the sum of digit * p^i. Inverses
     are zpoly's extended Euclid on the decoded digits, the module's one
-    Euclid: Rabin's test reads its gcds from them too.
+    Euclid: Rabin's test reads its gcds from them too. An F_p-linear map
+    (Q, its inverse, an embedding) is its packed rows, the images of the
+    t^i, and `image` applies it in one sum and one reduction.
 
     It is each field's `ring()`, on which the field is built; FqElem's
     arithmetic past MAX_POINT_FIELD elements or on a reducible modulus,
@@ -651,23 +643,13 @@ class _FqPoly:
     """
 
     __slots__ = (
-        "p", "q", "modulus", "chunk", "base", "width", "nw", "low", "mu", "g",
+        "p", "q", "modulus", "chunk", "base", "width", "w", "nw", "low", "mu", "g",
         "top", "m", "k", "qmask", "read", "shift", "mask",
     )
 
     def __init__(self, p: int, f):
         n = len(f) - 1
         self.p, self.q = p, p**n
-        # the associate of f that is reduced mod p and monic: the same
-        # ideal, and the shape that Barrett and zpoly's Euclid need
-        lc = pow(f[-1], -1, p)
-        f = self.modulus = tuple(c * lc % p for c in f)
-        # mu = t^(2n) div f by long division
-        r, mu = [0] * (2 * n) + [1], [0] * (n + 1)
-        for i in range(n, -1, -1):
-            c = mu[i] = r[i + n]
-            for j, fj in enumerate(f):
-                r[i + j] = (r[i + j] - c * fj) % p
         # slot bounds for digits below p: U, then q, then the remainder,
         # which `top`, a multiple of p, passes; below `s` is every slot
         b1 = n * (p - 1) ** 2
@@ -677,13 +659,12 @@ class _FqPoly:
         # floor(x * m / 2^k) = floor(x / p) for x < s, since s * p < 2^k
         k = (s * p).bit_length()
         m = -(-(1 << k) // p)
-        w = max((s * m).bit_length(), (p**n).bit_length())
+        w = self.w = max((s * m).bit_length(), (p**n).bit_length())
 
         def packed(cs):
             return sum(c << i * w for i, c in enumerate(cs))
 
         self.nw, self.low = n * w, (1 << n * w) - 1
-        self.mu, self.g = packed(mu), packed([-c % p for c in f[:n]])
         self.top = packed([top] * n)
         self.m, self.k, self.qmask = m, k, packed([(1 << w - k) - 1] * n)
         # slot n - 1 of x * read is the sum of x's slots times p^i
@@ -695,6 +676,23 @@ class _FqPoly:
             chunk = [t + (d << c * w) for d in range(p) for t in chunk]
             c += 1
         self.chunk, self.base, self.width = chunk, p**c, c * w
+        self._set_modulus(f)
+
+    def _set_modulus(self, f) -> None:
+        """Make f, of the ring's degree, its modulus: only mu and g change."""
+        p, n, w = self.p, len(f) - 1, self.w
+        # the associate of f that is reduced mod p and monic: the same
+        # ideal, and the shape that Barrett and zpoly's Euclid need
+        lc = pow(f[-1], -1, p)
+        f = self.modulus = tuple(c * lc % p for c in f)
+        # mu = t^(2n) div f by long division
+        r, mu = [0] * (2 * n) + [1], [0] * (n + 1)
+        for i in range(n, -1, -1):
+            c = mu[i] = r[i + n]
+            for j, fj in enumerate(f):
+                r[i + j] = (r[i + j] - c * fj) % p
+        self.mu = sum(c << i * w for i, c in enumerate(mu))
+        self.g = sum(-c % p << i * w for i, c in enumerate(f[:n]))
 
     @property
     def points(self) -> Iterable[int]:
@@ -776,6 +774,15 @@ class _FqPoly:
             return pow(a, e, p)
         return self._unpack(self._pow(self._pack(a), e))
 
+    def image(self, a: int, rows) -> int:
+        """The encoding a through the F_p-linear map with packed rows `rows`
+        (the images of the t^i): one sum, its slots at most n (p - 1)^2 <= top."""
+        p, x = self.p, 0
+        for row in rows:
+            a, d = divmod(a, p)
+            x += d * row
+        return self._unpack(x)
+
     def scale(self, c: int, v: list[int]) -> list[int]:
         c, pack, mul, unpack = self._pack(c), self._pack, self._mul, self._unpack
         return [unpack(mul(c, pack(y))) for y in v]
@@ -827,6 +834,15 @@ class PerfectReport:
         return self.summary()
 
 
+def _row_digits(field: FqField, rows):
+    """The digits of packed rows as an int64 array, by one broadcast."""
+    import numpy as np
+
+    R, p = field.ring(), field.p
+    enc = np.array([R._unpack(r) for r in rows], dtype=np.int64)
+    return enc[:, None] // p ** np.arange(field.n, dtype=np.int64) % p
+
+
 def _frobenius_images(field: FqField):
     """The encodings of the images x^p of all p^n elements x, as an intp
     array indexed by the encoding of x.
@@ -852,7 +868,7 @@ def _frobenius_images(field: FqField):
     # scalar is a multiply-high where % is a division
     wide = np.min_scalar_type((p - 1) ** 2)
     digits = np.arange(1, p, dtype=wide)
-    for i, row in enumerate(np.array(field.frobenius_matrix(), dtype=wide)):
+    for i, row in enumerate(_row_digits(field, field._frobenius_rows()).astype(wide)):
         # block[:, d, j] is the element d*p^i + j, for j below p^i
         block = images[:, : p ** (i + 1)].reshape(n, p, p**i)
         high = block[:, 1:]
@@ -877,13 +893,11 @@ def check_perfect(field: FqField) -> PerfectReport:
     order k is the lcm of their orbit lengths: for each j < k some basis
     element is not fixed by P^j. P^k is then computed on every element,
     by binary powering of the image permutation, and checked to be the
-    identity.
+    identity. Every field that make_field accepts is answered; a field
+    built by hand past its order bound is refused before any work.
     """
-    if field.order > MAX_EXHAUSTIVE:
-        raise BoundExceeded(
-            f"exhaustive check limited to order <= {MAX_EXHAUSTIVE}, "
-            f"field has {field.order}"
-        )
+    if field.order > MAX_ORDER:
+        raise BoundExceeded(f"field of order {field.order} exceeds the bound p^n <= {MAX_ORDER}")
     import numpy as np
 
     p, n, q = field.p, field.n, field.order
@@ -969,42 +983,28 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     first root met is returned. The search runs in those m coordinates:
     B is the identity on its free columns, so the coordinates of a
     subfield element are its digits there, and the products B_i * B_j,
-    taken once by shift-and-reduce on B, give the multiplication tensor
-    S. A block of elements gets its multiplication matrices in one
-    product with S, and Horner's rule for the modulus is m batched
-    m x m mat-vecs. No root, which only a reducible target modulus
+    taken once on the target's ring, give the multiplication tensor S. A
+    block of elements gets its multiplication matrices in one product
+    with S, and Horner's rule for the modulus is m batched m x m
+    mat-vecs. No root, which only a reducible target modulus
     allows, raises NoEmbedding.
     """
     _check_embeddable(source, target)
     import numpy as np
 
     p, n = target.p, target.n
-    # x is fixed by x -> x^(p^m) iff x (Q^m - I) = 0, i.e. (Q^m - I)^T x = 0
-    Q = np.array(target.frobenius_matrix(), dtype=np.int64)
-    eye = np.identity(n, dtype=np.int64)
-    Qm = eye
-    for _ in range(source.n):
-        Qm = Qm @ Q % p
-    basis, free = _null_space(((Qm - eye).T % p).tolist(), p)
+    # x is fixed by x -> x^(p^m) iff x (Q^m - I) = 0, i.e. (Q^m - I)^T x = 0,
+    # where the rows of Q^m are t^(i p^m) mod f
+    Qm = _row_digits(target, target._map_rows(p**source.n))
+    basis, free = _null_space(((Qm - np.identity(n, dtype=np.int64)).T % p).tolist(), p)
     # d = m, unless the target modulus is reducible
-    d = len(basis)
-    B = np.array(basis, dtype=np.int64)
-    # tB[k] is t^k B mod f: each step shifts one place and adds the
-    # digit that leaves times t^n mod f
-    top = target.ring().mul(p ** (n - 1), target.gen().enc)
-    top = np.array(_digits(top, p, n), dtype=np.int64)
-    tB = np.empty((n, d, n), dtype=np.int64)
-    tB[0] = B
-    for k in range(1, n):
-        prev, cur = tB[k - 1], tB[k]
-        cur[:, 0] = 0
-        cur[:, 1:] = prev[:, :-1]
-        cur += prev[:, -1:] * top
-        cur %= p
-    # S[i, j] holds the coordinates of B_i * B_j = sum_k B[i, k] t^k B_j;
-    # in float64, so that products with it run in BLAS, exactly: their
-    # sums stay below d p^2 < 2^53
-    S = (np.tensordot(B, tB, axes=(1, 0))[:, :, free] % p).reshape(d, d * d).astype(np.float64)
+    d, R = len(basis), target.ring()
+    B = [_encode(b, p) for b in basis]
+    # S[i, j] holds the coordinates of B_i * B_j, its digits in the free
+    # columns; in float64, so that products with it run in BLAS, exactly:
+    # their sums stay below d p^2 < 2^53
+    S = np.array([R.mul(x, y) for x in B for y in B], dtype=np.int64)
+    S = (S[:, None] // p ** np.array(free, dtype=np.int64) % p).reshape(d, d * d).astype(np.float64)
     mod = [c % p for c in source.modulus]
     size = p**d
     step = max(1, _BLOCK // (d * d))
@@ -1025,7 +1025,7 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
             val[:, 0] = (val[:, 0] + c) % p
         hits = np.flatnonzero(~val.any(axis=1))
         if hits.size:
-            return target.elem((digits[hits[0]] @ B % p).tolist())
+            return target.elem((digits[hits[0]] @ np.array(basis, dtype=np.int64) % p).tolist())
     raise NoEmbedding(f"the modulus of {source!r} has no root in {target!r}")
 
 
@@ -1042,26 +1042,26 @@ def _check_embeddable(source: FqField, target: FqField) -> None:
 
 
 @lru_cache(maxsize=None)
-def _embedding_root_cached(source: FqField, target: FqField) -> tuple[tuple[int, ...], ...]:
-    """The matrix of the embedding: row i is r^i mod the target modulus
-    for i < m, r the first root of the source modulus (row 1), by the
-    target's ring, so no field builds tables."""
-    return _power_rows(target, find_embedding_root(source, target).enc, source.n)
+def _embedding_root_cached(source: FqField, target: FqField) -> tuple[int, ...]:
+    """The packed rows of the embedding: row i is r^i mod the target
+    modulus for i < m, r the first root of the source modulus (row 1), on
+    the target's ring, so no field builds tables."""
+    return _power_rows(target.ring(), find_embedding_root(source, target).enc, source.n)
 
 
 def embed(a: FqElem, target: FqField) -> FqElem:
     """Canonical embedding F_{p^m} -> F_{p^n} for m dividing n: send the
     source generator to the first root r of the source modulus in the
-    target, so sum a_i t^i goes to sum a_i r^i, a's digits times the
-    cached rows r^i. The two fields, moduli included, decide the map, so
-    it is a homomorphism whatever the moduli; only a field into itself is
-    the identity."""
+    target, so sum a_i t^i goes to sum a_i r^i: the target ring's `image`
+    of a under the cached packed rows r^i. The two fields, moduli
+    included, decide the map, so it is a homomorphism whatever the
+    moduli; only a field into itself is the identity."""
     if not isinstance(a, FqElem):
         raise TypeError(f"embed takes an FqElem, not {type(a).__name__}")
     source = a.field
     _check_embeddable(source, target)
-    if source == target:
-        return a
     if source.n == 1:
         return target.const(a.enc)
-    return _linear_image(a.enc, _embedding_root_cached(source, target), target)
+    if source.n == target.n and source == target:
+        return a
+    return FqElem(target, target.ring().image(a.enc, _embedding_root_cached(source, target)))

@@ -12,8 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from perffield.errors import BoundExceeded, ConstantPolynomial, DivisionByZero, NotDivisible
-from perffield.fqtower import MAX_EXHAUSTIVE, FqField, PerfectReport
+from perffield.errors import ConstantPolynomial, DivisionByZero, NotDivisible
+from perffield.fqtower import FqField, PerfectReport
 from perffield.multipoly import MultiPoly, gcd_cofactors, grlex_key
 from perffield.perfclosure import PerfContext, PerfElem
 from perffield.primefield import PrimeField
@@ -299,11 +299,6 @@ def oracle_perfelem_eval(a: PerfElem, point, field=None):
 
 
 def oracle_check_perfect(field: FqField) -> PerfectReport:
-    if field.order > MAX_EXHAUSTIVE:
-        raise BoundExceeded(
-            f"exhaustive check limited to order <= {MAX_EXHAUSTIVE}, "
-            f"field has {field.order}"
-        )
     p = field.p
     Q = np.array(field.frobenius_matrix(), dtype=np.int64)
     # rows[k] holds the base-p digits of k, least significant first

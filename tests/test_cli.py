@@ -182,8 +182,9 @@ def test_fq_element_commands_in_json_mode():
 
 
 def test_fq_frob_and_invfrob_build_no_tables():
-    # both multiply the digits by the rows of Q or of its inverse, so a
-    # one-shot line pays for no log table (tens of ms at F_{2^14})
+    # both are the packed ring's image of the encoding under the packed
+    # rows of Q or of its inverse, so a one-shot line pays for no log
+    # table (tens of ms at F_{2^14})
     make_field.cache_clear()
     s = Session(2, 1)
     assert run(s, "fq frob 2 14 5") == "t^4 + 1 (encoding 17)"
@@ -194,9 +195,9 @@ def test_fq_frob_and_invfrob_build_no_tables():
 
 
 def test_fq_embed_builds_no_tables():
-    # the embedding is F_p-linear: the digits times the rows r^i, whose
-    # products the target's packed ring takes, so neither field pays for
-    # a log table
+    # the embedding is F_p-linear: the target ring's image of the encoding
+    # under the packed rows r^i, which that ring multiplies out, so neither
+    # field pays for a log table
     make_field.cache_clear()
     s = Session(2, 1)
     assert run(s, "fq embed 2 7 14 5") == (
@@ -763,13 +764,13 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_refused_fq_bounds_leave_numpy_unloaded():
-    # the order bound and the embeddability check come before numpy
+    # make_field's bounds and the embeddability check come before numpy
     code = (
         "import sys\n"
         "from perffield import fqtower\n"
         "from perffield.errors import BoundExceeded, NoEmbedding\n"
         "for refused, error in (\n"
-        "    (lambda: fqtower.check_perfect(fqtower.make_field(3, 11)), BoundExceeded),\n"
+        "    (lambda: fqtower.check_perfect(fqtower.make_field(2, 17)), BoundExceeded),\n"
         "    (lambda: fqtower.find_embedding_root(\n"
         "        fqtower.make_field(2, 3), fqtower.make_field(2, 4)), NoEmbedding),\n"
         "):\n"

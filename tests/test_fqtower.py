@@ -192,8 +192,8 @@ def test_inv_frobenius_inverts_frobenius_exhaustive():
 
 
 def test_frobenius_matrices_match_scalar_powering_exhaustive():
-    # a ** e runs on the field's tables and never touches the matrices,
-    # so it is the oracle for both linear maps
+    # a ** e runs on the field's tables and never touches the packed rows
+    # of Q or of its inverse, so it is the oracle for both linear maps
     for p, n in [(2, 2), (3, 3), (2, 8), (5, 3), (13, 2)]:
         fq = make_field(p, n)
         for a in fq.elements():
@@ -279,9 +279,10 @@ def test_fqelem_matches_the_tuple_oracle_on_other_moduli():
 
 @pytest.mark.parametrize("p, n", [(2, 15), (2, 16), (3, 10), (1021, 2), (65521, 1)])
 def test_fqelem_past_the_table_bound_matches_the_tuple_oracle(p, n):
-    # packed products; F_{1021^2} has the widest slots make_field allows,
-    # and at n = 1 every encoding is below p. The element whose digits are
-    # all p - 1 gives the largest slot sums, so it is always in
+    # packed products and packed linear maps; F_{1021^2} has the widest
+    # slots make_field allows, and at n = 1 every encoding is below p. The
+    # element whose digits are all p - 1 gives the largest slot sums, of
+    # products and of the Frobenius rows alike, so it is always in
     field = make_field(p, n)
     q = field.order
     assert q > MAX_POINT_FIELD and isinstance(field.arith(), fqtower._FqPoly)
@@ -306,6 +307,8 @@ def test_fqelem_past_the_table_bound_matches_the_tuple_oracle(p, n):
         x = a.coeffs
         if a:
             assert a.inv().coeffs == oracle_fq_inv(field, x)
+        assert a.frobenius().coeffs == oracle_fq_pow(field, x, p), a
+        assert a.inv_frobenius().coeffs == oracle_fq_pow(field, x, p ** (n - 1)), a
         for e in (0, 1, 2, p, q - 2, q - 1, q, 10**30):
             assert (a**e).coeffs == oracle_fq_pow(field, x, e), (a, e)
 
@@ -373,7 +376,10 @@ def test_construction_matches_the_oracle_dense_powers():
         for j in range(n):
             assert F.power_map(p**j) == rows(p**j), (F, j)
         assert F.frobenius_matrix() == rows(p)
-        assert F.inv_frobenius_matrix() == rows(p ** (n - 1))
+        # the cached packed rows of Q and of its inverse, through the maps
+        basis = [F.from_encoding(p**i) for i in range(n)]
+        assert tuple(x.frobenius().coeffs for x in basis) == rows(p)
+        assert tuple(x.inv_frobenius().coeffs for x in basis) == rows(p ** (n - 1))
     # the embedding rows r^i of F_9, F_4 and F_8 into targets whose moduli are
     # not canonical, or are associates of the canonical one
     pairs = [(make_field(3, 2), G) for G in fields[1:5]]
@@ -463,10 +469,18 @@ def test_check_perfect_reports_collision_on_reducible_modulus():
 
 
 def test_check_perfect_bound():
+    # every field make_field accepts is answered, F_{5^8} and F_{3^12}
+    # (each over 2^16 elements) among them. Past make_field's
+    # bounds F_{2^17} is refused by make_field, and a field built by hand
+    # past its order bound by check_perfect, before any work
     with pytest.raises(BoundExceeded):
         check_perfect(make_field(2, 17))
     with pytest.raises(BoundExceeded):
-        check_perfect(make_field(5, 8))  # 5^8 > 2^16 but constructible
+        check_perfect(FqField(2, 21, (1,) + (0,) * 20 + (1,)))
+    for p, n in [(5, 8), (3, 12)]:
+        field = make_field(p, n)
+        expect = PerfectReport(p, n, p**n, True, n, None)
+        assert check_perfect(field) == oracle_check_perfect(field) == expect
 
 
 def _report_or_error(check, field):
@@ -536,6 +550,13 @@ def _outcome(report_or_error, n):
     return "order | n" if n % report_or_error.order == 0 else "order <= n, not | n"
 
 
+def _put_q(field, rows):
+    """The digit rows in place of the field's Q, packed as it holds Q."""
+    R, p = field.ring(), field.p
+    field._frob = tuple(R._pack(sum(c * p**j for j, c in enumerate(row))) for row in rows)
+    assert field.frobenius_matrix() == tuple(map(tuple, rows))
+
+
 def test_check_perfect_matches_matmul_sweep_on_random_linear_maps():
     # check_perfect reads the order off the orbits of the basis, which holds
     # for every F_p-linear map, not just for a Frobenius: seeded random
@@ -550,7 +571,7 @@ def test_check_perfect_matches_matmul_sweep_on_random_linear_maps():
             if trial % 3 == 0:
                 c = rng.randrange(p)
                 rows[-1] = [c * a % p for a in rows[0]] if n > 1 else [0]
-            field._frob = tuple(map(tuple, rows))
+            _put_q(field, rows)
             got = _report_or_error(check_perfect, field)
             assert got == _report_or_error(oracle_check_perfect, field), (p, n, rows)
             outcomes.add(_outcome(got, n))
@@ -560,7 +581,7 @@ def test_check_perfect_matches_matmul_sweep_on_random_linear_maps():
     for n in (5, 6):
         field = FqField(2, n, make_field(2, n).modulus)
         cycle = [1, 0, 3, 4, 2] + list(range(5, n))
-        field._frob = tuple(tuple(int(j == cycle[i]) for j in range(n)) for i in range(n))
+        _put_q(field, [[int(j == cycle[i]) for j in range(n)] for i in range(n)])
         got = _report_or_error(check_perfect, field)
         assert got == _report_or_error(oracle_check_perfect, field), n
     assert got == PerfectReport(2, 6, 64, True, 6, None)
@@ -782,6 +803,21 @@ def test_embed_is_ring_homomorphism_exhaustive():
             for b in els:
                 assert embed(a + b, dst) == embed(a, dst) + embed(b, dst)
                 assert embed(a * b, dst) == embed(a, dst) * embed(b, dst)
+
+
+@pytest.mark.parametrize("p, m, n", [(2, 8, 16), (2, 4, 16), (3, 5, 10), (3, 2, 10)])
+def test_embed_into_a_field_past_the_tables_is_a_homomorphism(p, m, n):
+    # targets on packed products: seeded pairs, and the element whose
+    # digits are all p - 1, the largest slot sums of the packed rows r^i
+    src, dst = make_field(p, m), make_field(p, n)
+    assert isinstance(dst.arith(), fqtower._FqPoly)
+    rng = random.Random(27 + src.order)
+    els = [src.from_encoding(src.order - 1)]
+    els += [src.from_encoding(rng.randrange(src.order)) for _ in range(300)]
+    assert embed(src.one(), dst) == dst.one()
+    for a, b in zip(els, els[1:] + els[:1]):
+        assert embed(a + b, dst) == embed(a, dst) + embed(b, dst)
+        assert embed(a * b, dst) == embed(a, dst) * embed(b, dst)
 
 
 def test_embed_injective():
