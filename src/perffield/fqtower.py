@@ -26,10 +26,13 @@ matrix Q (t^(ip) mod f, Berlekamp's Q-matrix) and of Q's inverse
 use, and an embedding holds the packed powers of its root. `frobenius`,
 `inv_frobenius` and `embed` are one `_FqPoly.image` each, digits times
 rows in one sum. `check_perfect` maps every element of any field
-make_field accepts through Q, one digit at a time, and checks
+make_field accepts through Q, one digit at a time (by XOR at p = 2,
+where an encoding is the coordinate bit vector), and checks
 x^(p^k) = x on each; the embedding root search looks only in the
-subfield ker(Q^m - I) where every root lies. None of these builds
-tables, and the tests check them against powering element by element.
+subfield ker(Q^m - I) where every root lies, found by Gauss-Jordan on
+rows packed on the ring, whose basis products, also packed, give its
+multiplication tensor. None of these builds tables, and the tests
+check them against powering element by element.
 
 numpy is imported inside the two sweeps, `check_perfect` and
 `find_embedding_root`, and nowhere else, so importing the library or
@@ -142,7 +145,7 @@ def _encode(coeffs, p: int) -> int:
 class FqField:
     """The finite field with p^n elements, as Z_p[t] mod a fixed modulus."""
 
-    __slots__ = ("p", "n", "modulus", "order", "_frob", "_inv_frob", "_ring", "_arith")
+    __slots__ = ("p", "n", "modulus", "order", "_hash", "_frob", "_inv_frob", "_ring", "_arith")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         if len(modulus) != n + 1 or not modulus[-1] % p:
@@ -151,6 +154,8 @@ class FqField:
                 f"leading one nonzero mod {p}"
             )
         self.p, self.n, self.modulus, self.order = p, n, modulus, p**n
+        # the key of embed's cache, so hashed on every embedding
+        self._hash = hash((p, n, modulus))
         # the packed rows of Q and of its inverse, the ring and the
         # arithmetic of the encodings, each built on first use
         self._frob = self._inv_frob = self._ring = self._arith = None
@@ -254,7 +259,7 @@ class FqField:
         return (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
 
     def __hash__(self):
-        return hash((self.p, self.n, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"FqField(p={self.p}, n={self.n}, modulus={self.modulus_str()})"
@@ -847,20 +852,32 @@ def _frobenius_images(field: FqField):
     """The encodings of the images x^p of all p^n elements x, as an intp
     array indexed by the encoding of x.
 
-    The image of sum c_i t^i is sum c_i Q[i], so the table of the
-    coordinates of all p^n images is filled in place one encoding digit
-    at a time: the images of the elements below p^(i+1) are the p
-    multiples of Q[i] added to the images of the elements below p^i,
-    reduced mod p. The table holds coordinates in the narrowest unsigned
-    type that holds 2p - 2 (one byte up to p = 127), so a sum of two
-    coordinates is exact and min(x, x - p) reduces it: x - p wraps above
-    x exactly when x < p. Horner's rule encodes the images, in the
-    narrowest type that holds p^n - 1. The table is freed on return, so
-    it is not held while check_perfect gathers.
+    The image of sum c_i t^i is sum c_i Q[i], so the images are built one
+    encoding digit at a time: those of the elements below p^(i+1) are the
+    p multiples of Q[i] added to those of the elements below p^i. At
+    p = 2 an encoding is the coordinate bit vector and a sum is XOR, so
+    the images of the elements from 2^i to 2^(i+1) are those below 2^i
+    XOR the encoding of Q[i]: one `bitwise_xor` per row, written straight
+    into the intp array, with no coordinate table and no Horner pass.
+
+    At odd p a table of the coordinates of all p^n images is filled in
+    place, in the narrowest unsigned type that holds 2p - 2 (one byte up
+    to p = 127), so a sum of two coordinates is exact and min(x, x - p)
+    reduces it: x - p wraps above x exactly when x < p. Horner's rule
+    encodes the images, in the narrowest type that holds p^n - 1. The
+    table is freed on return, so it is not held while check_perfect
+    gathers.
     """
     import numpy as np
 
     p, n, q = field.p, field.n, field.order
+    if p == 2:
+        unpack = field.ring()._unpack
+        enc = np.empty(q, dtype=np.intp)
+        enc[0] = 0
+        for i, row in enumerate(field._frobenius_rows()):
+            np.bitwise_xor(enc[: 1 << i], unpack(row), out=enc[1 << i : 2 << i])
+        return enc
     coord = np.min_scalar_type(2 * p - 2)
     # images[:, k] holds the coordinates of the image of the element encoded k
     images = np.zeros((n, q), dtype=coord)
@@ -941,33 +958,36 @@ def check_perfect(field: FqField) -> PerfectReport:
 # -- embeddings ---------------------------------------------------------------------
 
 
-def _null_space(a: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """A basis of {x : a x = 0} for a square matrix a over Z_p, by
-    Gauss-Jordan elimination, and its free columns: basis vector i is 1
-    in free column i and 0 in the others."""
+def _null_space(R: _FqPoly, a: list[int]) -> tuple[list[int], list[int]]:
+    """A basis of {x : a x = 0} for a square matrix a over Z_p whose rows
+    are packed in the slots of the ring R, digits below p, by Gauss-Jordan
+    elimination on the packed rows, and its free columns: basis vector i,
+    packed the same way, is 1 in free column i and 0 in the others. A
+    pivot is read as `row >> c*w & mask`; a row operation a_i - f a_r is
+    one sum a_i + (p - f) a_r, whose slots, at most p (p - 1), stay
+    within the bound that one `_norm` reduces."""
+    p, w, mask = R.p, R.w, R.mask
     n = len(a)
-    a = [list(row) for row in a]
+    a = list(a)
     pivots = []
     for c in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, n) if a[i][c]), None)
+        s, r = c * w, len(pivots)
+        piv = next((i for i in range(r, n) if a[i] >> s & mask), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [(v * inv) % p for v in a[r]]
+        row = a[r] = R._norm(a[r] * pow(a[r] >> s & mask, -1, p))
         for i in range(n):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+            if i != r and (f := a[i] >> s & mask):
+                a[i] = R._norm(a[i] + (p - f) * row)
         pivots.append(c)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for c in free:
-        x = [0] * n
-        x[c] = 1
-        for i, pc in enumerate(pivots):
-            x[pc] = (-a[i][c]) % p
+        s = c * w
+        x = 1 << s
+        for row, pc in zip(a, pivots):
+            x += -(row >> s & mask) % p << pc * w
         basis.append(x)
     return basis, free
 
@@ -980,31 +1000,39 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     of p^m elements. Only that subfield is searched, on a reduced echelon
     basis B ordered by free column, which lists it in increasing encoding
     (its k-th element has the base-p digits of k as coordinates), so the
-    first root met is returned. The search runs in those m coordinates:
-    B is the identity on its free columns, so the coordinates of a
-    subfield element are its digits there, and the products B_i * B_j,
-    taken once on the target's ring, give the multiplication tensor S. A
-    block of elements gets its multiplication matrices in one product
-    with S, and Horner's rule for the modulus is m batched m x m
-    mat-vecs. No root, which only a reducible target modulus
-    allows, raises NoEmbedding.
+    first root met is returned. Everything up to the search runs on the
+    target's ring: the rows of Q^m, t^(i p^m) mod f, Gauss-Jordan on
+    the packed rows of (Q^m - I)^T (`_null_space`), whose basis comes out
+    packed, and the products B_i * B_j for i <= j, mirrored. The search
+    runs in those m coordinates: B is the identity on its free columns,
+    so the coordinates of a subfield element are its digits there, and
+    the products give the multiplication tensor S. A block of elements
+    gets its multiplication matrices in one product with S, and Horner's
+    rule for the modulus is m batched m x m mat-vecs. The root met is
+    the ring's `image` of its index under the rows B. No root, which only
+    a reducible target modulus allows, raises NoEmbedding.
     """
     _check_embeddable(source, target)
     import numpy as np
 
-    p, n = target.p, target.n
+    p, n, R = target.p, target.n, target.ring()
     # x is fixed by x -> x^(p^m) iff x (Q^m - I) = 0, i.e. (Q^m - I)^T x = 0,
-    # where the rows of Q^m are t^(i p^m) mod f
+    # where the rows of Q^m are t^(i p^m) mod f; row i of (Q^m - I)^T is
+    # column i of Q^m - I, packed from its encoding
     Qm = _row_digits(target, target._map_rows(p**source.n))
-    basis, free = _null_space(((Qm - np.identity(n, dtype=np.int64)).T % p).tolist(), p)
+    cols = (Qm - np.identity(n, dtype=np.int64)).T % p @ p ** np.arange(n, dtype=np.int64)
+    B, free = _null_space(R, [R._pack(e) for e in cols.tolist()])
     # d = m, unless the target modulus is reducible
-    d, R = len(basis), target.ring()
-    B = [_encode(b, p) for b in basis]
-    # S[i, j] holds the coordinates of B_i * B_j, its digits in the free
-    # columns; in float64, so that products with it run in BLAS, exactly:
+    d = len(B)
+    enc = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            enc[i][j] = enc[j][i] = R._unpack(R._mul(B[i], B[j]))
+    # S[i, j*d + k] holds coordinate k of B_i * B_j, its digit in free
+    # column k; in float64, so that products with it run in BLAS, exactly:
     # their sums stay below d p^2 < 2^53
-    S = np.array([R.mul(x, y) for x in B for y in B], dtype=np.int64)
-    S = (S[:, None] // p ** np.array(free, dtype=np.int64) % p).reshape(d, d * d).astype(np.float64)
+    S = np.array(enc, dtype=np.int64)[:, :, None] // p ** np.array(free, dtype=np.int64) % p
+    S = S.reshape(d, d * d).astype(np.float64)
     mod = [c % p for c in source.modulus]
     size = p**d
     step = max(1, _BLOCK // (d * d))
@@ -1025,7 +1053,7 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
             val[:, 0] = (val[:, 0] + c) % p
         hits = np.flatnonzero(~val.any(axis=1))
         if hits.size:
-            return target.elem((digits[hits[0]] @ np.array(basis, dtype=np.int64) % p).tolist())
+            return FqElem(target, R.image(start + int(hits[0]), B))
     raise NoEmbedding(f"the modulus of {source!r} has no root in {target!r}")
 
 

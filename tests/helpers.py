@@ -295,16 +295,24 @@ def oracle_perfelem_eval(a: PerfElem, point, field=None):
 # The matmul sweep of the exhaustive perfectness check: decode every
 # element to a row, map all rows through Berlekamp's Q in one int64
 # product, and test bijectivity with np.unique. Kept as the oracle for
-# the digit-by-digit sweep in fqtower.check_perfect.
+# the digit-by-digit sweep in fqtower.check_perfect, and its image
+# encodings for fqtower._frobenius_images.
 
 
-def oracle_check_perfect(field: FqField) -> PerfectReport:
+def oracle_frobenius_images(field: FqField) -> np.ndarray:
+    """The encodings of the images under Q of all p^n elements, indexed
+    by the encoding of the element: every element's digits times Q."""
     p = field.p
     Q = np.array(field.frobenius_matrix(), dtype=np.int64)
     # rows[k] holds the base-p digits of k, least significant first
     weights = p ** np.arange(field.n, dtype=np.int64)
     rows = np.arange(field.order, dtype=np.int64)[:, None] // weights % p
-    enc = ((rows @ Q) % p) @ weights
+    return ((rows @ Q) % p) @ weights
+
+
+def oracle_check_perfect(field: FqField) -> PerfectReport:
+    p = field.p
+    enc = oracle_frobenius_images(field)
     if np.unique(enc).size != field.order:
         seen: dict[int, int] = {}
         pair = (0, 0)
@@ -323,6 +331,42 @@ def oracle_check_perfect(field: FqField) -> PerfectReport:
         if k > field.n:
             raise RuntimeError("Frobenius order exceeded the extension degree")
     return PerfectReport(p, field.n, field.order, True, k, None)
+
+
+# Gauss-Jordan elimination on digit lists, which the embedding root
+# search ran before it eliminated on rows packed in the target ring's
+# slots. Kept as the oracle for fqtower._null_space.
+
+
+def oracle_null_space(a: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """A basis of {x : a x = 0} for a square matrix a over Z_p, by
+    Gauss-Jordan elimination, and its free columns: basis vector i is 1
+    in free column i and 0 in the others."""
+    n = len(a)
+    a = [list(row) for row in a]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [(v * inv) % p for v in a[r]]
+        for i in range(n):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for c in free:
+        x = [0] * n
+        x[c] = 1
+        for i, pc in enumerate(pivots):
+            x[pc] = (-a[i][c]) % p
+        basis.append(x)
+    return basis, free
 
 
 # Residue-tuple arithmetic in F_{p^n}: an element is its padded n-tuple

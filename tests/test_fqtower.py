@@ -24,12 +24,14 @@ from perffield.primefield import PrimeField, is_prime
 
 from helpers import (
     oracle_check_perfect,
+    oracle_frobenius_images,
     oracle_fq_add,
     oracle_fq_inv,
     oracle_fq_mul,
     oracle_fq_neg,
     oracle_fq_pow,
     oracle_monic_polys,
+    oracle_null_space,
     oracle_poly_powmod,
     oracle_poly_rem,
     oracle_small_factor,
@@ -103,6 +105,21 @@ def test_fields_with_different_moduli_do_not_mix():
     with pytest.raises(TypeError, match="different fields"):
         G.from_encoding(2) * F.from_encoding(16)
     assert F.from_encoding(2) * F.from_encoding(16) == F.elem([1, 0, 1])
+
+
+def test_equal_fields_built_apart_hash_equal_and_share_embeddings():
+    # the hash is taken once, at construction, from (p, n, modulus); a
+    # target built apart from make_field's is an equal key of embed's cache
+    for p, n, modulus in [(2, 5, (1, 0, 0, 0, 1, 1)), (3, 4, make_field(3, 4).modulus)]:
+        a, b = FqField(p, n, modulus), FqField(p, n, tuple(list(modulus)))
+        assert a is not b and a == b and hash(a) == hash(b) == hash((p, n, modulus))
+    assert hash(make_field(2, 5)) != hash(FqField(2, 5, (1, 0, 0, 0, 1, 1)))
+    src, dst = make_field(2, 2), make_field(2, 4)
+    again = FqField(2, 4, dst.modulus)
+    image = embed(src.gen(), dst)
+    hits = fqtower._embedding_root_cached.cache_info().hits
+    assert embed(src.gen(), again) == again.from_encoding(image.enc)
+    assert fqtower._embedding_root_cached.cache_info().hits == hits + 1
 
 
 def test_make_field_validation():
@@ -510,12 +527,9 @@ def test_check_perfect_matches_matmul_sweep_on_every_small_field():
         assert check_perfect(field) == oracle_check_perfect(field), (p, n)
 
 
-def test_check_perfect_matches_matmul_sweep_on_reducible_moduli():
-    # every monic modulus of a few small (p, n), then random ones of larger
-    # degree: squarefree reducible moduli pass with an order that may pass
-    # n, moduli with a repeated factor report a collision pair. Among them
-    # is (t^2 + t + 1)(t^3 + t + 1) over Z_2: Z_2[t]/(f) is F_4 x F_8, where
-    # the Frobenius is a bijection of order lcm(2, 3) = 6 > 5, which raises
+def _sweep_moduli():
+    """Every monic modulus of a few small (p, n), then seeded random ones
+    of larger degree, reducible ones among them."""
     moduli = [
         (p, n, tuple(k // p**i % p for i in range(n)) + (1,))
         for p, top in [(2, 6), (3, 4), (5, 3), (7, 2)]
@@ -526,8 +540,17 @@ def test_check_perfect_matches_matmul_sweep_on_reducible_moduli():
     for p, n in [(2, 12), (2, 16), (3, 7), (5, 5), (13, 3), (251, 2)]:
         for _ in range(6):
             moduli.append((p, n, tuple(rng.randrange(p) for _ in range(n)) + (1,)))
+    return moduli
+
+
+def test_check_perfect_matches_matmul_sweep_on_reducible_moduli():
+    # every monic modulus of a few small (p, n), then random ones of larger
+    # degree: squarefree reducible moduli pass with an order that may pass
+    # n, moduli with a repeated factor report a collision pair. Among them
+    # is (t^2 + t + 1)(t^3 + t + 1) over Z_2: Z_2[t]/(f) is F_4 x F_8, where
+    # the Frobenius is a bijection of order lcm(2, 3) = 6 > 5, which raises
     outcomes = set()
-    for p, n, modulus in moduli:
+    for p, n, modulus in _sweep_moduli():
         ring = FqField(p, n, modulus)
         got = _report_or_error(check_perfect, ring)
         assert got == _report_or_error(oracle_check_perfect, ring), modulus
@@ -587,19 +610,48 @@ def test_check_perfect_matches_matmul_sweep_on_random_linear_maps():
     assert got == PerfectReport(2, 6, 64, True, 6, None)
 
 
+def test_frobenius_images_at_p_2_match_the_matmul_images():
+    # at p = 2 the images are built by XOR doubling, straight into the
+    # intp array, with no coordinate table; they must equal every
+    # element's digits times Q, on the largest fields, on every p = 2
+    # modulus of the reducible sweep, and on random rows in place of Q,
+    # singular ones (a repeated or zero last row) included
+    fields = [make_field(2, 16), make_field(2, 15)]
+    fields += [FqField(p, n, modulus) for p, n, modulus in _sweep_moduli() if p == 2]
+    rng = random.Random(28)
+    for n in (1, 2, 5, 9, 16):
+        for trial in range(6):
+            field = FqField(2, n, make_field(2, n).modulus)
+            rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+            if trial % 2 == 0:
+                rows[-1] = list(rows[0]) if trial else [0] * n
+            _put_q(field, rows)
+            fields.append(field)
+    singular = 0
+    for field in fields:
+        got = fqtower._frobenius_images(field)
+        expect = oracle_frobenius_images(field)
+        assert got.dtype == expect.dtype and (got == expect).all(), field
+        singular += len(set(got.tolist())) < field.order
+    assert singular > 20
+
+
 def test_check_perfect_memory():
-    # one byte per coordinate, and a table freed before the gathers, keep
-    # F_{2^16} near 1.6 MiB of numpy memory; an int32 table of the
-    # coordinates alone takes 4 MiB
-    field = make_field(2, 16)
-    tracemalloc.start()
-    try:
-        report = check_perfect(field)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.passed and report.order == 16
-    assert peak < 2.5 * 2**20
+    # at p = 2 the images are XORed straight into the intp array, with no
+    # coordinate table, so F_{2^16} peaks at its three intp permutations of
+    # 0.5 MiB during the gathers (1.6 MiB); at odd p one byte per
+    # coordinate in a table freed before the gathers keeps F_{3^10} near
+    # 1.9 MiB, where an int32 table of its coordinates alone takes 2.3 MiB
+    for p, n in [(2, 16), (3, 10)]:
+        field = make_field(p, n)
+        tracemalloc.start()
+        try:
+            report = check_perfect(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.order == n
+        assert peak < 2.5 * 2**20
 
 
 def _first_root_by_scan(source, target):
@@ -623,13 +675,25 @@ def test_embedding_root_matches_exhaustive_scan():
                     assert find_embedding_root(source, target) == expect, (p, m, n)
 
 
+def _slots(R, x):
+    """The slots of a packed int of the ring R, unreduced."""
+    return [x >> j * R.w & R.mask for j in range(len(R.modulus) - 1)]
+
+
+def _packed_rows(R, a):
+    """The digit rows of a, each packed in the slots of the ring R."""
+    return [sum(c << j * R.w for j, c in enumerate(row)) for row in a]
+
+
 def _subfield_listing(source, target):
     """The target encodings of the subfield ker(Q^m - I) in the order the
     root search lists them: the k-th combination of _null_space's basis
     takes the base-p digits of k, least significant first."""
-    p, n = target.p, target.n
+    p, n, R = target.p, target.n, target.ring()
     F = target.power_map(p**source.n)
-    basis, free = fqtower._null_space([[(F[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
+    a = [[(F[j][i] - (i == j)) % p for j in range(n)] for i in range(n)]
+    packed, free = fqtower._null_space(R, _packed_rows(R, a))
+    basis = [_slots(R, b) for b in packed]
     assert len(basis) == source.n
     # so a subfield element's coordinates in the basis are its digits there
     assert [[row[c] for c in free] for row in basis] == [
@@ -643,6 +707,40 @@ def _subfield_listing(source, target):
             x = [(xc + digit * rc) % p for xc, rc in zip(x, row)]
         out.append(target.elem(x).encode())
     return out
+
+
+def test_null_space_on_packed_rows_matches_the_digit_list_oracle():
+    # seeded square matrices of every rank: full rank, singular (rows that
+    # are combinations of others, at random places) and zero, so every
+    # pivot pattern and every free column shows; the packed basis must
+    # agree slot for slot, each slot below p
+    rng = random.Random(28)
+    seen = {"zero": 0, "singular": 0, "full rank": 0}
+    for p in (2, 3, 13, 101, 1021):
+        for n in range(1, 17):
+            R = fqtower._FqPoly(p, (1,) + (0,) * (n - 1) + (1,))
+            for trial in range(6):
+                a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                if trial == 0:
+                    a = [[0] * n for _ in range(n)]
+                elif trial % 2 == 0:
+                    # rank at most rank - 1: a few rows become combinations of others
+                    rank = rng.randrange(n)
+                    for i in rng.sample(range(n), n - rank):
+                        cs = [rng.randrange(p) for _ in range(n)]
+                        a[i] = [
+                            sum(c * a[k][j] for k, c in enumerate(cs) if k != i) % p
+                            for j in range(n)
+                        ]
+                        if rng.randrange(2):
+                            a[i] = [0] * n
+                expect, free = oracle_null_space(a, p)
+                basis, got_free = fqtower._null_space(R, _packed_rows(R, a))
+                assert got_free == free, (p, n, a)
+                assert [_slots(R, b) for b in basis] == expect, (p, n, a)
+                kind = "zero" if not any(map(any, a)) else "singular" if free else "full rank"
+                seen[kind] += 1
+    assert min(seen.values()) >= 80, seen
 
 
 def test_subfield_is_listed_in_increasing_encoding():
