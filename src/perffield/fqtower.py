@@ -564,14 +564,15 @@ def point_field(p: int, k: int):
     """F_{p^k} as a point field for Brown's modular gcd: an object whose
     elements are ints in the base-p encoding (digit i is the coefficient
     of t^i modulo the canonical modulus), so F_p is the encodings below
-    p, with `mul`, `neg`, `sub`, `inv` on elements, `scale`, `axpy` and
-    `value` on lists of them, and `points`, every element once, in the
-    order the gcd tries them.
+    p, with `add`, `mul`, `pow`, `neg`, `sub`, `inv` on elements, `scale`,
+    `axpy` and `value` on lists of them, and `points`, every element once,
+    in the order the gcd tries them.
 
-    Z_p for k = 1; within make_field's bounds, the field's own `arith()`,
-    which its FqElems use too, so it is built once per field and goes
-    when make_field's cache is cleared; past them, `_FqPoly` on the
-    canonical modulus."""
+    Z_p for k = 1, which multipoly's evaluation at Z_p points runs on
+    too; within make_field's bounds, the field's own `arith()`, which its
+    FqElems use too, so it is built once per field and goes when
+    make_field's cache is cleared; past them, `_FqPoly` on the canonical
+    modulus."""
     if k == 1:
         return _Zp(p)
     if k <= MAX_DEGREE and p**k <= MAX_ORDER:
@@ -588,8 +589,14 @@ class _Zp:
         self.p = self.q = p
         self.points = range(p)
 
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
+
+    def pow(self, a: int, e: int) -> int:
+        return pow(a, e, self.p)
 
     def neg(self, a: int) -> int:
         return -a % self.p
@@ -799,14 +806,23 @@ class _FqPoly:
 
     def value(self, row: list[int], x: int) -> int:
         """The row evaluated at x, by Horner's rule over its nonzero
-        coefficients: acc * x^gap + c, packed throughout."""
+        coefficients: acc * x^gap + c, packed throughout. The gaps of a
+        lifted row repeat, so each x^gap is powered once per call."""
         x = self._pack(x)
+        powers = {1: x}
+
+        def power(gap):
+            xg = powers.get(gap)
+            if xg is None:
+                xg = powers[gap] = self._pow(x, gap)
+            return xg
+
         acc, last = 0, 0
         for e in reversed([e for e, c in enumerate(row) if c]):
             if acc:
-                acc = self._mul(acc, self._pow(x, last - e))
+                acc = self._mul(acc, power(last - e))
             acc, last = self._norm(acc + self._pack(row[e])), e
-        return self._unpack(self._mul(acc, self._pow(x, last)) if last else acc)
+        return self._unpack(self._mul(acc, power(last)) if last else acc)
 
 
 # -- exhaustive perfectness check ---------------------------------------------------

@@ -51,11 +51,13 @@ fails the division makes Brown's loop take more points (Las Vegas).
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import modgcd
 from .errors import BoundExceeded, ContextMismatch, DivisionByZero, NotAPthPower, NotDivisible
+from .fqtower import FqElem, point_field
 from .primefield import PrimeField
 
 Mono = tuple[int, ...]
@@ -349,22 +351,12 @@ class MultiPoly:
     def eval(self, point: Sequence, field=None):
         """Evaluate at a point with coordinates in one finite field F_{p^m}.
 
-        Coordinates are ints or FqElem/PFElem of that field, which
-        `resolve_point_field` resolves and checks; ints become its elements,
-        so powers stay reduced. RatFunc and PerfElem evaluate through here.
+        Coordinates are ints or FqElem/PFElem of that field; `eval_at_point`
+        resolves the point once and runs the terms on the field's encodings,
+        and only the value becomes an element.
         """
-        field = resolve_point_field(point, field, self.field.p)
-        if len(point) < self.nvars:
-            raise ValueError(f"need {self.nvars} coordinates, got {len(point)}")
-        point = [field.const(c) if isinstance(c, int) else c for c in point]
-        acc = field.zero()
-        for mono, c in self.terms.items():
-            term = c
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * point[i] ** e
-            acc = acc + term
-        return acc
+        _, elem, (value,) = eval_at_point((self,), point, field)
+        return elem(value)
 
     # -- division --------------------------------------------------------
 
@@ -480,6 +472,41 @@ def digit_power(x: T, e: int, p: int, one: T, frob: Callable[[T], T]) -> T:
         if e:
             x = frob(x)
     return one if result is None else result
+
+
+def eval_at_point(polys: Sequence[MultiPoly], point: Sequence, field=None):
+    """The values of polys, all over one Z_p, at one point of F_{p^m}.
+
+    The point is resolved and checked once (`resolve_point_field`), then
+    its coordinate count; each coordinate becomes its int encoding once,
+    an int c the residue c mod p. Every polynomial is one loop over its
+    terms on the point field's arithmetic object (`FqField.arith()`, or
+    `point_field(p, 1)` for Z_p), its `mul`, `pow` and `add` on encodings,
+    with no element built between steps. Returns that object, the map
+    from an encoding to an element of the point field, and the encodings
+    of the values in the order of polys.
+    """
+    p = polys[0].field.p
+    field = resolve_point_field(point, field, p)
+    nvars = max(f.nvars for f in polys)
+    if len(point) < nvars:
+        raise ValueError(f"need {nvars} coordinates, got {len(point)}")
+    if isinstance(field, PrimeField):
+        A, elem = point_field(p, 1), field.elem
+    else:
+        A, elem = field.arith(), partial(FqElem, field)
+    xs = [c % p if isinstance(c, int) else c.encode() for c in point]
+    mul, pow_, add = A.mul, A.pow, A.add
+    values = []
+    for f in polys:
+        acc = 0
+        for mono, c in f.terms.items():
+            for x, e in zip(xs, mono):
+                if e:
+                    c = mul(c, pow_(x, e))
+            acc = add(acc, c)
+        values.append(acc)
+    return A, elem, values
 
 
 def resolve_point_field(point: Sequence, field, p: int):

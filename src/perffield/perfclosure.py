@@ -352,7 +352,8 @@ class PerfElem:
         The level-L variable x_i^(1/p^L) goes to the unique p^L-th root of
         the i-th coordinate. Inverse Frobenius is an automorphism fixing Z_p,
         so body(x^(1/p^L)) = body(x)^(1/p^L): the body is evaluated at the
-        point (MultiPoly.eval checks it), then rooted L times. So is the
+        point by RatFunc.eval, which resolves and checks it once before any
+        root is taken, then its value is rooted L times. So is the
         denominator, and only 0 has root 0, so poles fall at the same points.
         """
         value = self.body.eval(point, field)

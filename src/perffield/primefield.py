@@ -145,6 +145,10 @@ class PFElem:
 
     inv_frobenius = frobenius
 
+    def encode(self) -> int:
+        """The residue, the encoding of Z_p as a point field."""
+        return self.value
+
     def __eq__(self, other):
         if isinstance(other, int):
             return self.value == other % self.field.p

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ContextMismatch, DivisionByZero, PoleAtPoint, ZeroDenominator
-from .multipoly import MultiPoly, gcd_cofactors
+from .multipoly import MultiPoly, eval_at_point, gcd_cofactors
 from .primefield import PrimeField
 
 
@@ -264,11 +264,14 @@ class RatFunc:
     # -- evaluation ---------------------------------------------------------------
 
     def eval(self, point: Sequence, field=None):
-        """Evaluate as MultiPoly.eval does; PoleAtPoint when the denominator dies."""
-        d = self.den.eval(point, field)
+        """Evaluate at a point as MultiPoly.eval does: one `eval_at_point`
+        call resolves the point once and gives the denominator's and the
+        numerator's encodings; PoleAtPoint when the denominator dies, and
+        DivisionByZero when it is a zero divisor of a reducible modulus."""
+        A, elem, (d, n) = eval_at_point((self.den, self.num), point, field)
         if not d:
             raise PoleAtPoint("denominator vanishes at the evaluation point")
-        return self.num.eval(point, field) * d.inv()
+        return elem(A.mul(n, A.inv(d)))
 
     # -- printing ---------------------------------------------------------------
 

@@ -12,9 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from perffield.errors import ConstantPolynomial, DivisionByZero, NotDivisible
+from perffield.errors import ConstantPolynomial, DivisionByZero, NotDivisible, PoleAtPoint
 from perffield.fqtower import FqField, PerfectReport
-from perffield.multipoly import MultiPoly, gcd_cofactors, grlex_key
+from perffield.multipoly import MultiPoly, gcd_cofactors, grlex_key, resolve_point_field
 from perffield.perfclosure import PerfContext, PerfElem
 from perffield.primefield import PrimeField
 from perffield.ratfunc import RatFunc
@@ -279,6 +279,36 @@ def oracle_pow(x: RatFunc, e: int) -> RatFunc:
     return oracle_reduce(x.num**e, x.den**e)
 
 
+# Evaluation element by element: every coordinate becomes an element of
+# the point field and each term is built by element `*` and `**`, summed
+# by `+`. Kept as the oracle for multipoly.eval_at_point, which runs the
+# terms on encodings through the field's arithmetic object.
+
+
+def oracle_multipoly_eval(f: MultiPoly, point, field=None):
+    """f at the point, with the point checked as MultiPoly.eval checks it."""
+    field = resolve_point_field(point, field, f.field.p)
+    if len(point) < f.nvars:
+        raise ValueError(f"need {f.nvars} coordinates, got {len(point)}")
+    point = [field.const(c) if isinstance(c, int) else c for c in point]
+    acc = field.zero()
+    for mono, c in f.terms.items():
+        term = c
+        for i, e in enumerate(mono):
+            if e:
+                term = term * point[i] ** e
+        acc = acc + term
+    return acc
+
+
+def oracle_ratfunc_eval(r: RatFunc, point, field=None):
+    """num/den at the point, the denominator first; PoleAtPoint at its zeros."""
+    d = oracle_multipoly_eval(r.den, point, field)
+    if not d:
+        raise PoleAtPoint("denominator vanishes at the evaluation point")
+    return oracle_multipoly_eval(r.num, point, field) * d.inv()
+
+
 # The per-coordinate evaluation of a level-L element: take the p^L-th
 # root of every coordinate, then evaluate the body there. Kept as the
 # oracle for PerfElem.eval, which roots the body's value instead.
@@ -289,7 +319,7 @@ def oracle_perfelem_eval(a: PerfElem, point, field=None):
     roots = list(point)
     for _ in range(a.level):
         roots = [c if isinstance(c, int) else c.inv_frobenius() for c in roots]
-    return a.body.eval(roots, field)
+    return oracle_ratfunc_eval(a.body, roots, field)
 
 
 # The matmul sweep of the exhaustive perfectness check: decode every

@@ -998,10 +998,14 @@ def test_point_field_matches_fqelem_arithmetic(p, k):
     for _ in range(200):
         a, b = rng.randrange(fq.order), rng.randrange(fq.order)
         assert F.mul(a, b) == mul(a, b)
+        assert F.add(a, b) == enc(oracle_fq_add(fq, el(a), el(b)))
         assert F.sub(a, b) == sub(a, b)
         assert F.neg(a) == enc(oracle_fq_neg(fq, el(a)))
         if a:
             assert F.inv(a) == enc(oracle_fq_inv(fq, el(a)))
+    for _ in range(20):
+        a, e = rng.randrange(fq.order), rng.randrange(40)
+        assert F.pow(a, e) == enc(oracle_fq_pow(fq, el(a), e))
     for _ in range(20):
         c = rng.randrange(1, fq.order)
         u = [rng.randrange(fq.order) for _ in range(8)]
@@ -1028,6 +1032,46 @@ def test_point_field_matches_fqelem_arithmetic(p, k):
     # F_p is the encodings below p
     assert all(F.mul(a, b) == a * b % p for a in range(p) for b in range(p))
     assert all(F.sub(a, b) == (a - b) % p for a in range(p) for b in range(p))
+
+
+@pytest.mark.parametrize("p, k", [(101, 3), (2, 16), (3, 10)])
+def test_packed_value_matches_plain_horner(p, k):
+    # _FqPoly.value powers each gap once per call; plain Horner over every
+    # coefficient, on the ring's own products and sums, is the oracle.
+    # Dense rows, lifted rows (one gap repeated), mixed gaps, one term,
+    # at x = 0, at elements of F_p and at random points
+    F = point_field(p, k)
+    assert F.q > MAX_POINT_FIELD and F is make_field(p, k).arith()
+    rng = random.Random(6100 + p**k)
+
+    def horner(row, x):
+        acc = 0
+        for c in reversed(row):
+            acc = F.add(F.mul(acc, x), c)
+        return acc
+
+    def lifted(step, terms):
+        row = [0] * (step * (terms - 1) + 1)
+        for e in range(0, len(row), step):
+            row[e] = rng.randrange(1, F.q)
+        return row
+
+    mixed = [0] * 400
+    for e in (0, 1, 3, 7, 8, 50, 51, 52, 150, 250, 399):
+        mixed[e] = rng.randrange(1, F.q)
+    rows = [
+        [rng.randrange(F.q) for _ in range(60)],
+        lifted(p, 30),
+        lifted(p * p, 6),
+        mixed,
+        [rng.randrange(1, F.q)],
+        [0] * 9 + [rng.randrange(1, F.q)],
+        [],
+    ]
+    points = [0, 1, p - 1, F.q - 1] + [rng.randrange(F.q) for _ in range(4)]
+    for row in rows:
+        for x in points:
+            assert F.value(row, x) == horner(row, x)
 
 
 def test_point_field_tables_list_every_element_once_and_follow_make_field():

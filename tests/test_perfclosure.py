@@ -389,7 +389,8 @@ def test_eval_refuses_a_coordinate_that_is_not_a_field_element(bad):
 
 def test_eval_matches_the_per_coordinate_roots_oracle():
     # rooting the body's value once per level agrees with rooting every
-    # coordinate, poles included, at points that mix ints and FqElems
+    # coordinate and evaluating there element by element, poles included,
+    # at points that mix ints and FqElems
     rng = random.Random(1919)
     values = poles = 0
     levels = set()

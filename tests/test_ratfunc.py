@@ -1,5 +1,6 @@
 """Tests for normalized rational functions over Z_p."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,8 @@ from perffield.errors import (
     PoleAtPoint,
     ZeroDenominator,
 )
-from perffield.fqtower import make_field
+from perffield import multipoly
+from perffield.fqtower import FqField, make_field
 from perffield.multipoly import MultiPoly, poly_gcd
 from perffield.perfclosure import PerfContext, PerfElem
 from perffield.primefield import PrimeField
@@ -19,12 +21,16 @@ from perffield.ratfunc import RatFunc
 from helpers import (
     oracle_add,
     oracle_div,
+    oracle_multipoly_eval,
+    oracle_perfelem_eval,
     oracle_pow,
+    oracle_ratfunc_eval,
     oracle_ratmul,
     oracle_reduce,
     oracle_sub,
     random_multipoly,
     random_nonzero_multipoly,
+    random_perfelem,
     random_ratfunc,
 )
 
@@ -312,3 +318,122 @@ def test_separately_built_contexts_combine():
     ):
         got.validate()
         assert got == want and str(got) == str(want)
+
+
+# -- evaluation on encodings, against the element-by-element oracles --------
+
+
+def _same_eval(value, oracle, point, field=None):
+    """value.eval(point, field) gives the oracle's element of the oracle's
+    field, or raises the oracle's error with its message; the outcome."""
+    try:
+        want = oracle(value, point, field)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            value.eval(point, field)
+        assert str(got.value) == str(exc)
+        return type(exc)
+    got = value.eval(point, field)
+    assert type(got) is type(want) and got.field == want.field and got == want
+    return "value"
+
+
+def _check_evals(rng, field, nvars, points, point_field=None, count=4):
+    """Seeded MultiPolys, RatFuncs and PerfElems up to level 2 over field,
+    each at every point; the outcomes seen."""
+    ctx = PerfContext(field.p, nvars)
+    seen = set()
+    for _ in range(count):
+        f = random_multipoly(rng, field, nvars)
+        r = random_ratfunc(rng, field, nvars)
+        a = random_perfelem(rng, ctx, max_level=2, max_deg=4)
+        for pt in points:
+            seen.add(_same_eval(f, oracle_multipoly_eval, pt, point_field))
+            seen.add(_same_eval(r, oracle_ratfunc_eval, pt, point_field))
+            seen.add(_same_eval(a, oracle_perfelem_eval, pt, point_field))
+    return seen
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2)])
+def test_eval_at_every_point_of_a_small_field_matches_the_oracle(p, n):
+    # F_4, F_8 and F_9 on their tables, zero coordinates and poles included
+    F = make_field(p, n)
+    rng = random.Random(70 + p * n)
+    for nvars in (1, 2):
+        points = list(itertools.product(F.elements(), repeat=nvars))
+        seen = _check_evals(rng, PrimeField(p), nvars, points)
+        assert seen == {"value", PoleAtPoint}
+
+
+@pytest.mark.parametrize("p, n", [(5, 6), (2, 16), (3, 10)])
+def test_eval_at_seeded_points_matches_the_oracle(p, n):
+    # F_{5^6} on tables; F_{2^16} and F_{3^10} past them, on the packed
+    # ring; some coordinates are 0 or ints
+    F = make_field(p, n)
+    rng = random.Random(700 + p * n)
+    points = [(F.zero(), F.zero()), (0, F.gen()), (F.one(), 1)]
+    for _ in range(12):
+        points.append(tuple(
+            rng.choice((0, rng.randrange(p), F.zero())) if rng.random() < 0.25
+            else F.from_encoding(rng.randrange(F.order))
+            for _ in range(2)
+        ))
+    seen = _check_evals(rng, PrimeField(p), 2, points, count=6)
+    assert "value" in seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_eval_at_points_of_z_p_matches_the_oracle(p):
+    # ints with PrimeField(p), PFElems, and the two mixed; the value is
+    # a PFElem, as the oracle's element-by-element sum is
+    Zp = PrimeField(p)
+    rng = random.Random(900 + p)
+    points = [(0, 0), (Zp.zero(), 1)]
+    for _ in range(10):
+        points.append((rng.randrange(p), rng.randrange(p)))
+        points.append((Zp.elem(rng.randrange(p)), Zp.elem(rng.randrange(p))))
+        points.append((rng.randrange(p), Zp.elem(rng.randrange(p))))
+    ints = [pt for pt in points if all(isinstance(c, int) for c in pt)]
+    elems = [pt for pt in points if pt not in ints]
+    seen = _check_evals(rng, Zp, 2, ints, Zp)
+    seen |= _check_evals(rng, Zp, 2, elems)
+    seen |= _check_evals(rng, Zp, 2, elems, Zp)
+    assert "value" in seen
+
+
+def test_eval_raises_pole_then_zero_divisor_on_a_reducible_modulus():
+    # Z_2[t]/(t^2): at x1 = t the denominator x1 is t, nonzero but a zero
+    # divisor, so DivisionByZero; at 0 it dies first, so PoleAtPoint; and
+    # 1 + t is a unit, its own inverse
+    F = FqField(2, 2, (0, 0, 1))
+    t = F.gen()
+    r = RatFunc(mp(F2, 1, {(0,): 1}), mp(F2, 1, {(1,): 1}))
+    assert _same_eval(r, oracle_ratfunc_eval, (t,)) is DivisionByZero
+    assert _same_eval(r, oracle_ratfunc_eval, (F.zero(),)) is PoleAtPoint
+    assert _same_eval(r, oracle_ratfunc_eval, (t + 1,)) == "value"
+    assert r.eval((t + 1,)) == t + 1
+    # the coordinate count comes before the pole: 1/x2 at a point of one
+    s = RatFunc(mp(F2, 2, {(0, 0): 1}), mp(F2, 2, {(0, 1): 1}))
+    with pytest.raises(ValueError, match="^need 2 coordinates, got 1$"):
+        s.eval((F.zero(),))
+
+
+def test_eval_resolves_the_point_once(monkeypatch):
+    # one resolve per evaluation, for both polynomials of a RatFunc and
+    # at every level of a PerfElem
+    calls = []
+    resolve = multipoly.resolve_point_field
+
+    def counting(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(multipoly, "resolve_point_field", counting)
+    F = make_field(3, 4)
+    ctx = PerfContext(3, 2)
+    a = ((ctx.variable(0) + 1) / (ctx.variable(1) ** 2 + ctx.variable(0))).pn_root(2)
+    assert a.level == 2
+    for value in (a.body.num, a.body, a):
+        calls.clear()
+        value.eval((F.gen(), F.one()))
+        assert len(calls) == 1
