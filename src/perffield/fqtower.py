@@ -12,27 +12,35 @@ coefficients of its residue, constant first (`_decode`, `_encode`).
 Each field is built on its `ring()`, an `_FqPoly`: Z_p[t] mod f on
 packed digits, where a product is one big-int product and a Barrett
 reduction. Rabin's test runs there (make_field keeps the ring it
-accepted), and so do the primitive element, the powers behind the
-tables and the rows of every F_p-linear map. `+ - * / ** inv` and
-Brown's points (`point_field`) go through one object per field, picked
-on first use: log, antilog and Zech tables (`_FqTables`) up to
-MAX_POINT_FIELD elements on a modulus that Rabin's test accepts, the
-ring otherwise, where a reducible modulus's zero divisors raise
-DivisionByZero.
+accepted, flagged irreducible), and so do the primitive element, the
+powers behind the tables and the rows of every F_p-linear map.
+`+ - * / ** inv` and Brown's points (`point_field`) go through one
+object per field, picked on first use: log, antilog and Zech tables
+(`_FqTables`) up to MAX_POINT_FIELD elements on a modulus that Rabin's
+test accepts, the ring otherwise. Past the tables an inverse on a
+modulus that Rabin's test accepted is Itoh and Tsujii's:
+a^(-1) = a^(r-1) (a^r)^(-1) for r = (q - 1)/(p - 1), where the norm a^r
+lies in F_p and a^(r-1) comes from an addition chain of Frobenius
+powers and products; on any other modulus it is zpoly's Euclid, and a
+reducible modulus's zero divisors raise DivisionByZero.
 
-The Frobenius x -> x^p is F_p-linear: a field holds the rows of its
-matrix Q (t^(ip) mod f, Berlekamp's Q-matrix) and of Q's inverse
-(t^(i p^(n-1)) mod f) once each, packed on the ring and built on first
-use, and an embedding holds the packed powers of its root. `frobenius`,
-`inv_frobenius` and `embed` are one `_FqPoly.image` each, digits times
-rows in one sum. `check_perfect` maps every element of any field
-make_field accepts through Q, one digit at a time (by XOR at p = 2,
-where an encoding is the coordinate bit vector), and checks
-x^(p^k) = x on each; the embedding root search looks only in the
-subfield ker(Q^m - I) where every root lies, found by Gauss-Jordan on
-rows packed on the ring, whose basis products, also packed, give its
-multiplication tensor. None of these builds tables, and the tests
-check them against powering element by element.
+The Frobenius x -> x^p is F_p-linear, and so are its powers and every
+embedding. Such a map is its packed rows, the images of the t^i, and
+the ring applies it through chunk tables built from them (`tables`,
+`image`): the packed images of every chunk of digits that its packing
+table splits an encoding into. A field holds the rows of its matrix Q
+(t^(ip) mod f, Berlekamp's Q-matrix) for the sweeps and `power_map`;
+its ring holds the chunk tables of the powers x -> x^(p^k) that
+`frobenius`, `inv_frobenius` and the inverse use, and an embedding the
+chunk tables of the powers of its root, each built on first use.
+`check_perfect` maps every element of any field make_field accepts
+through Q, one digit at a time (by XOR at p = 2, where an encoding is
+the coordinate bit vector), and checks x^(p^k) = x on each; the
+embedding root search looks only in the subfield ker(Q^m - I) where
+every root lies, found by Gauss-Jordan on rows packed on the ring,
+whose basis products, also packed, give its multiplication tensor.
+None of these builds log tables, and the tests check them against
+powering element by element.
 
 numpy is imported inside the two sweeps, `check_perfect` and
 `find_embedding_root`, and nowhere else, so importing the library or
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import lcm
 from typing import Iterable
 
@@ -145,7 +153,7 @@ def _encode(coeffs, p: int) -> int:
 class FqField:
     """The finite field with p^n elements, as Z_p[t] mod a fixed modulus."""
 
-    __slots__ = ("p", "n", "modulus", "order", "_hash", "_frob", "_inv_frob", "_ring", "_arith")
+    __slots__ = ("p", "n", "modulus", "order", "_hash", "_frob", "_ring", "_arith")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         if len(modulus) != n + 1 or not modulus[-1] % p:
@@ -156,9 +164,9 @@ class FqField:
         self.p, self.n, self.modulus, self.order = p, n, modulus, p**n
         # the key of embed's cache, so hashed on every embedding
         self._hash = hash((p, n, modulus))
-        # the packed rows of Q and of its inverse, the ring and the
-        # arithmetic of the encodings, each built on first use
-        self._frob = self._inv_frob = self._ring = self._arith = None
+        # the packed rows of Q, the ring and the arithmetic of the
+        # encodings, each built on first use
+        self._frob = self._ring = self._arith = None
 
     def ring(self) -> _FqPoly:
         """Z_p[t] modulo the field's modulus on packed digits: every step
@@ -172,11 +180,15 @@ class FqField:
         """The object that adds, multiplies, powers and inverts encodings:
         tables up to MAX_POINT_FIELD elements on an irreducible modulus,
         the ring otherwise. Picked on the first call, so a field that
-        only maps through Q never builds tables."""
+        only maps through Q never builds tables. make_field's ring comes
+        flagged irreducible by the Rabin test that picked its modulus;
+        any other ring gets its flag from one Rabin test here."""
         if self._arith is None:
             R = self.ring()
+            if not R.irreducible:
+                R.irreducible = _is_irreducible(R)
             small = self.order <= MAX_POINT_FIELD
-            self._arith = _FqTables(R) if small and _is_irreducible(R) else R
+            self._arith = _FqTables(R) if small and R.irreducible else R
         return self._arith
 
     def _map_rows(self, e: int) -> tuple[int, ...]:
@@ -190,12 +202,6 @@ class FqField:
         if self._frob is None:
             self._frob = self._map_rows(self.p)
         return self._frob
-
-    def _inv_frobenius_rows(self) -> tuple[int, ...]:
-        """The packed rows of the inverse of Q, t^(i p^(n-1)) mod f."""
-        if self._inv_frob is None:
-            self._inv_frob = self._map_rows(self.p ** (self.n - 1))
-        return self._inv_frob
 
     def power_map(self, e: int) -> tuple[tuple[int, ...], ...]:
         """Rows of the matrix of a -> a^e when that map is F_p-linear
@@ -298,7 +304,8 @@ class FqElem:
 
     `+ - * / ** inv` run on encodings through the field's `arith()`
     object, and `frobenius` and `inv_frobenius` are the ring's `image`
-    of the encoding under the packed rows of Q or of its inverse.
+    of the encoding under the chunk tables of x -> x^p or x -> x^(p^(n-1));
+    on F_p both are the identity.
     `coeffs` is the residue as an n-tuple, derived from the encoding."""
 
     __slots__ = ("field", "enc")
@@ -366,13 +373,20 @@ class FqElem:
     def frobenius(self) -> FqElem:
         """a^p, as the coefficient vector times Q."""
         F = self.field
-        return FqElem(F, F.ring().image(self.enc, F._frobenius_rows()))
+        # a^p = a on F_p, where the one chunk table would hold p entries
+        if F.n == 1:
+            return self
+        R = F.ring()
+        return FqElem(F, R.image(self.enc, R.frobenius(1)))
 
     def inv_frobenius(self) -> FqElem:
         """The unique p-th root a^(p^(n-1)), since a^(p^n) = a, as the
         coefficient vector times the inverse of Q."""
         F = self.field
-        return FqElem(F, F.ring().image(self.enc, F._inv_frobenius_rows()))
+        if F.n == 1:
+            return self
+        R = F.ring()
+        return FqElem(F, R.image(self.enc, R.frobenius(F.n - 1)))
 
     def encode(self) -> int:
         return self.enc
@@ -434,11 +448,13 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
 
 def _canonical_ring(p: int, n: int) -> _FqPoly:
     """The ring on the canonical modulus: one ring takes each candidate
-    as its modulus in turn, until Rabin's test accepts one."""
+    as its modulus in turn, until Rabin's test accepts one, and is
+    flagged irreducible, so its inverses run by Itoh and Tsujii."""
     R = _FqPoly(p, _decode(p**n, p))
     for k in range(p**n, 2 * p**n):
         R._set_modulus(_decode(k, p))
         if _is_irreducible(R):
+            R.irreducible = True
             return R
     raise RuntimeError(f"no irreducible polynomial of degree {n} over Z_{p}")
 
@@ -635,12 +651,27 @@ class _FqPoly:
     Z-linear, so one reduction of each slot mod p, in parallel by a
     multiply-high (`_norm`), gives the Z_p residue; w is picked from the
     worst case, so no slot ever carries into the next. An encoding is
-    packed through a table of at most 256 chunks of digits and read back
-    by one product whose middle slot is the sum of digit * p^i. Inverses
-    are zpoly's extended Euclid on the decoded digits, the module's one
-    Euclid: Rabin's test reads its gcds from them too. An F_p-linear map
-    (Q, its inverse, an embedding) is its packed rows, the images of the
-    t^i, and `image` applies it in one sum and one reduction.
+    packed c digits at a time through `chunk`, the packed digits of each
+    d < p^c, for the largest c <= n with p^c <= 256 (c = 1 past p = 16),
+    and read back by one product whose middle slot is the sum of
+    digit * p^i.
+
+    An F_p-linear map (a Frobenius power, an embedding) is its packed
+    rows, the images of the t^i; `tables` turns them into one table per
+    chunk of c rows, the packed images of all p^c chunk values, and
+    `image` applies the map in one lookup and one addition per chunk and
+    one reduction. The ring holds the tables of the Frobenius powers
+    x -> x^(p^k) it has used (`frobenius`), until its modulus changes.
+
+    A ring whose modulus Rabin's test accepted is flagged `irreducible`
+    (by make_field's search, or by FqField.arith), and inverts by Itoh
+    and Tsujii: with b_k = a^(1 + p + ... + p^(k-1)), b_2k = b_k^(p^k) b_k
+    and b_(k+1) = b_k^p a walk an addition chain to b_(n-1), whose p-th
+    power is a^(r-1) for r = (q - 1)/(p - 1); the norm a^r = a^(r-1) a is
+    a constant, so a^(-1) = a^(r-1) / a^r, all packed. On any other ring
+    an inverse is zpoly's extended Euclid on the decoded digits, the
+    module's one Euclid, which also gives Rabin's test its gcds, run
+    before the flag is set; a zero divisor raises DivisionByZero.
 
     It is each field's `ring()`, on which the field is built; FqElem's
     arithmetic past MAX_POINT_FIELD elements or on a reducible modulus,
@@ -655,12 +686,12 @@ class _FqPoly:
     """
 
     __slots__ = (
-        "p", "q", "modulus", "chunk", "base", "width", "w", "nw", "low", "mu", "g",
-        "top", "m", "k", "qmask", "read", "shift", "mask",
+        "p", "n", "q", "modulus", "chunk", "base", "width", "w", "nw", "low", "mu", "g",
+        "top", "m", "k", "qmask", "read", "shift", "mask", "irreducible", "frob",
     )
 
     def __init__(self, p: int, f):
-        n = len(f) - 1
+        n = self.n = len(f) - 1
         self.p, self.q = p, p**n
         # slot bounds for digits below p: U, then q, then the remainder,
         # which `top`, a multiple of p, passes; below `s` is every slot
@@ -691,8 +722,10 @@ class _FqPoly:
         self._set_modulus(f)
 
     def _set_modulus(self, f) -> None:
-        """Make f, of the ring's degree, its modulus: only mu and g change."""
-        p, n, w = self.p, len(f) - 1, self.w
+        """Make f, of the ring's degree, its modulus: mu and g change, and
+        the irreducible flag and the Frobenius tables, which belong to the
+        old modulus, go."""
+        p, n, w = self.p, self.n, self.w
         # the associate of f that is reduced mod p and monic: the same
         # ideal, and the shape that Barrett and zpoly's Euclid need
         lc = pow(f[-1], -1, p)
@@ -705,6 +738,7 @@ class _FqPoly:
                 r[i + j] = (r[i + j] - c * fj) % p
         self.mu = sum(c << i * w for i, c in enumerate(mu))
         self.g = sum(-c % p << i * w for i, c in enumerate(f[:n]))
+        self.irreducible, self.frob = False, {}
 
     @property
     def points(self) -> Iterable[int]:
@@ -769,31 +803,90 @@ class _FqPoly:
         return self._unpack(self._pack(a) + self.top - self._pack(b))
 
     def inv(self, a: int) -> int:
-        """The inverse of a nonzero a."""
+        """The inverse of a nonzero a: by Itoh and Tsujii on a ring
+        flagged irreducible, by the Euclid otherwise."""
         p = self.p
         if a < p:
             return pow(a, -1, p)
-        try:
-            return _encode(zpoly.invmod(_decode(a, p), self.modulus, p), p)
-        except ValueError:
-            raise DivisionByZero(
-                f"the residue encoded {a} is a zero divisor modulo {_poly_str(self.modulus)}"
-            ) from None
+        if not self.irreducible:
+            try:
+                return _encode(zpoly.invmod(_decode(a, p), self.modulus, p), p)
+            except ValueError:
+                raise DivisionByZero(
+                    f"the residue encoded {a} is a zero divisor modulo {_poly_str(self.modulus)}"
+                ) from None
+        mul, norm, frob = self._mul, self._norm, self._frob
+        x = self._pack(a)
+        # b = b_k along the addition chain on n - 1, read off its bits
+        b, k = x, 1
+        for bit in bin(self.n - 1)[3:]:
+            b, k = norm(mul(frob(b, k), b)), 2 * k
+            if bit == "1":
+                b, k = norm(mul(frob(b, 1), x)), k + 1
+        y = frob(b, 1)
+        c = norm(mul(y, x))
+        # a constant has only its lowest slot, so c < p exactly when it is one
+        if not 0 < c < p:
+            raise RuntimeError(
+                f"the norm of the residue encoded {a} is not a unit of Z_{p}"
+                f" modulo {_poly_str(self.modulus)}"
+            )
+        return self._unpack(y * pow(c, -1, p))
 
     def pow(self, a: int, e: int) -> int:
+        """a^e, the inverse powered for e < 0."""
         p = self.p
         if a < p:
             return pow(a, e, p)
+        if e < 0:
+            a, e = self.inv(a), -e
         return self._unpack(self._pow(self._pack(a), e))
 
-    def image(self, a: int, rows) -> int:
-        """The encoding a through the F_p-linear map with packed rows `rows`
-        (the images of the t^i): one sum, its slots at most n (p - 1)^2 <= top."""
-        p, x = self.p, 0
-        for row in rows:
-            a, d = divmod(a, p)
-            x += d * row
-        return self._unpack(x)
+    def tables(self, rows) -> tuple[list[int], ...]:
+        """The chunk tables of the F_p-linear map with packed rows `rows`
+        (the images of the t^i, digits below p): per chunk of c rows, the
+        packed images of all p^c chunk values, each one addition of a
+        multiple of one row to an entry built before. An entry's slots
+        are at most c (p - 1)^2, and an image's n (p - 1)^2 <= top."""
+        p, c = self.p, self.width // self.w
+        out = []
+        for j in range(0, len(rows), c):
+            # the entries of the chunk values below p^i, then d * row i
+            # on each of them for d = 1, ..., p - 1
+            table = [0]
+            for row in rows[j : j + c]:
+                table += [x + m for m in accumulate(repeat(row, p - 1)) for x in table]
+            out.append(table)
+        return tuple(out)
+
+    def _apply(self, a: int, tables) -> int:
+        """The packed image of the encoding a under the chunk tables
+        `tables`, its slots unreduced."""
+        base, x = self.base, 0
+        for table in tables:
+            a, d = divmod(a, base)
+            x += table[d]
+        return x
+
+    def image(self, a: int, tables) -> int:
+        """The encoding a through the F_p-linear map with chunk tables
+        `tables`."""
+        return self._unpack(self._apply(a, tables))
+
+    def frobenius(self, k: int) -> tuple[list[int], ...]:
+        """The chunk tables of x -> x^(p^k) for n >= 2, from its rows
+        t^(i p^k), t being encoded p; built on first use."""
+        tables = self.frob.get(k)
+        if tables is None:
+            p = self.p
+            rows = _power_rows(self, self.pow(p, p**k), self.n)
+            tables = self.frob[k] = self.tables(rows)
+        return tables
+
+    def _frob(self, x: int, k: int) -> int:
+        """x^(p^k) for packed x, in and out with digits below p."""
+        enc = x * self.read >> self.shift & self.mask
+        return self._norm(self._apply(enc, self.frobenius(k)))
 
     def scale(self, c: int, v: list[int]) -> list[int]:
         c, pack, mul, unpack = self._pack(c), self._pack, self._mul, self._unpack
@@ -1025,7 +1118,8 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     the products give the multiplication tensor S. A block of elements
     gets its multiplication matrices in one product with S, and Horner's
     rule for the modulus is m batched m x m mat-vecs. The root met is
-    the ring's `image` of its index under the rows B. No root, which only
+    the sum of the rows B times the digits of its index, its
+    coordinates. No root, which only
     a reducible target modulus allows, raises NoEmbedding.
     """
     _check_embeddable(source, target)
@@ -1069,7 +1163,9 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
             val[:, 0] = (val[:, 0] + c) % p
         hits = np.flatnonzero(~val.any(axis=1))
         if hits.size:
-            return FqElem(target, R.image(start + int(hits[0]), B))
+            # one image, so the digits times the rows, with no chunk tables
+            coords = digits[hits[0]].tolist()
+            return FqElem(target, R._unpack(sum(c * b for c, b in zip(coords, B))))
     raise NoEmbedding(f"the modulus of {source!r} has no root in {target!r}")
 
 
@@ -1086,18 +1182,20 @@ def _check_embeddable(source: FqField, target: FqField) -> None:
 
 
 @lru_cache(maxsize=None)
-def _embedding_root_cached(source: FqField, target: FqField) -> tuple[int, ...]:
-    """The packed rows of the embedding: row i is r^i mod the target
-    modulus for i < m, r the first root of the source modulus (row 1), on
-    the target's ring, so no field builds tables."""
-    return _power_rows(target.ring(), find_embedding_root(source, target).enc, source.n)
+def _embedding_root_cached(source: FqField, target: FqField) -> tuple[list[int], ...]:
+    """The chunk tables of the embedding on the target's ring, from its
+    packed rows: row i is r^i mod the target modulus for i < m, r the
+    first root of the source modulus (row 1), so no field builds log
+    tables."""
+    R = target.ring()
+    return R.tables(_power_rows(R, find_embedding_root(source, target).enc, source.n))
 
 
 def embed(a: FqElem, target: FqField) -> FqElem:
     """Canonical embedding F_{p^m} -> F_{p^n} for m dividing n: send the
     source generator to the first root r of the source modulus in the
     target, so sum a_i t^i goes to sum a_i r^i: the target ring's `image`
-    of a under the cached packed rows r^i. The two fields, moduli
+    of a under the cached chunk tables of the rows r^i. The two fields, moduli
     included, decide the map, so it is a homomorphism whatever the
     moduli; only a field into itself is the identity."""
     if not isinstance(a, FqElem):

@@ -7,13 +7,15 @@ returns a fresh list without trailing zeros and leaves its inputs
 alone; `trim` trims in place.
 
 Every other product, power and remainder in Z_p[t] modulo f is
-fqtower's `_FqPoly`, on packed ints. Its inverse decodes the digits and
-runs `invmod`, an extended Euclid by single division steps that builds
-no quotient: the inverses past the log tables and on reducible moduli,
-and through them the gcds of Rabin's test, which needs only whether a
-gcd is 1. modgcd trims its dense rows with `trim`. The monic gcd over
-Z_p[t] is not here: it is the Euclid that Brown's algorithm (modgcd)
-runs over every point field, Z_p among them.
+fqtower's `_FqPoly`, on packed ints. On a modulus that Rabin's test
+has accepted it inverts by Itoh and Tsujii, on Frobenius powers; on
+any other (a reducible modulus, or one not yet tested) its inverse
+decodes the digits and runs `invmod`, an extended Euclid by single
+division steps that builds no quotient. That includes the gcds of
+Rabin's test itself, which runs before its verdict and needs only
+whether a gcd is 1. modgcd trims its dense rows with `trim`. The monic
+gcd over Z_p[t] is not here: it is the Euclid that Brown's algorithm
+(modgcd) runs over every point field, Z_p among them.
 """
 
 from __future__ import annotations

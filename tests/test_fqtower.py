@@ -32,6 +32,7 @@ from helpers import (
     oracle_fq_pow,
     oracle_monic_polys,
     oracle_null_space,
+    oracle_poly_mul,
     oracle_poly_powmod,
     oracle_poly_rem,
     oracle_small_factor,
@@ -294,15 +295,19 @@ def test_fqelem_matches_the_tuple_oracle_on_other_moduli():
     assert isinstance(R.arith(), fqtower._FqPoly)
 
 
-@pytest.mark.parametrize("p, n", [(2, 15), (2, 16), (3, 10), (1021, 2), (65521, 1)])
+@pytest.mark.parametrize(
+    "p, n", [(2, 15), (2, 16), (3, 10), (101, 3), (3, 12), (7, 7), (1021, 2), (65521, 1)]
+)
 def test_fqelem_past_the_table_bound_matches_the_tuple_oracle(p, n):
-    # packed products and packed linear maps; F_{1021^2} has the widest
-    # slots make_field allows, and at n = 1 every encoding is below p. The
-    # element whose digits are all p - 1 gives the largest slot sums, of
-    # products and of the Frobenius rows alike, so it is always in
+    # packed products, chunk-table linear maps and Itoh-Tsujii inverses;
+    # F_{1021^2} has the widest slots make_field allows, and at n = 1 every
+    # encoding is below p. The element whose digits are all p - 1 gives the
+    # largest slot sums, of products and of the chunk tables alike, so it
+    # is always in
     field = make_field(p, n)
     q = field.order
     assert q > MAX_POINT_FIELD and isinstance(field.arith(), fqtower._FqPoly)
+    assert field.ring().irreducible
     rng = random.Random(23 + q)
     el = field.from_encoding
     top = el(q - 1)
@@ -437,6 +442,158 @@ def test_zero_divisor_of_a_reducible_modulus_raises_division_by_zero():
     with pytest.raises(DivisionByZero, match="zero divisor"):
         ring.one() / t
     assert (t + 1).inv() == t + 1  # (1 + t)^2 = 1 + t^2 = 1
+
+
+def _rabin_counter(monkeypatch):
+    """Count the calls of Rabin's test from here on."""
+    calls = []
+    rabin = fqtower._is_irreducible
+
+    def counted(R):
+        calls.append(R.modulus)
+        return rabin(R)
+
+    monkeypatch.setattr(fqtower, "_is_irreducible", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (5, 6), (2, 16), (3, 10), (101, 3)])
+def test_make_field_arith_reuses_the_rabin_verdict(monkeypatch, p, n):
+    # make_field's ring comes flagged by the Rabin test that picked its
+    # modulus, so arith() runs none; past the tables its inverses are
+    # Itoh-Tsujii's, so the Euclid is never reached
+    make_field.cache_clear()
+    field = make_field(p, n)
+    calls = _rabin_counter(monkeypatch)
+    assert field.ring().irreducible
+    A = field.arith()
+    assert calls == []
+    if field.order > MAX_POINT_FIELD:
+        def refuse(*args):
+            raise AssertionError("the Euclid ran on a ring flagged irreducible")
+
+        monkeypatch.setattr(fqtower.zpoly, "invmod", refuse)
+        rng = random.Random(30 + p)
+        for a in [rng.randrange(1, field.order) for _ in range(50)] + [field.order - 1]:
+            assert A.mul(a, A.inv(a)) == 1
+
+
+def test_a_hand_built_modulus_of_degree_16_is_flagged_by_one_rabin_test(monkeypatch):
+    # a non-canonical irreducible modulus past the tables: arith() runs
+    # Rabin's test once, flags the ring, and its inverses, by Itoh-Tsujii,
+    # match the oracle
+    F = FqField(2, 16, _second_modulus(2, 16))
+    assert F.modulus != make_field(2, 16).modulus
+    calls = _rabin_counter(monkeypatch)
+    assert not F.ring().irreducible
+    assert isinstance(F.arith(), fqtower._FqPoly)
+    F.arith()
+    assert calls == [F.modulus] and F.ring().irreducible
+    rng = random.Random(31)
+    for a in [F.from_encoding(rng.randrange(1, F.order)) for _ in range(40)] + [F.from_encoding(F.order - 1)]:
+        assert a.inv().coeffs == oracle_fq_inv(F, a.coeffs), a
+        assert (a * a.inv()).enc == 1
+
+
+def test_a_reducible_modulus_of_degree_16_inverts_units_by_the_euclid():
+    # f = g^2 for the irreducible g = t^8 + t^4 + t^3 + t + 1 over Z_2:
+    # Rabin's test refuses f, so the ring is not flagged and inverts by
+    # the Euclid; 1 + g h is a unit (its square is 1 mod g^2), and so is
+    # anything of degree below 8, while g h is a zero divisor
+    g = (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    F = FqField(2, 16, (1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1))
+    assert F.modulus == tuple(oracle_poly_mul(g, g, 2))
+    assert isinstance(F.arith(), fqtower._FqPoly) and not F.ring().irreducible
+    one = F.one().coeffs
+    G = F.elem(g)
+    rng = random.Random(32)
+    for _ in range(30):
+        h = F.from_encoding(rng.randrange(1, 1 << 8))
+        low = F.from_encoding(rng.randrange(1, 1 << 8))
+        for unit in (1 + G * h, low, low * (1 + G * h)):
+            assert oracle_fq_mul(F, unit.coeffs, unit.inv().coeffs) == one, unit
+        for zero_divisor in (G * h, G * h * low):
+            assert zero_divisor
+            with pytest.raises(DivisionByZero, match="zero divisor"):
+                zero_divisor.inv()
+            with pytest.raises(DivisionByZero):
+                F.one() / zero_divisor
+    # the norm check guards the chain: flagged by hand, the ring meets a
+    # zero divisor's norm, which is no unit of Z_2
+    F.ring().irreducible = True
+    with pytest.raises(RuntimeError, match="norm"):
+        G.inv()
+
+
+def test_a_new_modulus_drops_the_flag_and_the_frobenius_tables():
+    R = fqtower._canonical_ring(2, 16)
+    assert R.irreducible
+    R.inv(12345)
+    assert R.frob
+    R._set_modulus(FqField(2, 16, (1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1)).modulus)
+    assert not R.irreducible and R.frob == {}
+
+
+def test_negative_powers_agree_on_every_point_field_object():
+    # _FqTables, _FqPoly and _Zp all take a^e for e < 0 as the inverse
+    # powered: on F_{2^6} tables, the F_{2^16} ring and Z_7
+    rng = random.Random(33)
+    cases = [
+        (make_field(2, 6).arith(), 64),
+        (make_field(2, 16).ring(), 2**16),
+        (point_field(7, 1), 7),
+    ]
+    assert isinstance(cases[0][0], fqtower._FqTables) and isinstance(cases[2][0], fqtower._Zp)
+    for A, q in cases:
+        for a in [1, q - 1, 12345 % q or 1] + [rng.randrange(1, q) for _ in range(20)]:
+            for e in range(-3, 4):
+                base = A.inv(a) if e < 0 else a
+                expect = 1
+                for _ in range(abs(e)):
+                    expect = A.mul(expect, base)
+                assert A.pow(a, e) == expect, (A, a, e)
+                assert A.mul(A.pow(a, e), A.pow(a, -e)) == 1
+
+
+def _digit_row_image(R, a, rows):
+    """The digit-times-rows sum: each base-p digit of a times its row."""
+    return R._unpack(sum(d * row for d, row in zip(fqtower._digits(a, R.p, len(rows)), rows)))
+
+
+@pytest.mark.parametrize("p, n", [(2, 16), (3, 10), (101, 3), (1021, 2), (5, 6), (2, 7)])
+def test_chunk_table_image_matches_the_digit_row_sum(p, n):
+    # every Frobenius power t -> t^(p^k) (Q at k = 1, its inverse at
+    # k = n - 1) and the embedding rows r^i, through the chunk tables,
+    # against each digit times its packed row; the element whose digits
+    # are all p - 1 reaches the largest slot sums, widest at F_{1021^2}
+    F = make_field(p, n)
+    R = F.ring()
+    c = R.width // R.w
+    assert R.base == p**c
+    rng = random.Random(34 + p)
+    encs = [0, 1, p - 1, F.order - 1] + [rng.randrange(F.order) for _ in range(60)]
+    for k in range(1, n + 1):
+        rows = F._map_rows(p**k)
+        tables = R.tables(rows)
+        assert [len(t) for t in tables] == [p ** len(rows[j : j + c]) for j in range(0, n, c)]
+        ring_tables = R.frobenius(k)
+        for a in encs:
+            expect = _digit_row_image(R, a, rows)
+            assert R.image(a, tables) == R.image(a, ring_tables) == expect, (k, a)
+        if k == 1:
+            assert F._frobenius_rows() == rows
+            assert all(F.from_encoding(a).frobenius().enc == R.image(a, tables) for a in encs)
+        if k == n - 1:
+            assert all(F.from_encoding(a).inv_frobenius().enc == R.image(a, tables) for a in encs)
+    for m in range(2, n):
+        if n % m:
+            continue
+        S = make_field(p, m)
+        rows = fqtower._power_rows(R, find_embedding_root(S, F).enc, m)
+        tables = fqtower._embedding_root_cached(S, F)
+        for a in [0, 1, S.order - 1] + [rng.randrange(S.order) for _ in range(40)]:
+            expect = _digit_row_image(R, a, rows)
+            assert R.image(a, tables) == expect == embed(S.from_encoding(a), F).enc, (m, a)
 
 
 def test_fermat_for_extensions():

@@ -311,14 +311,15 @@ def test_eval_refuses_a_point_with_coordinates_in_two_fields():
 
 def test_eval_refuses_a_foreign_point_before_taking_roots():
     # the point's field is checked before the level-2 roots of its
-    # coordinates, so F_16's inverse Frobenius matrix is never built
+    # coordinates, so F_16's ring, which would hold the tables of its
+    # inverse Frobenius, is never built
     ctx = PerfContext(3, 1)
     f16 = FqField(2, 4, make_field(2, 4).modulus)
     a = ctx.variable(0).pth_root().pth_root()
     assert a.level == 2
     with pytest.raises(ContextMismatch):
         a.eval((f16.gen(),))
-    assert f16._inv_frob is None
+    assert f16._ring is None
 
 
 def test_eval_of_an_empty_point_needs_a_field():
