@@ -28,11 +28,11 @@ The Frobenius x -> x^p is F_p-linear, and so are its powers and every
 embedding. Such a map is its packed rows, the images of the t^i, and
 the ring applies it through chunk tables built from them (`tables`,
 `image`): the packed images of every chunk of digits that its packing
-table splits an encoding into. A field holds the rows of its matrix Q
-(t^(ip) mod f, Berlekamp's Q-matrix) for the sweeps and `power_map`;
-its ring holds the chunk tables of the powers x -> x^(p^k) that
-`frobenius`, `inv_frobenius` and the inverse use, and an embedding the
-chunk tables of the powers of its root, each built on first use.
+table splits an encoding into. The ring holds each power x -> x^(p^k)
+once, as rows (`rows`) that the sweeps and `power_map` read, Berlekamp's
+Q (t^(ip) mod f) at k = 1, and the field holds no copy; `frobenius`,
+`inv_frobenius` and the inverse use their chunk tables, an embedding
+those of the powers of its root, each built on first use.
 `check_perfect` maps every element of any field make_field accepts
 through Q, one digit at a time (by XOR at p = 2, where an encoding is
 the coordinate bit vector), and checks x^(p^k) = x on each; the
@@ -153,7 +153,7 @@ def _encode(coeffs, p: int) -> int:
 class FqField:
     """The finite field with p^n elements, as Z_p[t] mod a fixed modulus."""
 
-    __slots__ = ("p", "n", "modulus", "order", "_hash", "_frob", "_ring", "_arith")
+    __slots__ = ("p", "n", "modulus", "order", "_hash", "_ring", "_arith")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         if len(modulus) != n + 1 or not modulus[-1] % p:
@@ -164,9 +164,9 @@ class FqField:
         self.p, self.n, self.modulus, self.order = p, n, modulus, p**n
         # the key of embed's cache, so hashed on every embedding
         self._hash = hash((p, n, modulus))
-        # the packed rows of Q, the ring and the arithmetic of the
+        # the ring, which holds the rows of Q, and the arithmetic of the
         # encodings, each built on first use
-        self._frob = self._ring = self._arith = None
+        self._ring = self._arith = None
 
     def ring(self) -> _FqPoly:
         """Z_p[t] modulo the field's modulus on packed digits: every step
@@ -191,24 +191,16 @@ class FqField:
             self._arith = _FqTables(R) if small and R.irreducible else R
         return self._arith
 
-    def _map_rows(self, e: int) -> tuple[int, ...]:
-        """The packed rows of a -> a^e, F_p-linear for e a power of p:
-        row i is t^(ie) mod f, on the ring."""
-        R = self.ring()
-        return _power_rows(R, R.pow(self.gen().enc, e), self.n)
-
-    def _frobenius_rows(self) -> tuple[int, ...]:
-        """The packed rows of Q, built on first use."""
-        if self._frob is None:
-            self._frob = self._map_rows(self.p)
-        return self._frob
-
     def power_map(self, e: int) -> tuple[tuple[int, ...], ...]:
-        """Rows of the matrix of a -> a^e when that map is F_p-linear
-        (e a power of p): row i is t^(ie) mod f, so a row vector of
-        coefficients times the matrix is the image; the field's Q at p."""
-        rows = self._frobenius_rows() if e == self.p else self._map_rows(e)
-        return tuple(_digits(self.ring()._unpack(r), self.p, self.n) for r in rows)
+        """Rows of the matrix of a -> a^e for e = p^k, k >= 0, read off the
+        ring's rows (any other e raises ValueError): row i is t^(ie) mod f,
+        so coefficients times the matrix are the image; Q at e = p."""
+        p = self.p
+        k = len(_decode(e, p)) - 1 if isinstance(e, int) and e > 0 else 0
+        if p**k != e:
+            raise ValueError(f"power_map takes e = {p}^k for some k >= 0, got {e!r}")
+        R = self.ring()
+        return tuple(_digits(R._unpack(r), p, self.n) for r in R.rows(k))
 
     def frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Berlekamp's Q: row i is t^(ip) mod f."""
@@ -371,7 +363,7 @@ class FqElem:
         return FqElem(self.field, self._operand(other)) * self.inv()
 
     def frobenius(self) -> FqElem:
-        """a^p, as the coefficient vector times Q."""
+        """a^p, as the coefficient vector times the ring's one copy of Q."""
         F = self.field
         # a^p = a on F_p, where the one chunk table would hold p entries
         if F.n == 1:
@@ -660,8 +652,8 @@ class _FqPoly:
     rows, the images of the t^i; `tables` turns them into one table per
     chunk of c rows, the packed images of all p^c chunk values, and
     `image` applies the map in one lookup and one addition per chunk and
-    one reduction. The ring holds the tables of the Frobenius powers
-    x -> x^(p^k) it has used (`frobenius`), until its modulus changes.
+    one reduction. The ring holds the one copy of each Frobenius power
+    x -> x^(p^k) it has used: its rows (`rows`), then tables (`frobenius`).
 
     A ring whose modulus Rabin's test accepted is flagged `irreducible`
     (by make_field's search, or by FqField.arith), and inverts by Itoh
@@ -687,7 +679,7 @@ class _FqPoly:
 
     __slots__ = (
         "p", "n", "q", "modulus", "chunk", "base", "width", "w", "nw", "low", "mu", "g",
-        "top", "m", "k", "qmask", "read", "shift", "mask", "irreducible", "frob",
+        "top", "m", "k", "qmask", "read", "shift", "mask", "irreducible", "maps", "frob",
     )
 
     def __init__(self, p: int, f):
@@ -723,8 +715,8 @@ class _FqPoly:
 
     def _set_modulus(self, f) -> None:
         """Make f, of the ring's degree, its modulus: mu and g change, and
-        the irreducible flag and the Frobenius tables, which belong to the
-        old modulus, go."""
+        the irreducible flag and the Frobenius rows and tables, which
+        belong to the old modulus, go."""
         p, n, w = self.p, self.n, self.w
         # the associate of f that is reduced mod p and monic: the same
         # ideal, and the shape that Barrett and zpoly's Euclid need
@@ -738,7 +730,7 @@ class _FqPoly:
                 r[i + j] = (r[i + j] - c * fj) % p
         self.mu = sum(c << i * w for i, c in enumerate(mu))
         self.g = sum(-c % p << i * w for i, c in enumerate(f[:n]))
-        self.irreducible, self.frob = False, {}
+        self.irreducible, self.maps, self.frob = False, {}, {}
 
     @property
     def points(self) -> Iterable[int]:
@@ -873,14 +865,21 @@ class _FqPoly:
         `tables`."""
         return self._unpack(self._apply(a, tables))
 
+    def rows(self, k: int) -> tuple[int, ...]:
+        """The packed rows t^(i p^k) of x -> x^(p^k), built on first use;
+        t is encoded p, or -f_0 on F_p, whose one row is 1 for every k."""
+        if k not in self.maps:
+            p = self.p
+            t = p if self.n > 1 else -self.modulus[0] % p
+            self.maps[k] = _power_rows(self, self.pow(t, p**k), self.n)
+        return self.maps[k]
+
     def frobenius(self, k: int) -> tuple[list[int], ...]:
-        """The chunk tables of x -> x^(p^k) for n >= 2, from its rows
-        t^(i p^k), t being encoded p; built on first use."""
+        """The chunk tables of x -> x^(p^k), from its rows; built on
+        first use."""
         tables = self.frob.get(k)
         if tables is None:
-            p = self.p
-            rows = _power_rows(self, self.pow(p, p**k), self.n)
-            tables = self.frob[k] = self.tables(rows)
+            tables = self.frob[k] = self.tables(self.rows(k))
         return tables
 
     def _frob(self, x: int, k: int) -> int:
@@ -948,13 +947,13 @@ class PerfectReport:
         return self.summary()
 
 
-def _row_digits(field: FqField, rows):
-    """The digits of packed rows as an int64 array, by one broadcast."""
+def _row_digits(R: _FqPoly, rows):
+    """The digits of rows packed on R as an int64 array, by one broadcast."""
     import numpy as np
 
-    R, p = field.ring(), field.p
+    p = R.p
     enc = np.array([R._unpack(r) for r in rows], dtype=np.int64)
-    return enc[:, None] // p ** np.arange(field.n, dtype=np.int64) % p
+    return enc[:, None] // p ** np.arange(R.n, dtype=np.int64) % p
 
 
 def _frobenius_images(field: FqField):
@@ -979,13 +978,12 @@ def _frobenius_images(field: FqField):
     """
     import numpy as np
 
-    p, n, q = field.p, field.n, field.order
+    p, n, q, R = field.p, field.n, field.order, field.ring()
     if p == 2:
-        unpack = field.ring()._unpack
         enc = np.empty(q, dtype=np.intp)
         enc[0] = 0
-        for i, row in enumerate(field._frobenius_rows()):
-            np.bitwise_xor(enc[: 1 << i], unpack(row), out=enc[1 << i : 2 << i])
+        for i, row in enumerate(R.rows(1)):
+            np.bitwise_xor(enc[: 1 << i], R._unpack(row), out=enc[1 << i : 2 << i])
         return enc
     coord = np.min_scalar_type(2 * p - 2)
     # images[:, k] holds the coordinates of the image of the element encoded k
@@ -994,7 +992,7 @@ def _frobenius_images(field: FqField):
     # scalar is a multiply-high where % is a division
     wide = np.min_scalar_type((p - 1) ** 2)
     digits = np.arange(1, p, dtype=wide)
-    for i, row in enumerate(_row_digits(field, field._frobenius_rows()).astype(wide)):
+    for i, row in enumerate(_row_digits(R, R.rows(1)).astype(wide)):
         # block[:, d, j] is the element d*p^i + j, for j below p^i
         block = images[:, : p ** (i + 1)].reshape(n, p, p**i)
         high = block[:, 1:]
@@ -1129,7 +1127,7 @@ def find_embedding_root(source: FqField, target: FqField) -> FqElem:
     # x is fixed by x -> x^(p^m) iff x (Q^m - I) = 0, i.e. (Q^m - I)^T x = 0,
     # where the rows of Q^m are t^(i p^m) mod f; row i of (Q^m - I)^T is
     # column i of Q^m - I, packed from its encoding
-    Qm = _row_digits(target, target._map_rows(p**source.n))
+    Qm = _row_digits(R, R.rows(source.n))
     cols = (Qm - np.identity(n, dtype=np.int64)).T % p @ p ** np.arange(n, dtype=np.int64)
     B, free = _null_space(R, [R._pack(e) for e in cols.tolist()])
     # d = m, unless the target modulus is reducible

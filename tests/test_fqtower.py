@@ -529,9 +529,9 @@ def test_a_new_modulus_drops_the_flag_and_the_frobenius_tables():
     R = fqtower._canonical_ring(2, 16)
     assert R.irreducible
     R.inv(12345)
-    assert R.frob
+    assert R.frob and R.maps
     R._set_modulus(FqField(2, 16, (1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1)).modulus)
-    assert not R.irreducible and R.frob == {}
+    assert not R.irreducible and R.frob == {} and R.maps == {}
 
 
 def test_negative_powers_agree_on_every_point_field_object():
@@ -573,15 +573,16 @@ def test_chunk_table_image_matches_the_digit_row_sum(p, n):
     rng = random.Random(34 + p)
     encs = [0, 1, p - 1, F.order - 1] + [rng.randrange(F.order) for _ in range(60)]
     for k in range(1, n + 1):
-        rows = F._map_rows(p**k)
+        rows = R.rows(k)
         tables = R.tables(rows)
         assert [len(t) for t in tables] == [p ** len(rows[j : j + c]) for j in range(0, n, c)]
         ring_tables = R.frobenius(k)
+        # the ring's tables come from its one stored copy of the rows
+        assert R.maps[k] is rows
         for a in encs:
             expect = _digit_row_image(R, a, rows)
             assert R.image(a, tables) == R.image(a, ring_tables) == expect, (k, a)
         if k == 1:
-            assert F._frobenius_rows() == rows
             assert all(F.from_encoding(a).frobenius().enc == R.image(a, tables) for a in encs)
         if k == n - 1:
             assert all(F.from_encoding(a).inv_frobenius().enc == R.image(a, tables) for a in encs)
@@ -594,6 +595,58 @@ def test_chunk_table_image_matches_the_digit_row_sum(p, n):
         for a in [0, 1, S.order - 1] + [rng.randrange(S.order) for _ in range(40)]:
             expect = _digit_row_image(R, a, rows)
             assert R.image(a, tables) == expect == embed(S.from_encoding(a), F).enc, (m, a)
+
+
+def _counting_power_rows(monkeypatch):
+    """The x of every _power_rows(R, x, k) call from here on, in order."""
+    built, power_rows = [], fqtower._power_rows
+
+    def counting(R, x, k):
+        built.append(x)
+        return power_rows(R, x, k)
+
+    monkeypatch.setattr(fqtower, "_power_rows", counting)
+    return built
+
+
+def test_the_rows_of_q_are_built_once_per_field(monkeypatch):
+    # the sweep, an Itoh-Tsujii inverse, a^p and power_map all read the
+    # ring's one copy of the rows of t -> t^2 (whose t^2 is encoded 4)
+    built = _counting_power_rows(monkeypatch)
+    F = make_field.__wrapped__(2, 16)
+    assert check_perfect(F) == PerfectReport(2, 16, 2**16, True, 16, None)
+    a = F.from_encoding(12345)
+    assert isinstance(F.arith(), fqtower._FqPoly) and a * a.inv() == 1
+    assert a.frobenius() == a**2
+    assert F.power_map(2) == F.frobenius_matrix()
+    assert built.count(4) == 1, built
+
+
+@pytest.mark.parametrize("p", [2, 5, 101])
+def test_the_rows_on_f_p_are_one_from_an_encoding_in_the_field(monkeypatch, p):
+    # on F_p the one row of every Frobenius power is 1, on the canonical
+    # modulus t and on a modulus whose root is not 0; t is never powered
+    # as the encoding p, which lies past the field
+    built = _counting_power_rows(monkeypatch)
+    for F in (make_field.__wrapped__(p, 1), FqField(p, 1, (1, 1))):
+        assert check_perfect(F) == PerfectReport(p, 1, p, True, 1, None)
+        assert F.power_map(p) == F.power_map(p**3) == F.power_map(1) == ((1,),)
+        assert F.ring().rows(1) == (1,)
+    assert built and all(0 <= x < p for x in built), built
+
+
+def test_power_map_takes_only_powers_of_p():
+    # a -> a^e is F_p-linear for e = p^k; any other e has no rows
+    F = make_field(2, 4)
+    for e in (6, 0, -2, 3, -1, 2.0):
+        with pytest.raises(ValueError, match="power_map takes e = 2"):
+            F.power_map(e)
+    with pytest.raises(ValueError):
+        make_field(3, 2).power_map(2)
+    identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert F.power_map(1) == F.power_map(16) == F.power_map(256) == identity
+    assert F.power_map(32) == F.power_map(2) == F.frobenius_matrix()
+    assert F.power_map(8) == tuple((F.from_encoding(2**i) ** 8).coeffs for i in range(4))
 
 
 def test_fermat_for_extensions():
@@ -731,9 +784,9 @@ def _outcome(report_or_error, n):
 
 
 def _put_q(field, rows):
-    """The digit rows in place of the field's Q, packed as it holds Q."""
+    """The digit rows in place of Q, packed as the field's ring holds it."""
     R, p = field.ring(), field.p
-    field._frob = tuple(R._pack(sum(c * p**j for j, c in enumerate(row))) for row in rows)
+    R.maps[1] = tuple(R._pack(sum(c * p**j for j, c in enumerate(row))) for row in rows)
     assert field.frobenius_matrix() == tuple(map(tuple, rows))
 
 
