@@ -764,7 +764,19 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_refused_fq_bounds_leave_numpy_unloaded():
-    # make_field's bounds and the embeddability check come before numpy
+    # make_field's bounds and the embeddability check come before numpy,
+    # and a sweep that the bounds refuse through the CLI exits 1 without
+    # importing it
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "perffield.cli"],
+        input="fq perfect-check 2 17\n",
+        capture_output=True,
+        text=True,
+        env=os.environ.copy(),
+        timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1 and not re.search(r"\bnumpy\b", out), out
     code = (
         "import sys\n"
         "from perffield import fqtower\n"
